@@ -70,8 +70,7 @@ def _cmd_optimize(args) -> int:
     if not solution.feasible:
         from .schedule import Schedule
 
-        empty = Schedule(problem.grid, solution.status, float("nan"), {},
-                         dict(solution.stats))
+        empty = Schedule(problem.grid, solution.status, None, {}, dict(solution.stats))
         write_schedule(empty, args.out)
         print(f"no schedule: {solution.status}")
         return 2 if solution.status == "infeasible" else 1

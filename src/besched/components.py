@@ -17,7 +17,7 @@ from .assembly import CARRIERS, COLD, ELECTRIC, HEAT, BalanceLedger, TimeGrid
 from .errors import ModelError
 from .fcchp import build_min_durations, build_onoff_chain
 from .linearize import product_bin_bounded
-from .milp import EQ, LE, Model, as_expr
+from .milp import EQ, Model, as_expr
 
 
 def _check_series(values, n, label, lo=None, hi=None):
@@ -370,11 +370,7 @@ def build_mech_chp(model: Model, spec: MechChpSpec, grid: TimeGrid,
             f"{spec.name}.out[{i}]", f"{spec.name}.modulation.i={i}",
         )
         heat.append(as_expr(out))
-        b_on = model.binary(f"{spec.name}.boilerOn[{i}]")
         b_out = model.continuous(f"{spec.name}.boiler[{i}]", 0.0, spec.boiler_p_max)
-        model.add_constraint(
-            b_out - b_on * spec.boiler_p_max, LE, 0.0, f"{spec.name}.boilergate.i={i}"
-        )
         boiler_heat.append(as_expr(b_out))
 
     ledger.add_source(HEAT, spec.name, [heat[i] + boiler_heat[i] for i in range(n)])

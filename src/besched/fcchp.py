@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from .assembly import ELECTRIC, HEAT, BalanceLedger, TimeGrid
 from .errors import InconsistentHistory, ModelError
 from .linearize import (
-    abs_diff,
     binary_abs_diff,
     bool_and,
     product_bin_bounded,
@@ -669,11 +668,9 @@ class FcchpBuilder:
         ramp = phys.delta_p_th_prod * self.grid.hours_per_unit
         if math.isfinite(ramp) and ramp < phys.p_th_max - phys.p_th_min:
             for i in range(2, n + 1):
-                step = abs_diff(
-                    m, u_th[i - 2], u_th[i - 1], phys.p_th_max - phys.p_th_min,
-                    f"{name}.ramp[{i}]", f"{name}.ramp.i={i}",
-                )
-                m.add_constraint(step, LE, ramp, f"{name}.ramplim.i={i}")
+                step = u_th[i - 1] - u_th[i - 2]
+                m.add_constraint(step, LE, ramp, f"{name}.ramplim.i={i}.up")
+                m.add_constraint(step, GE, -ramp, f"{name}.ramplim.i={i}.down")
 
         thermal, electric_out, electric_in, primary_in = [], [], [], []
         gammas = []

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .milp import EQ, GE, LE, Domain, LinExpr, Model, Var, as_expr
+from .milp import EQ, GE, LE, LinExpr, Model, Var, as_expr
 
 
 @dataclass(frozen=True)
@@ -158,40 +158,5 @@ def select_interval_gated(model: Model, gate, x, intervals, x_min: float, x_max:
         m_dn = max(a - x_min, 1.0)
         model.add_constraint(xe - b + m_up * lam, LE, m_up, f"{tag}.ub.j={a}_{b}")
         model.add_constraint(xe - a - m_dn * lam, GE, -m_dn, f"{tag}.lb.j={a}_{b}")
-    model.add_constraint(total - ge, EQ, 0.0, f"{tag}.onehot")
-    return value, lams
-
-
-def select_value_gated(model: Model, gate, x, table, lo: int, x_min: float, x_max: float,
-                       name: str, tag: str):
-    """Gated lookup: value = gate * F[x] with selectors active only when the
-    binary gate is 1 (sum of selectors equals the gate instead of 1).
-
-    Avoids one free selector block per time unit in recursions of the form
-    w_i = start_i * f(...) + (1 - start_i) * w_{i-1}: when the gate is 0 all
-    selectors are forced to 0 and the value is 0.  x must lie in
-    {lo..lo+len(table)-1} whenever gate = 1 and in [x_min, x_max] always.
-    """
-    if not table:
-        raise ModelError(f"select_value_gated {name!r}: table must be non-empty")
-    n = len(table)
-    xe = as_expr(x)
-    ge = as_expr(gate)
-    lams = []
-    total = LinExpr()
-    value = LinExpr()
-    hi = lo + n - 1
-    record_bigm(model, max(x_max - lo, hi - x_min, 1.0), tag, max(x_max - lo, hi - x_min, 1.0))
-    for k in range(n):
-        i = lo + k
-        lam = model.binary(f"{name}_l{i}")
-        lams.append(lam)
-        total = total + lam
-        value = value + lam * float(table[k])
-        # lam = 1 forces x = i; lam = 0 leaves x anywhere in [x_min, x_max]
-        m_up = max(x_max - i, 1.0)
-        m_dn = max(i - x_min, 1.0)
-        model.add_constraint(xe - i + m_up * lam, LE, m_up, f"{tag}.ub.i={i}")
-        model.add_constraint(xe - i - m_dn * lam, GE, -m_dn, f"{tag}.lb.i={i}")
     model.add_constraint(total - ge, EQ, 0.0, f"{tag}.onehot")
     return value, lams

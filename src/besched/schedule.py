@@ -16,7 +16,7 @@ class Schedule:
 
     grid: TimeGrid
     status: str
-    objective: float
+    objective: float | None  # None when no solution was found
     series: dict  # name -> list of floats, length n_units
     stats: dict = field(default_factory=dict)
 

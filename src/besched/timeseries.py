@@ -117,7 +117,7 @@ def write_schedule(schedule: Schedule, out_dir) -> dict:
         "stats": schedule.stats,
     }
     meta_path = out / "metadata.json"
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n")
     written = {"metadata": str(meta_path)}
     if not schedule.series:
         return written

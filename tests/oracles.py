@@ -157,6 +157,53 @@ def random_milp(rng: np.random.Generator, max_binaries=12, max_rows=30) -> Model
     return m
 
 
+def propagate_bounds(model: Model, tol=1e-9):
+    """Row-by-row activity bound propagation, repeated until no bound moves.
+
+    Plain-Python reference for the solver's whole-matrix presolve: sweeps the
+    rows in model order and lets each tightening act on the rows after it.
+    Returns (feasible, lo, hi) as lists.
+    """
+    lo = [v.domain.lo for v in model.vars]
+    hi = [v.domain.hi for v in model.vars]
+    integral = [v.domain.is_integral for v in model.vars]
+    changed = True
+    while changed:
+        changed = False
+        if any(a > b + tol for a, b in zip(lo, hi)):
+            return False, lo, hi
+        for con in model.constraints:
+            terms = [(j, c, c * lo[j] if c > 0 else c * hi[j], c * hi[j] if c > 0 else c * lo[j])
+                     for j, c in con.terms.items()]
+            min_act = sum(t[2] for t in terms)
+            max_act = sum(t[3] for t in terms)
+            if con.sense != GE and min_act > con.rhs + 1e-7:
+                return False, lo, hi
+            if con.sense != LE and max_act < con.rhs - 1e-7:
+                return False, lo, hi
+            for j, c, t_min, t_max in terms:
+                if c == 0:
+                    continue
+                caps = []
+                if con.sense != GE and math.isfinite(min_act):
+                    caps.append(((con.rhs - (min_act - t_min)) / c, c > 0))
+                if con.sense != LE and math.isfinite(max_act):
+                    caps.append(((con.rhs - (max_act - t_max)) / c, c < 0))
+                for cap, is_upper in caps:
+                    if is_upper and cap < hi[j] - tol:
+                        hi[j] = cap
+                        changed = True
+                    elif not is_upper and cap > lo[j] + tol:
+                        lo[j] = cap
+                        changed = True
+        if changed:
+            for j, is_int in enumerate(integral):
+                if is_int:
+                    lo[j] = math.ceil(lo[j] - 1e-6)
+                    hi[j] = math.floor(hi[j] + 1e-6)
+    return not any(a > b + tol for a, b in zip(lo, hi)), lo, hi
+
+
 # ---------------------------------------------------------------------------
 # switching-pattern feasibility and fcCHP state simulation
 

@@ -67,14 +67,19 @@ def test_optimize_writes_schedule_and_exits_zero(tmp_path, capsys):
     assert "objective" in capsys.readouterr().out
 
 
+def _reject_constant(name):
+    raise ValueError(f"metadata.json is not strict JSON: {name}")
+
+
 def test_optimize_infeasible_exits_two_with_metadata_only(tmp_path):
     # 30 kW of hot water demand cannot be covered by a 3.6 kW pump and buffer
     args = _write_scenario(tmp_path, water_kw=30.0)
     out = tmp_path / "out"
     rc = cli_main(["optimize", *args, "--out", str(out)])
     assert rc == 2
-    meta = json.loads((out / "metadata.json").read_text())
+    meta = json.loads((out / "metadata.json").read_text(), parse_constant=_reject_constant)
     assert meta["status"] == "infeasible"
+    assert meta["objective"] is None
     assert not (out / "schedule.csv").exists()
 
 

@@ -15,7 +15,7 @@ from besched.solver import (
     solve_builtin,
 )
 
-from oracles import brute_force_solve, random_milp
+from oracles import brute_force_solve, propagate_bounds, random_milp
 
 
 def test_rounding_forced():
@@ -117,6 +117,66 @@ def test_presolve_detects_conflict():
     arrays = ModelArrays(m)
     ok, _, _ = arrays.tighten_bounds(arrays.lo, arrays.hi)
     assert not ok
+
+
+def test_presolve_propagates_along_a_chain_to_the_fixpoint():
+    # each pass moves the fixing one row along the chain: 40 steps to the end
+    m = Model()
+    xs = [m.integer(f"x{k}", 0, 100) for k in range(1, 41)]
+    m.add_constraint(xs[39] + 0.0, EQ, 0.0, "anchor")
+    for k in range(39):
+        m.add_constraint(xs[k] - xs[k + 1], EQ, 1.0, f"chain.k={k + 1}")
+    arrays = ModelArrays(m)
+    ok, lo, hi = arrays.tighten_bounds(arrays.lo, arrays.hi)
+    assert ok
+    expected = [40.0 - k for k in range(1, 41)]
+    assert lo.tolist() == expected and hi.tolist() == expected
+
+
+def test_presolve_matches_row_loop_reference():
+    rng = np.random.default_rng(5)
+    infeasible = 0
+    for _ in range(100):
+        m = random_milp(rng)
+        # an unanchored cover row makes about half of the models infeasible
+        m.add_constraint(sum((v + 0.0 for v in m.vars), start=m.vars[0] * 0.0), GE,
+                         float(rng.integers(0, len(m.vars) + 8)), "cover")
+        arrays = ModelArrays(m)
+        ok, lo, hi = arrays.tighten_bounds(arrays.lo, arrays.hi)
+        ref_ok, ref_lo, ref_hi = propagate_bounds(m)
+        assert ok == ref_ok
+        infeasible += not ok
+        if ok:
+            # the sweep orders differ, so slowly converging bounds may stop a
+            # few sub-1e-9 steps apart
+            np.testing.assert_allclose(lo, ref_lo, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(hi, ref_hi, rtol=0, atol=1e-6)
+    assert 20 <= infeasible <= 80
+
+
+@pytest.mark.parametrize("largest", ["le", "ge", "eq", "bound"])
+def test_max_violation_is_the_largest_row_or_bound_violation(largest):
+    amounts = dict(zip(["le", "ge", "eq", "bound"], [0.5, 1.25, 0.75, 0.25]))
+    amounts[largest] = 2.0
+    m = Model()
+    x, y, z, w = (m.continuous(name, 0, 10) for name in "xyzw")
+    m.add_constraint(x + 0.0, LE, 1.0, "le")
+    m.add_constraint(y + 0.0, GE, 5.0, "ge")
+    m.add_constraint(z + 0.0, EQ, 3.0, "eq")
+    point = np.array([
+        1.0 + amounts["le"],
+        5.0 - amounts["ge"],
+        3.0 - amounts["eq"],
+        10.0 + amounts["bound"],
+    ])
+    assert ModelArrays(m).max_violation(point) == 2.0
+
+
+def test_max_violation_rejects_nan():
+    m = Model()
+    x = m.continuous("x", 0, 1)
+    m.add_constraint(x + 0.0, LE, 1.0, "cap")
+    assert ModelArrays(m).max_violation(np.array([np.nan])) == np.inf
 
 
 def test_solution_vector_and_verification():
