@@ -12,7 +12,7 @@ the financial entries of the components that burn it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ModelError, StructuralInfeasibility
 from .milp import EQ, LinExpr, Model, as_expr

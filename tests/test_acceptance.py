@@ -16,7 +16,7 @@ from besched.fcchp import (
 )
 from besched.linearize import abs_diff, bool_and, product_bin_bounded, select_value
 from besched.milp import EQ, Model
-from besched.pipeline import build_problem, solve_problem
+from besched.pipeline import build_problem
 from besched.solver import INFEASIBLE, OPTIMAL, SolveOptions, solve_builtin
 
 from helpers import (

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from besched.cli import cli_main
 
 CONFIG = """<BuildingConfiguration xmlns="http://www.fokus.fraunhofer.de/WaveSave"
@@ -60,6 +58,7 @@ def test_optimize_writes_schedule_and_exits_zero(tmp_path, capsys):
     assert rc == 0
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["status"] == "optimal"
+    assert {"nodes", "lp_solves", "lp_time"} <= meta["stats"].keys()
     header = (out / "schedule.csv").read_text().splitlines()[0]
     assert "on_HeatPump" in header
     assert "thermalEnergyLevel_HotWaterBuffer" in header

@@ -1,7 +1,5 @@
 """Time grid, balance ledger/assembly, and the standard component builders."""
 
-import math
-
 import pytest
 
 from besched.assembly import (
@@ -31,7 +29,7 @@ from besched.components import (
 )
 from besched.errors import ModelError, StructuralInfeasibility
 from besched.milp import EQ, Model, as_expr
-from besched.solver import SolveOptions, solve_builtin
+from besched.solver import solve_builtin
 
 from oracles import storage_replay
 

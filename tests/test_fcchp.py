@@ -11,7 +11,6 @@ from besched.errors import InconsistentHistory, ModelError
 from besched.fcchp import (
     FcchpCostParams,
     FcchpInitialState,
-    FcchpPhysicalParams,
     build_min_durations,
     build_onoff_chain,
     derive_unit_params,

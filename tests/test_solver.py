@@ -1,7 +1,11 @@
 """Built-in branch-and-bound and the two LP backends."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from besched.errors import SolverError
 from besched.milp import EQ, GE, LE, Model
@@ -37,12 +41,13 @@ def test_infeasible_row_pair():
     assert solve_builtin(m).status == INFEASIBLE
 
 
-def test_unbounded_detected():
+@pytest.mark.parametrize("backend", ["dense", "highs"])
+def test_unbounded_detected(backend):
     m = Model()
     x = m.continuous("x")
     m.add_constraint(x + 0.0, LE, 5.0, "cap")
     m.set_objective(x + 0.0)
-    assert solve_builtin(m).status == UNBOUNDED
+    assert solve_builtin(m, SolveOptions(lp_backend=backend)).status == UNBOUNDED
 
 
 def test_options_reject_nonpositive_tolerances():
@@ -191,12 +196,171 @@ def test_solution_vector_and_verification():
     assert arrays.objective_value(sol.vector(m)) == pytest.approx(sol.objective)
 
 
-def test_dense_and_highs_agree():
+def _agree_models():
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        m = random_milp(rng, max_binaries=7, max_rows=10)
+    return [random_milp(rng, max_binaries=7, max_rows=10) for _ in range(5)]
+
+
+def test_dense_and_highs_agree():
+    for m in _agree_models():
         a = solve_builtin(m, SolveOptions(lp_backend="dense"))
         b = solve_builtin(m, SolveOptions(lp_backend="highs"))
         assert a.status == b.status
         if a.status == OPTIMAL:
             assert a.objective == pytest.approx(b.objective, abs=1e-6)
+
+
+def _cold_linprog(arrays, lo, hi):
+    """A fresh ``linprog`` on the arrays' LP; EQ rows enter as two inequalities."""
+    a = arrays.a.toarray()
+    res = scipy.optimize.linprog(
+        arrays.c,
+        A_ub=np.vstack([a[arrays.le], -a[arrays.ge]]),
+        b_ub=np.concatenate([arrays.rhs[arrays.le], -arrays.rhs[arrays.ge]]),
+        bounds=np.column_stack([lo, hi]),
+        method="highs",
+    )
+    status = {0: OPTIMAL, 2: INFEASIBLE}[res.status]
+    return status, (res.fun + arrays.obj_const if status == OPTIMAL else None)
+
+
+def test_warm_highs_lp_matches_cold_linprog_over_bound_changes():
+    pytest.importorskip("scipy.optimize._highspy._core")
+    rng = np.random.default_rng(17)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    for _ in range(3):
+        m = random_milp(rng, max_binaries=10, max_rows=20)
+        arrays = ModelArrays(m)
+        for _ in range(30):
+            # fix a random subset of the integers, shrink the continuous boxes
+            lo, hi = arrays.lo.copy(), arrays.hi.copy()
+            fix = arrays.integral & (rng.random(arrays.n) < 0.4)
+            lo[fix] = hi[fix] = rng.integers(0, 2, arrays.n)[fix]
+            cont = ~arrays.integral
+            lo[cont] += rng.random(cont.sum()) * (hi[cont] - lo[cont]) / 2
+            status, x, obj = arrays.solve_lp(lo, hi, "highs")
+            ref_status, ref_obj = _cold_linprog(arrays, lo, hi)
+            assert status == ref_status
+            if status == OPTIMAL:
+                assert obj == pytest.approx(ref_obj, abs=1e-7)
+                assert arrays.max_violation(x) <= 1e-7
+                assert np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9)
+            seen[status] += 1
+        assert arrays._warm  # every LP above went through one persistent instance
+    assert seen[OPTIMAL] >= 10 and seen[INFEASIBLE] >= 10
+
+
+def test_linprog_fallback_matches_warm_highs(monkeypatch):
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted_linprog)
+    models = _agree_models()
+    warm = [solve_builtin(m, SolveOptions(lp_backend="highs")) for m in models]
+    assert not calls
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    cold = [solve_builtin(m, SolveOptions(lp_backend="highs")) for m in models]
+    assert calls
+    for a, b in zip(warm, cold):
+        assert a.status == b.status
+        if a.status == OPTIMAL:
+            assert a.objective == pytest.approx(b.objective, abs=1e-6)
+
+
+@pytest.mark.parametrize("backend", ["dense", "highs"])
+def test_lp_after_the_deadline_reports_time_limit(backend):
+    m = random_milp(np.random.default_rng(4))
+    arrays = ModelArrays(m)
+    status, x, obj = arrays.solve_lp(arrays.lo, arrays.hi, backend, deadline=time.monotonic() - 1)
+    assert (status, x, obj) == (TIME_LIMIT, None, None)
+
+
+def test_time_limit_inside_an_lp_keeps_the_incumbent(monkeypatch):
+    # a knapsack whose first dive ends on an incumbent within a few LPs; the
+    # tenth LP hits the deadline, so the search stops and reports that
+    # incumbent, verified, under TIME_LIMIT
+    weights, values = [5, 7, 4, 3, 8, 6, 9, 2], [9, 12, 7, 5, 13, 10, 14, 3]
+    m = Model()
+    xs = [m.binary(f"x{j}") for j in range(8)]
+    m.add_constraint(sum(x * w for x, w in zip(xs, weights)), LE, 20.0, "cap")
+    m.set_objective(sum(x * -v for x, v in zip(xs, values)))
+    full = solve_builtin(m, SolveOptions(lp_backend="highs"))
+    assert full.status == OPTIMAL and full.stats["lp_solves"] > 10
+    solve_lp = ModelArrays.solve_lp
+    lps = []
+
+    def deadline_at_the_tenth_lp(self, lo, hi, backend, deadline=None):
+        lps.append(1)
+        if len(lps) == 10:
+            return TIME_LIMIT, None, None
+        return solve_lp(self, lo, hi, backend, deadline=deadline)
+
+    monkeypatch.setattr(ModelArrays, "solve_lp", deadline_at_the_tenth_lp)
+    sol = solve_builtin(m, SolveOptions(lp_backend="highs"))
+    assert sol.status == TIME_LIMIT
+    assert sol.stats["lp_solves"] == 10
+    assert sol.values and sol.objective >= full.objective
+    assert ModelArrays(m).max_violation(sol.vector(m)) <= 1e-6
+
+
+def test_highs_deadline_counts_from_now_not_from_the_first_lp():
+    # HiGHS's clock adds up over every run of one instance: after 0.3 s of
+    # LPs, a deadline 0.25 s ahead must still leave room for the next LP
+    pytest.importorskip("scipy.optimize._highspy._core")
+    rng = np.random.default_rng(0)
+    m = Model()
+    xs = [m.continuous(f"x{j}", 0, 10) for j in range(150)]
+    for r in range(100):
+        cols = rng.choice(150, size=20, replace=False)
+        m.add_constraint(sum(xs[j] * float(rng.random()) for j in cols), LE, 20.0, f"r{r}")
+    m.set_objective(sum(x * -float(rng.random()) for x in xs))
+    arrays = ModelArrays(m)
+    for _ in range(5000):
+        hi = arrays.hi.copy()
+        hi[rng.integers(0, 150, 5)] = 0.0
+        status, _, _ = arrays.solve_lp(arrays.lo, hi, "highs", deadline=time.monotonic() + 0.25)
+        assert status == OPTIMAL
+        if arrays._warm.highs.getRunTime() > 0.3:
+            break
+    else:
+        pytest.fail("the LPs never used 0.3 s of HiGHS time")
+
+
+def test_day_tree_size_does_not_depend_on_the_tariff(tmp_path):
+    # warm starts return whichever optimal vertex lies near the last basis;
+    # branching in variable order keeps the day search the same size under
+    # day-peak tariffs of other levels, and each answer matches HiGHS's MIP
+    from besched.pipeline import build_problem
+    from besched.xmlio import parse_configuration, parse_situation
+    from helpers import DAY_CONFIG, DAY_SITUATION, day_night_flags
+
+    nodes = set()
+    for k, (base, peak) in enumerate(((15.0, 0.5), (18.5, 7.25), (24.0, 3.0))):
+        scen = tmp_path / f"t{k}"
+        scen.mkdir()
+        rows = ["ENull,DHWNull,MinHeating,MaxHeating,ECostFix,ERefundFix,COP"]
+        for i, night in enumerate(day_night_flags()):
+            price = base + (peak if 8.0 <= i * 0.25 < 20.0 else 0.0)
+            rows.append(f"0.1,1.44,0.0,0.0,{price!r},0.0,{1.6 if night else 3.2}")
+        (scen / "scenario.csv").write_text("\n".join(rows) + "\n")
+        cfg = parse_configuration(DAY_CONFIG)
+        model = build_problem(cfg, parse_situation(DAY_SITUATION, cfg), base_dir=scen).model
+        sol = solve_builtin(model)
+        arrays = ModelArrays(model)
+        ref = scipy.optimize.milp(
+            arrays.c,
+            constraints=scipy.optimize.LinearConstraint(
+                arrays.a, np.where(arrays.ge, arrays.rhs, -np.inf),
+                np.where(arrays.le, arrays.rhs, np.inf)),
+            bounds=scipy.optimize.Bounds(arrays.lo, arrays.hi),
+            integrality=arrays.integral.astype(int),
+            options={"mip_rel_gap": 0},
+        )
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(ref.fun + arrays.obj_const, abs=1e-6)
+        nodes.add(sol.stats["nodes"])
+    assert len(nodes) == 1
