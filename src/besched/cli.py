@@ -5,7 +5,12 @@ Subcommands:
   validate   parse inputs and check the generated model without solving
   explain    dump generated constraint rows, filtered by tag prefix
 
-Exit codes: 0 solved (optimal or feasible), 2 proven infeasible, 1 any error.
+Exit codes of ``optimize``:
+  0  solved (optimal or feasible): schedule.csv and metadata.json written
+  3  time limit hit with an incumbent: its schedule.csv and metadata.json are
+     written with status ``timeLimit``
+  2  proven infeasible: metadata.json only
+  1  any error, or a time limit hit before any incumbent (metadata.json only)
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .errors import BeschedError
 from .milp import export_lp
 from .pipeline import build_problem, solve_problem
 from .schedule import extract_schedule
-from .solver import SolveOptions
+from .solver import TIME_LIMIT, SolveOptions
 from .timeseries import write_schedule
 from .xmlio import parse_configuration, parse_situation
 
@@ -67,7 +72,7 @@ def _cmd_optimize(args) -> int:
         backend=args.solver, command=args.solver_cmd, time_limit=args.time_limit
     )
     solution = solve_problem(problem, options)
-    if not solution.feasible:
+    if not solution.values:
         from .schedule import Schedule
 
         empty = Schedule(problem.grid, solution.status, None, {}, dict(solution.stats))
@@ -79,7 +84,7 @@ def _cmd_optimize(args) -> int:
     print(f"{solution.status}: objective {solution.objective:.6f} ct")
     for label, path in sorted(written.items()):
         print(f"{label}: {path}")
-    return 0
+    return 3 if solution.status == TIME_LIMIT else 0
 
 
 def _cmd_validate(args) -> int:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .assembly import CARRIERS, COLD, ELECTRIC, HEAT, BalanceLedger, TimeGrid
 from .errors import ModelError
-from .fcchp import build_min_durations, build_onoff_chain
+# FcchpBuilder is here as the FcCHP row's builder in the element table (xmlio.ELEMENTS)
+from .fcchp import FcchpBuilder, build_min_durations, build_onoff_chain
 from .linearize import product_bin_bounded
 from .milp import EQ, Model, as_expr
 

@@ -69,16 +69,6 @@ class LinExpr:
     def copy(self) -> "LinExpr":
         return LinExpr(self.terms, self.const)
 
-    def add_term(self, var: "Var", coef: float) -> "LinExpr":
-        if not math.isfinite(coef):
-            raise ModelError(f"non-finite coefficient for {var.name}")
-        c = self.terms.get(var.id, 0.0) + coef
-        if c == 0.0:
-            self.terms.pop(var.id, None)
-        else:
-            self.terms[var.id] = c
-        return self
-
     def __add__(self, other):
         out = self.copy()
         if isinstance(other, LinExpr):
@@ -268,9 +258,6 @@ class Model:
         e = as_expr(expr)
         self._check_declared(e.terms)
         self.objective = e
-
-    def add_objective(self, expr) -> None:
-        self.set_objective(self.objective + as_expr(expr))
 
     # -- evaluation ----------------------------------------------------------
 

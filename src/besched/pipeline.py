@@ -1,23 +1,31 @@
 """From parsed configuration + situation to a solved schedule.
 
-Each configured component is mapped to its Spec type, its situation entry
-supplies initial state and predicted series, the builders populate one model
-and ledger, and the result is solved and extracted.
+``xmlio.ELEMENTS`` has one row per XML element.  For each configured
+component, :func:`build_problem` finds its situation entry, collects the spec
+keywords the row maps its attributes to, loads its series, builds the spec and
+calls the builder the row names in :mod:`besched.components`.  The builders
+populate one model and ledger; the carrier balances and the objective close
+it.  Two elements add their own step: Usage rejects a nonzero initial
+heating or cooling energy, and FcCHP splits its keywords over its three
+parameter objects and adds its historical starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import components as comp
 from .assembly import BalanceLedger, TimeGrid, build_balances, build_objective
 from .errors import InputError
-from .fcchp import FcchpBuilder, FcchpCostParams, FcchpInitialState, FcchpPhysicalParams
+from .fcchp import FcchpCostParams, FcchpInitialState, FcchpPhysicalParams
 from .milp import Model
 from .schedule import extract_schedule
 from .solver import SolveOptions, Solution, solve_builtin
 from .timeseries import load_timeseries
-from .xmlio import BuildingConfiguration, BuildingSituation, ParsedComponent
+from .xmlio import (ELEMENTS, ZERO, BuildingConfiguration, BuildingSituation, ElementRow,
+                    ParsedComponent)
+
+FCCHP_PARAMS = (FcchpPhysicalParams, FcchpCostParams, FcchpInitialState)
 
 
 @dataclass
@@ -27,192 +35,51 @@ class Problem:
     grid: TimeGrid
 
 
-def _situation_for(situation: BuildingSituation, c: ParsedComponent, required=True):
-    entry = situation.by_id.get(c.id)
-    if entry is None and required:
-        raise InputError(f"component {c.id!r} has no situation entry")
-    return entry
-
-
-def _series(entry: ParsedComponent, name: str, n: int, base_dir, default=None):
-    ref = entry.series.get(name) if entry else None
-    if ref is None:
-        if default is not None:
-            return [default] * n
-        raise InputError(f"component {entry.id!r}: missing series <{name}>")
-    return load_timeseries(ref, n, base_dir)
+def _keywords(row: ElementRow, c: ParsedComponent, entry: ParsedComponent | None, n: int,
+              base_dir) -> dict:
+    """The spec keywords of one component, its series loaded."""
+    kw = dict(row.fixed)
+    for attrs, schema in ((c.attrs, row.config), (entry.attrs if entry else {}, row.situation)):
+        kw.update((a.key, attrs[name]) for name, a in schema.items() if a.key and name in attrs)
+    required = row.required_series(c.attrs)
+    for name, s in row.series.items():
+        ref = entry.series.get(name) if entry else None
+        if ref is not None:
+            kw[s.key] = load_timeseries(ref, n, base_dir)
+        elif name in required:
+            raise InputError(f"component {c.id!r}: missing series <{name}>")
+        elif s.default == ZERO:
+            kw[s.key] = [0.0] * n
+    return kw
 
 
 def build_problem(config: BuildingConfiguration, situation: BuildingSituation,
                   base_dir=".") -> Problem:
     grid = TimeGrid(situation.n_units, situation.hours_per_unit, start=situation.start)
-    n = grid.n_units
     model = Model(config.id)
     ledger = BalanceLedger(grid)
 
     for c in config.components:
-        a = c.attrs
+        row = ELEMENTS[c.element]
+        entry = situation.by_id.get(c.id)
+        if entry is None and row.needs_situation(c.attrs):
+            raise InputError(f"component {c.id!r} has no situation entry")
         if c.element == "Usage":
-            entry = _situation_for(situation, c)
             for attr in ("maxInitialHeatingEnergy", "maxInitialCoolingEnergy"):
                 if entry.attrs.get(attr, 0.0) != 0.0:
-                    raise InputError(
-                        f"component {c.id!r}: nonzero {attr} is not supported"
-                    )
-            spec = comp.UsageSpec(
-                name=c.id,
-                electric_demand=_series(entry, "ElectricPowerUsage", n, base_dir),
-                hot_water_demand=_series(entry, "HotWaterPowerUsage", n, base_dir),
-                heating_min=_series(entry, "MinHeatingPowerUsage", n, base_dir, default=0.0),
-                heating_max=_series(entry, "MaxHeatingPowerUsage", n, base_dir, default=0.0),
-                cooling_min=_series(entry, "MinCoolingPowerUsage", n, base_dir, default=0.0),
-                cooling_max=_series(entry, "MaxCoolingPowerUsage", n, base_dir, default=0.0),
-                max_electric_power=a["maxElectricPowerUse"],
-                max_heating_power=a["maxHeatingPowerUse"],
-                max_cooling_power=a["maxCoolingPowerUse"],
-            )
-            comp.build_usage(model, spec, grid, ledger)
-        elif c.element == "Grid":
-            entry = _situation_for(situation, c)
-            spec = comp.GridSpec(
-                name=c.id,
-                max_supply_power=a["maxSupplyPower"],
-                max_feed_in_power=a["maxFeedInPower"],
-                price=_series(entry, "ElectricEnergyPrice", n, base_dir),
-                refund=_series(entry, "ElectricEnergyRefund", n, base_dir),
-            )
-            comp.build_grid(model, spec, grid, ledger)
-        elif c.element == "HeatBuffer":
-            entry = _situation_for(situation, c)
-            spec = comp.StorageSpec(
-                name=c.id,
-                carrier="heat",
-                min_level=a["minThermalEnergyLevel"],
-                max_level=a["maxThermalEnergyLevel"],
-                initial_level=entry.attrs["initialThermalEnergyLevel"],
-                max_charge_power=a["maxThermalChargingPower"],
-                max_discharge_power=a["maxThermalDischargingPower"],
-                loss_per_hour=a["thermalLossPerHourFactor"],
-                charge_efficiency=a.get("chargeEfficiency", 1.0),
-                discharge_efficiency=a.get("dischargeEfficiency", 1.0),
-            )
-            comp.build_storage(model, spec, grid, ledger)
-        elif c.element == "Battery":
-            entry = _situation_for(situation, c)
-            spec = comp.StorageSpec(
-                name=c.id,
-                carrier="electric",
-                min_level=a["minEnergyLevel"],
-                max_level=a["maxEnergyLevel"],
-                initial_level=entry.attrs["initialEnergyLevel"],
-                max_charge_power=a["maxChargingPower"],
-                max_discharge_power=a["maxDischargingPower"],
-                loss_per_hour=a["lossPerHourFactor"],
-                charge_efficiency=a.get("chargeEfficiency", 1.0),
-                discharge_efficiency=a.get("dischargeEfficiency", 1.0),
-            )
-            comp.build_storage(model, spec, grid, ledger)
-        elif c.element == "HeatPump":
-            entry = _situation_for(situation, c)
-            spec = comp.HeatPumpSpec(
-                name=c.id,
-                electric_power=a["electricPower"],
-                cop=_series(entry, "CoefficientOfPerformance", n, base_dir),
-                min_run_time=a["minRunTimeInHours"],
-                min_off_time=a["minOffTimeInHours"],
-                is_on_at_begin=entry.attrs["isOnAtBegin"],
-                last_change_hours=entry.attrs["lastStartStopChangeInHours"],
-            )
-            comp.build_heat_pump(model, spec, grid, ledger)
-        elif c.element == "PV":
-            entry = _situation_for(situation, c)
-            spec = comp.PvSpec(
-                name=c.id,
-                output=_series(entry, "PredictedPowerOutput", n, base_dir),
-                curtailable=a.get("curtailable", False),
-            )
-            comp.build_profile_source(model, spec, grid, ledger)
-        elif c.element == "Converter":
-            entry = _situation_for(situation, c, required=False)
-            price = ()
-            if a["inputCarrier"] == "primary":
-                if entry is None:
-                    raise InputError(f"component {c.id!r} has no situation entry")
-                price = _series(entry, "PrimaryEnergyPrice", n, base_dir)
-            spec = comp.ConverterSpec(
-                name=c.id,
-                input_carrier=a["inputCarrier"],
-                output_carrier=a["outputCarrier"],
-                efficiency=a["efficiency"],
-                max_input_power=a["maxInputPower"],
-                input_price=price,
-            )
-            comp.build_converter(model, spec, grid, ledger)
-        elif c.element == "MechCHP":
-            entry = _situation_for(situation, c)
-            spec = comp.MechChpSpec(
-                name=c.id,
-                eta_th=a["thermalEfficiency"],
-                eta_el=a["electricEfficiency"],
-                p_th_max=a["maxThermalPower"],
-                p_th_min=a["minThermalPower"],
-                boiler_eta=a["boilerEfficiency"],
-                boiler_p_max=a["maxBoilerPower"],
-                primary_price=_series(entry, "PrimaryEnergyPrice", n, base_dir),
-                k_on=a.get("switchOnCost", 0.0),
-                k_off=a.get("switchOffCost", 0.0),
-                min_run_time=a.get("minRunTimeInHours", 0.0),
-                min_off_time=a.get("minOffTimeInHours", 0.0),
-                is_on_at_begin=entry.attrs["isOnAtBegin"],
-                last_change_hours=entry.attrs["lastStartStopChangeInHours"],
-            )
-            comp.build_mech_chp(model, spec, grid, ledger)
-        elif c.element == "FcCHP":
-            entry = _situation_for(situation, c)
-            phys = FcchpPhysicalParams(
-                eta_th=a["thermalEfficiency"],
-                eta_el=a["electricEfficiency"],
-                p_th_max=a["maxThermalPower"],
-                p_th_min=a["minThermalPower"],
-                p_th_init=a["initThermalPower"],
-                p_th_start_up=a["startUpThermalPower"],
-                d_on_min=a["minOnTimeInHours"],
-                d_on_max=a["maxOnTimeInHours"],
-                d_off_min=a["minOffTimeInHours"],
-                d_init=a["initDurationInHours"],
-                d_start_up=a["startUpDurationInHours"],
-                d_down=a["shutDownDurationInHours"],
-                warmup_table=a["warmUpSupportingValues"],
-                p_el_stand_by=a["standByElectricPower"],
-                p_el_warm_up=a["warmUpElectricPower"],
-                p_el_cold_start=a["coldStartElectricPower"],
-                p_el_add_shut_down=a["addShutDownElectricPower"],
-                p_pr_warm_up=a["warmUpPrimaryPower"],
-                p_pr_cold_start=a["coldStartPrimaryPower"],
-                delta_p_th_prod=a["maxThermalPowerGradientPerHour"],
-                cold_start_threshold=a["coldStartThresholdUnits"],
-            )
-            costs = FcchpCostParams(
-                primary_price=_series(entry, "PrimaryEnergyPrice", n, base_dir),
-                k_on=a.get("switchOnCost", 0.0),
-                k_off=a.get("switchOffCost", 0.0),
-                k_warm_up=a.get("warmUpCostPerUnit", 0.0),
-                k_cold_start=a.get("coldStartCostPerUnit", 0.0),
-                k_prod=a.get("productionCostPerUnit", 0.0),
-            )
-            init = FcchpInitialState(
-                x_0=int(entry.attrs["isOnAtBegin"]),
-                y_0=int(entry.attrs.get("isWarmingUpAtBegin", False)),
-                z_0=int(entry.attrs.get("isProducingAtBegin", False)),
-                k_0=int(entry.attrs.get("coldStartFlagAtBegin", False)),
-                l_0=entry.attrs["lastStartStopChangeTimeUnit"],
-                r_0=entry.attrs["lastStartTimeUnit"],
-                w_0=entry.attrs["lastWarmUpDurationUnits"],
-                start_history={u: 1 for u in entry.historical_starts},
-            )
-            FcchpBuilder(model, grid, phys, costs, init, name=c.id).build(ledger)
-        else:  # pragma: no cover - schema and this dispatch must stay in sync
-            raise InputError(f"no builder for element {c.element!r}")
+                    raise InputError(f"component {c.id!r}: nonzero {attr} is not supported")
+        kw = _keywords(row, c, entry, grid.n_units, base_dir)
+        if c.element == "FcCHP":
+            phys, costs, init = ({f.name: kw[f.name] for f in fields(cls) if f.name in kw}
+                                 for cls in FCCHP_PARAMS)
+            init = {k: int(v) for k, v in init.items()}  # flags arrive as booleans
+            init["start_history"] = {u: 1 for u in entry.historical_starts}
+            getattr(comp, row.builder)(
+                model, grid, FcchpPhysicalParams(**phys), FcchpCostParams(**costs),
+                FcchpInitialState(**init), name=c.id).build(ledger)
+        else:
+            spec = getattr(comp, row.spec)(name=c.id, **kw)
+            getattr(comp, row.builder)(model, spec, grid, ledger)
 
     build_balances(model, ledger)
     build_objective(model, ledger)
@@ -230,10 +97,11 @@ def solve_problem(problem: Problem, options: SolveOptions | None = None) -> Solu
 
 def optimize(config: BuildingConfiguration, situation: BuildingSituation,
              base_dir=".", options: SolveOptions | None = None):
-    """Full pipeline; returns (problem, solution, schedule or None)."""
+    """Full pipeline; returns (problem, solution, schedule), the schedule None
+    when the solver returned no values."""
     problem = build_problem(config, situation, base_dir)
     solution = solve_problem(problem, options)
     schedule = None
-    if solution.feasible:
+    if solution.values:
         schedule = extract_schedule(problem.model, problem.ledger, solution)
     return problem, solution, schedule

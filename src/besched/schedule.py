@@ -20,19 +20,12 @@ class Schedule:
     series: dict  # name -> list of floats, length n_units
     stats: dict = field(default_factory=dict)
 
-    @property
-    def names(self):
-        return list(self.series)
-
-    def total(self, name: str) -> float:
-        return sum(self.series[name])
-
 
 def extract_schedule(model: Model, ledger: BalanceLedger, solution: Solution) -> Schedule:
     """Evaluate every ledger-registered state series against the solution."""
-    if not solution.feasible:
+    if not solution.values:
         raise SolverError(
-            f"cannot extract a schedule from a {solution.status!r} solution"
+            f"cannot extract a schedule from a {solution.status!r} solution without values"
         )
     values = solution.values
     series = {}

@@ -1,20 +1,21 @@
 """Built-in exact branch-and-bound for desk-scale models.
 
-The LP relaxation of each node is solved either by the package's own dense
-two-phase simplex or, above a size threshold, by HiGHS (the tree search
-itself is always ours).  HiGHS node LPs are warm-started: each model is
-loaded once into one persistent instance of scipy's HiGHS binding, and every
-node changes the column bounds and re-solves from the last basis by dual
-simplex (Achterberg, "Constraint Integer Programming", 2007).  A cold
-``scipy.optimize.linprog`` call takes its place only when scipy lacks that
-private binding.  Node exploration is sequential and deterministic: branch
-on the fractional integer variable of lowest index and solve its floor
-child.  When that child keeps the node's bound the dive goes on there and
-the ceiling child stays open unsolved; otherwise the ceiling child is solved
-too, the dive goes on in the child with the lower bound and the other stays
-open with its LP.  Every integral LP optimum becomes the incumbent when it
-is better, and a finished dive backtracks to the open node with the best
-bound.  A time limit stops the search between nodes and inside a HiGHS LP.
+The LP relaxation of each node is solved by HiGHS; the package's own dense
+two-phase simplex runs only when asked for (``lp_backend="dense"``), as the
+reference that tests check HiGHS against.  The tree search itself is always
+ours.  HiGHS node LPs are warm-started: each model is loaded once into one
+persistent instance of scipy's HiGHS binding, and every node changes the
+column bounds and re-solves from the last basis by dual simplex (Achterberg,
+"Constraint Integer Programming", 2007).  A cold ``scipy.optimize.linprog``
+call takes its place only when scipy lacks that private binding.  Node
+exploration is sequential and deterministic: branch on the fractional
+integer variable of lowest index and solve its floor child.  When that child
+keeps the node's bound the dive goes on there and the ceiling child stays
+open unsolved; otherwise the ceiling child is solved too, the dive goes on
+in the child with the lower bound and the other stays open with its
+LP.  Every integral LP optimum becomes the incumbent when it is better, and a
+finished dive backtracks to the open node with the best bound.  A time limit
+stops the search between nodes and inside a HiGHS LP.
 
 Degenerate models have many optimal vertices, and a warm start returns
 whichever lies near the last basis.  With most-fractional branching and a
@@ -49,8 +50,9 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TIME_LIMIT = "timeLimit"
 
-# dense simplex is preferred up to this many rows + columns
-_DENSE_LIMIT = 500
+_GAP_TOL = 1e-6  # absolute optimality gap
+_INT_TOL = 1e-6  # integer feasibility tolerance
+_VERIFY_TOL = 1e-6  # a reported solution may violate a row by ten times this
 _PRESOLVE_PASSES = 300  # a pass moves bounds one row along a chain; fixpoints seen took <= 198
 
 
@@ -58,15 +60,8 @@ _PRESOLVE_PASSES = 300  # a pass moves bounds one row along a chain; fixpoints s
 class SolveOptions:
     backend: str = "builtin"
     command: str | None = None  # external template with {in} and {out}
-    gap_tol: float = 1e-6  # absolute optimality gap
     time_limit: float | None = None  # seconds
-    int_tol: float = 1e-6  # integer feasibility tolerance
-    lp_backend: str = "auto"  # auto | dense | highs
-    verify_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.gap_tol <= 0 or self.int_tol <= 0 or self.verify_tol <= 0:
-            raise SolverError("tolerances must be positive")
+    lp_backend: str = "highs"  # highs | dense (the reference simplex)
 
 
 @dataclass
@@ -176,11 +171,6 @@ class ModelArrays:
         self._warm = None  # the persistent HiGHS LP, loaded by the first "highs" LP
 
     # -- LP backends --------------------------------------------------------
-
-    def pick_backend(self, requested: str) -> str:
-        if requested != "auto":
-            return requested
-        return "dense" if self.n + self.a.shape[0] <= _DENSE_LIMIT else "highs"
 
     def solve_lp(self, lo, hi, backend: str, deadline: float | None = None):
         """Returns (status, x, objective) ignoring integrality.
@@ -304,7 +294,7 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
     incumbent is re-verified against every row before being reported."""
     options = options or SolveOptions()
     arrays = ModelArrays(model)
-    backend = arrays.pick_backend(options.lp_backend)
+    backend = options.lp_backend
     t0 = time.monotonic()
     deadline = t0 + options.time_limit if options.time_limit else None
 
@@ -312,7 +302,6 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
     if not ok:
         return Solution(INFEASIBLE, stats={"nodes": 0, "lp_solves": 0, "lp_time": 0.0})
 
-    gap = options.gap_tol
     counter = 0
     # open nodes: (bound, counter, lo, hi, lp), where lp is the node's solved
     # LP as node_lp returns it, or None while it is still to be solved
@@ -335,7 +324,7 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
         if status != OPTIMAL:
             return status, x, obj, None
         frac = np.abs(x - np.round(x))
-        cand = np.flatnonzero(arrays.integral & (frac > options.int_tol))
+        cand = np.flatnonzero(arrays.integral & (frac > _INT_TOL))
         if len(cand):
             return status, x, obj, int(cand[0])
         xi = x.copy()
@@ -348,7 +337,7 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
 
     while heap:
         bound, _, lo, hi, solved = heapq.heappop(heap)
-        if bound >= inc_obj - gap:
+        if bound >= inc_obj - _GAP_TOL:
             continue
         # depth-first dive from this node
         while True:
@@ -369,7 +358,7 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
                     return Solution(UNBOUNDED, stats={
                         "nodes": nodes, "lp_solves": nodes, "lp_time": lp_time})
                 break
-            if status != OPTIMAL or obj >= inc_obj - gap or j is None:
+            if status != OPTIMAL or obj >= inc_obj - _GAP_TOL or j is None:
                 break
             floor_v = math.floor(x[j])
             down_hi = hi.copy()
@@ -380,7 +369,7 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
             # the ceiling child waits unsolved; a deadline reached inside the
             # floor LP ends the search at the top of the loop.
             down = node_lp(lo, down_hi)
-            if down[0] == TIME_LIMIT or (down[0] == OPTIMAL and down[2] <= obj + gap):
+            if down[0] == TIME_LIMIT or (down[0] == OPTIMAL and down[2] <= obj + _GAP_TOL):
                 counter += 1
                 heapq.heappush(heap, (obj, counter, up_lo, hi, None))
                 hi, solved = down_hi, down
@@ -408,7 +397,7 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
         return Solution(TIME_LIMIT if hit_time_limit else INFEASIBLE, stats=stats)
 
     violation = arrays.max_violation(incumbent)
-    if violation > options.verify_tol * 10:
+    if violation > _VERIFY_TOL * 10:
         raise NumericalFailure(
             f"incumbent violates a constraint by {violation:.3e}; refusing to report it"
         )

@@ -3,8 +3,8 @@
 Two documents describe a scheduling problem: the *configuration* (the
 installed components and their constant physical parameters) and the
 *situation* (horizon, initial component states, and references to predicted
-time series kept in separate data files).  Element and attribute vocabulary
-follows a fixed schema; unknown elements or attributes are errors, not
+time series kept in separate data files).  The vocabulary is the element
+table ``ELEMENTS``; unknown elements or attributes are errors, not
 noise.  All powers are normalized to kW at parse time based on the per-
 element unit attributes, with the root element providing the defaults.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError, ScenarioMismatch
 
@@ -88,165 +89,208 @@ class BuildingSituation:
 
 
 # ---------------------------------------------------------------------------
-# schema tables: element -> {attribute: kind}; True marks required attributes
+# the element table: one row per XML element
 
-def _req(kind):
-    return (kind, True)
-
-
-def _opt(kind):
-    return (kind, False)
+REQUIRED = "required"  # series defaults: the series must be given,
+ZERO = "zero"  # a series of zeros stands in,
+EMPTY = "empty"  # or the spec keyword is left out
 
 
-_CONFIG_SCHEMA = {
-    "Usage": {
-        "maxElectricPowerUse": _req(POWER),
-        "maxHeatingPowerUse": _req(POWER),
-        "maxCoolingPowerUse": _req(POWER),
-    },
-    "Grid": {
-        "maxFeedInPower": _req(POWER),
-        "maxSupplyPower": _req(POWER),
-    },
-    "HeatBuffer": {
-        "minThermalEnergyLevel": _req(ENERGY),
-        "maxThermalEnergyLevel": _req(ENERGY),
-        "thermalLossPerHourFactor": _req(FLOAT),
-        "maxThermalChargingPower": _req(POWER),
-        "maxThermalDischargingPower": _req(POWER),
-        "chargeEfficiency": _opt(FLOAT),
-        "dischargeEfficiency": _opt(FLOAT),
-    },
-    "HeatPump": {
-        "electricPower": _req(POWER),
-        "minOffTimeInHours": _req(FLOAT),
-        "minRunTimeInHours": _req(FLOAT),
-    },
-    "Battery": {
-        "minEnergyLevel": _req(ENERGY),
-        "maxEnergyLevel": _req(ENERGY),
-        "lossPerHourFactor": _req(FLOAT),
-        "maxChargingPower": _req(POWER),
-        "maxDischargingPower": _req(POWER),
-        "chargeEfficiency": _opt(FLOAT),
-        "dischargeEfficiency": _opt(FLOAT),
-    },
-    "PV": {
-        "curtailable": _opt(BOOL),
-    },
-    "Converter": {
-        "inputCarrier": _req(STRING),
-        "outputCarrier": _req(STRING),
-        "efficiency": _req(FLOAT),
-        "maxInputPower": _req(POWER),
-    },
-    "MechCHP": {
-        "thermalEfficiency": _req(FLOAT),
-        "electricEfficiency": _req(FLOAT),
-        "maxThermalPower": _req(POWER),
-        "minThermalPower": _req(POWER),
-        "boilerEfficiency": _req(FLOAT),
-        "maxBoilerPower": _req(POWER),
-        "switchOnCost": _opt(PRICE),
-        "switchOffCost": _opt(PRICE),
-        "minRunTimeInHours": _opt(FLOAT),
-        "minOffTimeInHours": _opt(FLOAT),
-    },
-    "FcCHP": {
-        "thermalEfficiency": _req(FLOAT),
-        "electricEfficiency": _req(FLOAT),
-        "maxThermalPower": _req(POWER),
-        "minThermalPower": _req(POWER),
-        "initThermalPower": _req(POWER),
-        "startUpThermalPower": _req(POWER),
-        "minOnTimeInHours": _req(FLOAT),
-        "maxOnTimeInHours": _req(FLOAT),
-        "minOffTimeInHours": _req(FLOAT),
-        "initDurationInHours": _req(FLOAT),
-        "startUpDurationInHours": _req(FLOAT),
-        "shutDownDurationInHours": _req(FLOAT),
-        "warmUpSupportingValues": _req(INT_LIST),
-        "standByElectricPower": _req(POWER),
-        "warmUpElectricPower": _req(POWER),
-        "coldStartElectricPower": _req(POWER),
-        "addShutDownElectricPower": _req(POWER),
-        "warmUpPrimaryPower": _req(POWER),
-        "coldStartPrimaryPower": _req(POWER),
-        "maxThermalPowerGradientPerHour": _req(POWER),
-        "coldStartThresholdUnits": _req(INT),
-        "switchOnCost": _opt(PRICE),
-        "switchOffCost": _opt(PRICE),
-        "warmUpCostPerUnit": _opt(PRICE),
-        "coldStartCostPerUnit": _opt(PRICE),
-        "productionCostPerUnit": _opt(PRICE),
-    },
+class Attr(NamedTuple):
+    kind: str
+    required: bool
+    key: str | None = None  # the spec keyword it fills; None: checked by the pipeline
+
+
+class Series(NamedTuple):
+    kind: str
+    key: str  # the spec keyword it fills
+    default: str = REQUIRED
+    required_when: tuple = ()  # (configuration attribute, value) that requires it
+
+
+def _req(kind, key=None):
+    return Attr(kind, True, key)
+
+
+def _opt(kind, key=None):
+    return Attr(kind, False, key)
+
+
+@dataclass(frozen=True)
+class ElementRow:
+    """All one element needs: its attributes and series with the spec keywords
+    they fill, its spec type and its builder.  Spec and builder are attribute
+    names in ``besched.components``, looked up when the pipeline calls them."""
+
+    spec: str | None  # None for FcCHP, whose keywords fill three parameter objects
+    builder: str
+    config: dict  # configuration attribute -> Attr
+    situation: dict = field(default_factory=dict)  # situation attribute -> Attr
+    series: dict = field(default_factory=dict)  # series child element -> Series
+    fixed: dict = field(default_factory=dict)  # spec keywords with a constant value
+
+    def required_series(self, config_attrs: dict) -> list:
+        return [name for name, s in self.series.items() if s.default == REQUIRED
+                or (s.required_when and config_attrs[s.required_when[0]] == s.required_when[1])]
+
+    def needs_situation(self, config_attrs: dict) -> bool:
+        return (any(a.required for a in self.situation.values())
+                or bool(self.required_series(config_attrs)))
+
+
+_EFFICIENCIES = {
+    "chargeEfficiency": _opt(FLOAT, "charge_efficiency"),
+    "dischargeEfficiency": _opt(FLOAT, "discharge_efficiency"),
 }
+_SWITCH_STATE = {
+    "isOnAtBegin": _req(BOOL, "is_on_at_begin"),
+    "lastStartStopChangeInHours": _req(FLOAT, "last_change_hours"),
+}
+_PRIMARY_PRICE = {"PrimaryEnergyPrice": Series(ENERGY_PRICE, "primary_price")}
 
-# situation: per component element, scalar attrs and the series child elements
-_SITUATION_SCHEMA = {
-    "Usage": {
-        "attrs": {
+ELEMENTS = {
+    "Usage": ElementRow(
+        "UsageSpec", "build_usage",
+        config={
+            "maxElectricPowerUse": _req(POWER, "max_electric_power"),
+            "maxHeatingPowerUse": _req(POWER, "max_heating_power"),
+            "maxCoolingPowerUse": _req(POWER, "max_cooling_power"),
+        },
+        situation={
             "maxInitialHeatingEnergy": _opt(ENERGY),
             "maxInitialCoolingEnergy": _opt(ENERGY),
         },
-        "series": {
-            "ElectricPowerUsage": POWER,
-            "HotWaterPowerUsage": POWER,
-            "MinHeatingPowerUsage": POWER,
-            "MaxHeatingPowerUsage": POWER,
-            "MinCoolingPowerUsage": POWER,
-            "MaxCoolingPowerUsage": POWER,
+        series={
+            "ElectricPowerUsage": Series(POWER, "electric_demand"),
+            "HotWaterPowerUsage": Series(POWER, "hot_water_demand"),
+            "MinHeatingPowerUsage": Series(POWER, "heating_min", ZERO),
+            "MaxHeatingPowerUsage": Series(POWER, "heating_max", ZERO),
+            "MinCoolingPowerUsage": Series(POWER, "cooling_min", ZERO),
+            "MaxCoolingPowerUsage": Series(POWER, "cooling_max", ZERO),
         },
-    },
-    "Grid": {
-        "attrs": {},
-        "series": {
-            "ElectricEnergyPrice": ENERGY_PRICE,
-            "ElectricEnergyRefund": ENERGY_PRICE,
+    ),
+    "Grid": ElementRow(
+        "GridSpec", "build_grid",
+        config={
+            "maxFeedInPower": _req(POWER, "max_feed_in_power"),
+            "maxSupplyPower": _req(POWER, "max_supply_power"),
         },
-    },
-    "HeatBuffer": {
-        "attrs": {"initialThermalEnergyLevel": _req(ENERGY)},
-        "series": {},
-    },
-    "HeatPump": {
-        "attrs": {
-            "isOnAtBegin": _req(BOOL),
-            "lastStartStopChangeInHours": _req(FLOAT),
+        series={
+            "ElectricEnergyPrice": Series(ENERGY_PRICE, "price"),
+            "ElectricEnergyRefund": Series(ENERGY_PRICE, "refund"),
         },
-        "series": {"CoefficientOfPerformance": FLOAT},
-    },
-    "Battery": {
-        "attrs": {"initialEnergyLevel": _req(ENERGY)},
-        "series": {},
-    },
-    "PV": {
-        "attrs": {},
-        "series": {"PredictedPowerOutput": POWER},
-    },
-    "Converter": {
-        "attrs": {},
-        "series": {"PrimaryEnergyPrice": ENERGY_PRICE},
-    },
-    "MechCHP": {
-        "attrs": {
-            "isOnAtBegin": _req(BOOL),
-            "lastStartStopChangeInHours": _req(FLOAT),
+    ),
+    "HeatBuffer": ElementRow(
+        "StorageSpec", "build_storage",
+        config={
+            "minThermalEnergyLevel": _req(ENERGY, "min_level"),
+            "maxThermalEnergyLevel": _req(ENERGY, "max_level"),
+            "thermalLossPerHourFactor": _req(FLOAT, "loss_per_hour"),
+            "maxThermalChargingPower": _req(POWER, "max_charge_power"),
+            "maxThermalDischargingPower": _req(POWER, "max_discharge_power"),
+            **_EFFICIENCIES,
         },
-        "series": {"PrimaryEnergyPrice": ENERGY_PRICE},
-    },
-    "FcCHP": {
-        "attrs": {
-            "isOnAtBegin": _req(BOOL),
-            "isWarmingUpAtBegin": _opt(BOOL),
-            "isProducingAtBegin": _opt(BOOL),
-            "coldStartFlagAtBegin": _opt(BOOL),
-            "lastStartStopChangeTimeUnit": _req(INT),
-            "lastStartTimeUnit": _req(INT),
-            "lastWarmUpDurationUnits": _req(INT),
+        situation={"initialThermalEnergyLevel": _req(ENERGY, "initial_level")},
+        fixed={"carrier": "heat"},
+    ),
+    "HeatPump": ElementRow(
+        "HeatPumpSpec", "build_heat_pump",
+        config={
+            "electricPower": _req(POWER, "electric_power"),
+            "minOffTimeInHours": _req(FLOAT, "min_off_time"),
+            "minRunTimeInHours": _req(FLOAT, "min_run_time"),
         },
-        "series": {"PrimaryEnergyPrice": ENERGY_PRICE},
-    },
+        situation=_SWITCH_STATE,
+        series={"CoefficientOfPerformance": Series(FLOAT, "cop")},
+    ),
+    "Battery": ElementRow(
+        "StorageSpec", "build_storage",
+        config={
+            "minEnergyLevel": _req(ENERGY, "min_level"),
+            "maxEnergyLevel": _req(ENERGY, "max_level"),
+            "lossPerHourFactor": _req(FLOAT, "loss_per_hour"),
+            "maxChargingPower": _req(POWER, "max_charge_power"),
+            "maxDischargingPower": _req(POWER, "max_discharge_power"),
+            **_EFFICIENCIES,
+        },
+        situation={"initialEnergyLevel": _req(ENERGY, "initial_level")},
+        fixed={"carrier": "electric"},
+    ),
+    "PV": ElementRow(
+        "PvSpec", "build_profile_source",
+        config={"curtailable": _opt(BOOL, "curtailable")},
+        series={"PredictedPowerOutput": Series(POWER, "output")},
+    ),
+    "Converter": ElementRow(
+        "ConverterSpec", "build_converter",
+        config={
+            "inputCarrier": _req(STRING, "input_carrier"),
+            "outputCarrier": _req(STRING, "output_carrier"),
+            "efficiency": _req(FLOAT, "efficiency"),
+            "maxInputPower": _req(POWER, "max_input_power"),
+        },
+        series={"PrimaryEnergyPrice": Series(ENERGY_PRICE, "input_price", EMPTY,
+                                             required_when=("inputCarrier", "primary"))},
+    ),
+    "MechCHP": ElementRow(
+        "MechChpSpec", "build_mech_chp",
+        config={
+            "thermalEfficiency": _req(FLOAT, "eta_th"),
+            "electricEfficiency": _req(FLOAT, "eta_el"),
+            "maxThermalPower": _req(POWER, "p_th_max"),
+            "minThermalPower": _req(POWER, "p_th_min"),
+            "boilerEfficiency": _req(FLOAT, "boiler_eta"),
+            "maxBoilerPower": _req(POWER, "boiler_p_max"),
+            "switchOnCost": _opt(PRICE, "k_on"),
+            "switchOffCost": _opt(PRICE, "k_off"),
+            "minRunTimeInHours": _opt(FLOAT, "min_run_time"),
+            "minOffTimeInHours": _opt(FLOAT, "min_off_time"),
+        },
+        situation=_SWITCH_STATE,
+        series=_PRIMARY_PRICE,
+    ),
+    "FcCHP": ElementRow(
+        None, "FcchpBuilder",
+        config={
+            "thermalEfficiency": _req(FLOAT, "eta_th"),
+            "electricEfficiency": _req(FLOAT, "eta_el"),
+            "maxThermalPower": _req(POWER, "p_th_max"),
+            "minThermalPower": _req(POWER, "p_th_min"),
+            "initThermalPower": _req(POWER, "p_th_init"),
+            "startUpThermalPower": _req(POWER, "p_th_start_up"),
+            "minOnTimeInHours": _req(FLOAT, "d_on_min"),
+            "maxOnTimeInHours": _req(FLOAT, "d_on_max"),
+            "minOffTimeInHours": _req(FLOAT, "d_off_min"),
+            "initDurationInHours": _req(FLOAT, "d_init"),
+            "startUpDurationInHours": _req(FLOAT, "d_start_up"),
+            "shutDownDurationInHours": _req(FLOAT, "d_down"),
+            "warmUpSupportingValues": _req(INT_LIST, "warmup_table"),
+            "standByElectricPower": _req(POWER, "p_el_stand_by"),
+            "warmUpElectricPower": _req(POWER, "p_el_warm_up"),
+            "coldStartElectricPower": _req(POWER, "p_el_cold_start"),
+            "addShutDownElectricPower": _req(POWER, "p_el_add_shut_down"),
+            "warmUpPrimaryPower": _req(POWER, "p_pr_warm_up"),
+            "coldStartPrimaryPower": _req(POWER, "p_pr_cold_start"),
+            "maxThermalPowerGradientPerHour": _req(POWER, "delta_p_th_prod"),
+            "coldStartThresholdUnits": _req(INT, "cold_start_threshold"),
+            "switchOnCost": _opt(PRICE, "k_on"),
+            "switchOffCost": _opt(PRICE, "k_off"),
+            "warmUpCostPerUnit": _opt(PRICE, "k_warm_up"),
+            "coldStartCostPerUnit": _opt(PRICE, "k_cold_start"),
+            "productionCostPerUnit": _opt(PRICE, "k_prod"),
+        },
+        situation={
+            "isOnAtBegin": _req(BOOL, "x_0"),
+            "isWarmingUpAtBegin": _opt(BOOL, "y_0"),
+            "isProducingAtBegin": _opt(BOOL, "z_0"),
+            "coldStartFlagAtBegin": _opt(BOOL, "k_0"),
+            "lastStartStopChangeTimeUnit": _req(INT, "l_0"),
+            "lastStartTimeUnit": _req(INT, "r_0"),
+            "lastWarmUpDurationUnits": _req(INT, "w_0"),
+        },
+        series=_PRIMARY_PRICE,
+    ),
 }
 
 
@@ -309,14 +353,14 @@ _DEFAULT_UNITS = {"powerUnit": 1.0, "energyUnit": 1.0, "priceUnit": 1.0,
 def _collect_attrs(el, schema: dict, units: dict, path: str) -> dict:
     attrs = {}
     seen = set(_UNIT_ATTRS) | {"id"}
-    for name, (kind, required) in schema.items():
+    for name, attr in schema.items():
         raw = el.get(name)
         seen.add(name)
         if raw is None:
-            if required:
+            if attr.required:
                 raise InputError(f"missing required attribute {name!r}", path)
             continue
-        attrs[name] = _parse_value(raw, kind, units, f"{path}@{name}")
+        attrs[name] = _parse_value(raw, attr.kind, units, f"{path}@{name}")
     unknown = sorted(set(_local_attrs(el)) - seen)
     if unknown:
         raise InputError(f"unknown attributes: {', '.join(unknown)}", path)
@@ -370,7 +414,7 @@ def parse_configuration(text: str) -> BuildingConfiguration:
     for child in root:
         tag = _strip_ns(child.tag)
         path = f"{root_path}/{tag}"
-        if tag not in _CONFIG_SCHEMA:
+        if tag not in ELEMENTS:
             raise InputError(f"unknown element <{tag}>", path)
         comp_id = child.get("id")
         if not comp_id:
@@ -380,7 +424,7 @@ def parse_configuration(text: str) -> BuildingConfiguration:
             raise InputError(f"duplicate component id {comp_id!r}", path)
         seen_ids.add(comp_id)
         child_units = _element_units(child, units, path)
-        attrs = _collect_attrs(child, _CONFIG_SCHEMA[tag], child_units, path)
+        attrs = _collect_attrs(child, ELEMENTS[tag].config, child_units, path)
         if len(child):
             raise InputError(f"unexpected child element <{_strip_ns(child[0].tag)}>", path)
         components.append(ParsedComponent(element=tag, id=comp_id, attrs=attrs))
@@ -419,7 +463,7 @@ def parse_situation(text: str, config: BuildingConfiguration) -> BuildingSituati
     for child in root:
         tag = _strip_ns(child.tag)
         path = f"{root_path}/{tag}"
-        if tag not in _SITUATION_SCHEMA:
+        if tag not in ELEMENTS:
             raise InputError(f"unknown element <{tag}>", path)
         comp_id = child.get("id")
         if not comp_id:
@@ -435,9 +479,9 @@ def parse_situation(text: str, config: BuildingConfiguration) -> BuildingSituati
             raise InputError(
                 f"component {comp_id!r} is a {configured.element} in the configuration", path
             )
-        schema = _SITUATION_SCHEMA[tag]
+        row = ELEMENTS[tag]
         child_units = _element_units(child, units, path)
-        attrs = _collect_attrs(child, schema["attrs"], child_units, path)
+        attrs = _collect_attrs(child, row.situation, child_units, path)
         comp = ParsedComponent(element=tag, id=comp_id, attrs=attrs)
         for sub in child:
             sub_tag = _strip_ns(sub.tag)
@@ -452,11 +496,11 @@ def parse_situation(text: str, config: BuildingConfiguration) -> BuildingSituati
                     raise InputError("historical starts must lie at or before unit 0", sub_path)
                 comp.historical_starts.append(unit)
                 continue
-            if sub_tag not in schema["series"]:
+            if sub_tag not in row.series:
                 raise InputError(f"unknown element <{sub_tag}>", sub_path)
             if sub_tag in comp.series:
                 raise InputError(f"duplicate series reference <{sub_tag}>", sub_path)
-            comp.series[sub_tag] = _series_ref(sub, schema["series"][sub_tag],
+            comp.series[sub_tag] = _series_ref(sub, row.series[sub_tag].kind,
                                                child_units, sub_path)
         components.append(comp)
     return BuildingSituation(

@@ -1,8 +1,11 @@
 """End-to-end command-line behavior on small generated scenarios."""
 
+import dataclasses
 import json
 
+import besched.cli
 from besched.cli import cli_main
+from besched.solver import Solution
 
 CONFIG = """<BuildingConfiguration xmlns="http://www.fokus.fraunhofer.de/WaveSave"
     id="SmallScenario" powerUnit="kW" energyUnit="kWh" priceUnit="ct" energyPriceUnit="ct/kWh">
@@ -79,6 +82,34 @@ def test_optimize_infeasible_exits_two_with_metadata_only(tmp_path):
     meta = json.loads((out / "metadata.json").read_text(), parse_constant=_reject_constant)
     assert meta["status"] == "infeasible"
     assert meta["objective"] is None
+    assert not (out / "schedule.csv").exists()
+
+
+def test_optimize_time_limit_incumbent_exits_three_with_schedule(tmp_path, monkeypatch):
+    solve = besched.cli.solve_problem
+    solved = []
+
+    def solve_to_time_limit(problem, options):
+        solution = solve(problem, options)
+        assert solution.status == "optimal"
+        solved.append(solution)
+        return dataclasses.replace(solution, status="timeLimit")
+
+    monkeypatch.setattr(besched.cli, "solve_problem", solve_to_time_limit)
+    args = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["optimize", *args, "--out", str(out)]) == 3
+    meta = json.loads((out / "metadata.json").read_text(), parse_constant=_reject_constant)
+    assert meta["status"] == "timeLimit"
+    assert meta["objective"] == solved[0].objective
+    assert "on_HeatPump" in (out / "schedule.csv").read_text().splitlines()[0]
+
+    # no incumbent within the limit: metadata only, exit 1
+    monkeypatch.setattr(besched.cli, "solve_problem",
+                        lambda problem, options: Solution("timeLimit"))
+    out = tmp_path / "out2"
+    assert cli_main(["optimize", *args, "--out", str(out)]) == 1
+    assert json.loads((out / "metadata.json").read_text())["status"] == "timeLimit"
     assert not (out / "schedule.csv").exists()
 
 

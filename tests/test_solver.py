@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from besched.errors import SolverError
 from besched.milp import EQ, GE, LE, Model
 from besched.solver import (
     INFEASIBLE,
@@ -48,13 +47,6 @@ def test_unbounded_detected(backend):
     m.add_constraint(x + 0.0, LE, 5.0, "cap")
     m.set_objective(x + 0.0)
     assert solve_builtin(m, SolveOptions(lp_backend=backend)).status == UNBOUNDED
-
-
-def test_options_reject_nonpositive_tolerances():
-    with pytest.raises(SolverError):
-        SolveOptions(gap_tol=0.0)
-    with pytest.raises(SolverError):
-        SolveOptions(int_tol=-1.0)
 
 
 @pytest.mark.parametrize("backend", ["dense", "highs"])
