@@ -79,7 +79,7 @@ class BalanceLedger:
             raise ModelError(
                 f"{label}: series has {len(series)} entries, expected {self.grid.n_units}"
             )
-        return [as_expr(e) for e in series]
+        return list(map(as_expr, series))
 
     def add_power(self, carrier: str, role: str, component: str, series) -> None:
         if carrier not in CARRIERS:
@@ -91,7 +91,7 @@ class BalanceLedger:
             raise ModelError(f"component {component!r} already registered as {carrier} {role}")
         exprs = self._check_series(series, f"{component}/{carrier}/{role}")
         entries.append((component, exprs))
-        self.add_state(f"{SERIES_PREFIX[(carrier, role)]}_{component}", exprs)
+        self._add_state(f"{SERIES_PREFIX[(carrier, role)]}_{component}", exprs)
 
     def add_source(self, carrier, component, series):
         self.add_power(carrier, SOURCE, component, series)
@@ -104,7 +104,7 @@ class BalanceLedger:
             raise ModelError(f"unknown financial role {role!r}")
         exprs = self._check_series(series, f"{component}/financial/{role}")
         self.financial[role].append((component, exprs))
-        self.add_state(f"financial{'Input' if role == 'input' else 'Output'}_{component}", exprs)
+        self._add_state(f"financial{'Input' if role == 'input' else 'Output'}_{component}", exprs)
 
     def add_financial_input(self, component, series):
         self.add_financial("input", component, series)
@@ -113,9 +113,12 @@ class BalanceLedger:
         self.add_financial("output", component, series)
 
     def add_state(self, name: str, series) -> None:
+        self._add_state(name, list(map(as_expr, series)))
+
+    def _add_state(self, name: str, exprs: list) -> None:
         if any(n == name for n, _ in self.states):
             raise ModelError(f"state series {name!r} already registered")
-        self.states.append((name, [as_expr(e) for e in series]))
+        self.states.append((name, exprs))
 
 
 def build_balances(model: Model, ledger: BalanceLedger) -> None:
@@ -134,9 +137,9 @@ def build_balances(model: Model, ledger: BalanceLedger) -> None:
         for i in range(n):
             net = LinExpr()
             for _, exprs in sources:
-                net = net + exprs[i]
+                net.accumulate(exprs[i])
             for _, exprs in sinks:
-                net = net - exprs[i]
+                net.accumulate(exprs[i], subtract=True)
             if not net.terms and abs(net.const) > 1e-12:
                 side = "sinks" if net.const < 0 else "sources"
                 raise StructuralInfeasibility(
@@ -151,8 +154,8 @@ def build_objective(model: Model, ledger: BalanceLedger) -> None:
     obj = LinExpr()
     for _, exprs in ledger.financial["input"]:
         for e in exprs:
-            obj = obj + e
+            obj.accumulate(e)
     for _, exprs in ledger.financial["output"]:
         for e in exprs:
-            obj = obj - e
+            obj.accumulate(e, subtract=True)
     model.set_objective(obj)

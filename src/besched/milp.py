@@ -5,6 +5,18 @@ constraints, one linear objective with a fixed *minimize* sense.  Costs are
 registered with positive sign, yields with negative sign.  Every constraint
 carries a provenance tag so generated rows can be traced back to the
 component and time unit that emitted them.
+
+Expressions are ``LinExpr`` dicts from variable id to coefficient plus a
+constant.  ``+``, ``-`` and ``*`` build new expressions and never change an
+operand; ``LinExpr.accumulate`` adds or subtracts in place, so a sum over
+many expressions (the objective, a balance row) costs the size of its terms,
+not a copy per step.  ``a - b`` subtracts term by term and ``Var * k`` builds
+its one-term dict directly; the results are bit for bit those of adding
+``b * -1.0`` and of ``Var.expr() * k``.
+
+``export_lp`` writes each row's terms in column order.  The variable names
+are made LP-legal in one translation over all of them, and each distinct
+number is formatted once per export, in caches that live for that call only.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import DuplicateName, ModelError, UndeclaredVariable
 
@@ -58,7 +71,14 @@ class Domain:
 
 
 class LinExpr:
-    """Linear expression: sum of coefficient * variable plus a constant."""
+    """Linear expression: sum of coefficient * variable plus a constant.
+
+    ``+``, ``-`` and ``*`` return new expressions and never change an
+    operand.  :meth:`accumulate` adds in place, so a sum over many
+    expressions costs the size of its terms rather than a copy per step.
+    The terms keep insertion order, and a coefficient that cancels to
+    0.0 is dropped.
+    """
 
     __slots__ = ("terms", "const")
 
@@ -67,48 +87,65 @@ class LinExpr:
         self.const = float(const)
 
     def copy(self) -> "LinExpr":
-        return LinExpr(self.terms, self.const)
+        return _adopt(self.terms.copy(), self.const)
+
+    def accumulate(self, other, subtract: bool = False) -> "LinExpr":
+        """Add ``other`` (subtract it with ``subtract``) in place; returns self.
+
+        Term for term and bit for bit the same as ``self + other`` (or
+        ``self - other``), without the copy of ``self``.
+        """
+        terms = self.terms
+        if other is self:
+            other = other.copy()
+        # subtraction adds the negated operand: for floats that is x - y, but
+        # an int 0 negates to int 0, which turns a -0.0 constant into 0.0
+        if isinstance(other, LinExpr):
+            get = terms.get
+            for vid, c in other.terms.items():
+                nc = get(vid, 0.0) + (-c if subtract else c)
+                if nc == 0.0:
+                    terms.pop(vid, None)
+                else:
+                    terms[vid] = nc
+            self.const += -other.const if subtract else other.const
+        elif isinstance(other, Var):
+            vid = other.id
+            nc = terms.get(vid, 0.0) + (-1.0 if subtract else 1.0)
+            if nc == 0.0:
+                terms.pop(vid, None)
+            else:
+                terms[vid] = nc
+        elif isinstance(other, (int, float)):
+            self.const += -other if subtract else other
+        else:
+            raise TypeError(f"cannot treat {other!r} as a linear expression")
+        return self
 
     def __add__(self, other):
-        out = self.copy()
-        if isinstance(other, LinExpr):
-            for vid, c in other.terms.items():
-                nc = out.terms.get(vid, 0.0) + c
-                if nc == 0.0:
-                    out.terms.pop(vid, None)
-                else:
-                    out.terms[vid] = nc
-            out.const += other.const
-        elif isinstance(other, Var):
-            nc = out.terms.get(other.id, 0.0) + 1.0
-            if nc == 0.0:
-                out.terms.pop(other.id, None)
-            else:
-                out.terms[other.id] = nc
-        elif isinstance(other, (int, float)):
-            out.const += other
-        else:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return out
+        return _adopt(self.terms.copy(), self.const).accumulate(other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (LinExpr, Var)):
-            return self + (other * -1.0)
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        return NotImplemented
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        return _adopt(self.terms.copy(), self.const).accumulate(other, subtract=True)
 
     def __rsub__(self, other):
-        return (self * -1.0) + other
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        return _adopt({v: -c for v, c in self.terms.items()}, -self.const + other)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float)):
             return NotImplemented
         if scalar == 0:
             return LinExpr()
-        return LinExpr({v: c * scalar for v, c in self.terms.items()}, self.const * scalar)
+        return _adopt({v: c * scalar for v, c in self.terms.items()},
+                      float(self.const * scalar))
 
     __rmul__ = __mul__
 
@@ -122,6 +159,17 @@ class LinExpr:
         return "LinExpr(" + " ".join(parts) + ")"
 
 
+_new_object = object.__new__
+
+
+def _adopt(terms: dict, const: float) -> LinExpr:
+    """A LinExpr that takes ``terms`` as it is, without the constructor's copy."""
+    e = _new_object(LinExpr)
+    e.terms = terms
+    e.const = const
+    return e
+
+
 @dataclass(frozen=True, eq=False)
 class Var:
     id: int
@@ -129,29 +177,40 @@ class Var:
     domain: Domain
 
     def expr(self) -> LinExpr:
-        return LinExpr({self.id: 1.0})
+        return _adopt({self.id: 1.0}, 0.0)
 
     def __add__(self, other):
-        return self.expr() + other
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        return self.expr().accumulate(other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.expr() - other
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        return self.expr().accumulate(other, subtract=True)
 
     def __rsub__(self, other):
         return other - self.expr()
 
     def __mul__(self, scalar):
-        return self.expr() * scalar
+        if not isinstance(scalar, (int, float)):
+            return NotImplemented
+        if scalar == 0:
+            return LinExpr()
+        return _adopt({self.id: 1.0 * scalar}, float(0.0 * scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self.expr() * -1.0
+        return self * -1.0
 
     def __repr__(self):
         return f"Var({self.name})"
+
+
+_OPERANDS = (LinExpr, Var, int, float)
 
 
 def as_expr(x) -> LinExpr:
@@ -262,11 +321,18 @@ class Model:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, expr, values) -> float:
-        """Evaluate an expression against values indexed by var id or by name."""
+        """Evaluate an expression against values indexed by var id or by name.
+
+        The products are added one by one in term order, then the constant,
+        as the sparse product in ``schedule.extract_schedule`` adds them
+        (``sum`` adds floats with compensation from Python 3.12 on).
+        """
         e = as_expr(expr)
-        if isinstance(values, dict) and values and isinstance(next(iter(values)), str):
-            return sum(c * values[self.vars[v].name] for v, c in e.terms.items()) + e.const
-        return sum(c * values[v] for v, c in e.terms.items()) + e.const
+        named = isinstance(values, dict) and values and isinstance(next(iter(values)), str)
+        total = 0.0
+        for v, c in e.terms.items():
+            total += c * values[self.vars[v].name if named else v]
+        return total + e.const
 
     # -- validation ----------------------------------------------------------
 
@@ -300,9 +366,9 @@ class Model:
 
 # -- LP file export -----------------------------------------------------------
 
-_LEGAL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-# a leading e/E followed by a digit can be misread as an exponent by LP readers
-_EXPONENT_LIKE = re.compile(r"[eE][0-9.]")
+_ILLEGAL_CHAR = re.compile(r"[^A-Za-z0-9_]")
+_ILLEGAL_ASCII = str.maketrans(
+    {c: "_" for c in map(chr, range(128)) if not (c.isalnum() or c == "_")})
 
 
 @dataclass
@@ -315,26 +381,34 @@ class LpFile:
 
 
 def _sanitize_names(model: Model):
-    """Map every variable to an LP-legal name, reversibly."""
+    """Map every variable to an LP-legal name, reversibly.
+
+    Every character outside ``[A-Za-z0-9_]`` becomes ``_``, in one
+    translation over all names joined: it maps one character to one, so the
+    name lengths cut the result apart again.  A name that is then empty,
+    starts with a digit or could be read as an exponent (``e1``) gets the
+    prefix ``v_``, and a name already taken gets ``__2``, ``__3``, ...
+    """
+    originals = [v.name for v in model.vars]
+    ends = list(accumulate(map(len, originals)))
+    joined = "".join(originals).translate(_ILLEGAL_ASCII)
+    if not joined.isascii():
+        joined = _ILLEGAL_CHAR.sub("_", joined)
+    names = []  # by var id
     taken = set()
-    forward = {}  # var id -> lp name
-    renamed = {}
-    for v in model.vars:
-        name = v.name
-        if not _LEGAL_NAME.match(name) or _EXPONENT_LIKE.match(name):
-            name = re.sub(r"[^A-Za-z0-9_]", "_", name)
-            if not name or not _LEGAL_NAME.match(name) or _EXPONENT_LIKE.match(name):
-                name = "v_" + name
+    for start, end in zip([0] + ends, ends):
+        name = joined[start:end]
+        if not name or name[0].isdigit() or (name[0] in "eE" and name[1:2].isdigit()):
+            name = "v_" + name
         if name in taken:
             k = 2
             while f"{name}__{k}" in taken:
                 k += 1
             name = f"{name}__{k}"
         taken.add(name)
-        forward[v.id] = name
-        if name != v.name:
-            renamed[name] = v.name
-    return forward, renamed
+        names.append(name)
+    renamed = {name: original for name, original in zip(names, originals) if name != original}
+    return names, renamed
 
 
 def _num(x: float) -> str:
@@ -343,16 +417,26 @@ def _num(x: float) -> str:
     return format(x, ".17g")
 
 
-def _terms_text(terms: dict, names: dict) -> str:
-    parts = []
-    for vid in sorted(terms):
-        c = terms[vid]
-        sign = "-" if c < 0 else "+"
-        if not parts and sign == "+":
-            parts.append(f"{_num(abs(c))} {names[vid]}")
-        else:
-            parts.append(f"{sign} {_num(abs(c))} {names[vid]}")
-    return " ".join(parts)
+class _Texts(dict):
+    """Number -> text, each formatted on first use; one per export."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, x):
+        text = self[x] = self.fmt(x)
+        return text
+
+
+def _box_text(lo: float, hi: float, num: _Texts):
+    if lo == -INF and hi == INF:
+        return " ", " free"
+    if lo == hi:
+        return " ", f" = {num[lo]}"
+    if lo == 0.0 and hi == INF:
+        return ()  # LP-format default
+    return f" {'-inf' if lo == -INF else num[lo]} <= ", f" <= {'+inf' if hi == INF else num[hi]}"
 
 
 def export_lp(model: Model) -> LpFile:
@@ -361,14 +445,24 @@ def export_lp(model: Model) -> LpFile:
     Deterministic: identical models produce byte-identical text.  The
     objective constant is not representable in the format and is left out;
     callers recompute objective values from variable assignments.
+
+    Each row's terms are written in column order.  Each distinct number is
+    formatted once per export, through caches that live only for this call.
     """
     names, renamed = _sanitize_names(model)
+    num = _Texts(_num)
+    signed = _Texts(lambda c: f"{'-' if c < 0 else '+'} {_num(abs(c))} ")
+
+    def terms_text(terms):
+        text = " ".join([signed[terms[vid]] + names[vid] for vid in sorted(terms)])
+        return text[2:] if text[:1] == "+" else text
+
     used = set(model.objective.terms)
     for c in model.constraints:
         used.update(c.terms)
 
     lines = ["\\ " + model.name, "Minimize"]
-    obj = _terms_text(model.objective.terms, names)
+    obj = terms_text(model.objective.terms)
     # vars appearing nowhere still need a column for LP readers
     orphan = " ".join(f"+ 0 {names[v.id]}" for v in model.vars if v.id not in used)
     if not obj and not orphan and model.vars:
@@ -377,34 +471,29 @@ def export_lp(model: Model) -> LpFile:
 
     lines.append("Subject To")
     for c in model.constraints:
-        body = _terms_text(c.terms, names)
+        body = terms_text(c.terms)
         if not body:
             if not model.vars:
                 raise ModelError("cannot export a constraint over an empty variable set")
             body = f"0 {names[0]}"
-        lines.append(f" c{c.id}: {body} {c.sense} {_num(c.rhs)}")
+        lines.append(f" c{c.id}: {body} {c.sense} {num[c.rhs]}")
 
     bounds = []
     generals = []
     binaries = []
-    for v in model.vars:
+    box_text = {}  # (lo, hi) -> (before, after) the name; () for the default box
+    for v, n in zip(model.vars, names):
         d = v.domain
-        n = names[v.id]
         if d.kind == BINARY:
             binaries.append(n)
             continue
         if d.kind == INTEGER:
             generals.append(n)
-        if d.lo == -INF and d.hi == INF:
-            bounds.append(f" {n} free")
-        elif d.lo == d.hi:
-            bounds.append(f" {n} = {_num(d.lo)}")
-        elif d.lo == 0.0 and d.hi == INF:
-            pass  # LP-format default
-        else:
-            lo = "-inf" if d.lo == -INF else _num(d.lo)
-            hi = "+inf" if d.hi == INF else _num(d.hi)
-            bounds.append(f" {lo} <= {n} <= {hi}")
+        box = box_text.get((d.lo, d.hi))
+        if box is None:
+            box = box_text[(d.lo, d.hi)] = _box_text(d.lo, d.hi, num)
+        if box:
+            bounds.append(box[0] + n + box[1])
     if bounds:
         lines.append("Bounds")
         lines.extend(bounds)

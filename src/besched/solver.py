@@ -5,9 +5,10 @@ two-phase simplex runs only when asked for (``lp_backend="dense"``), as the
 reference that tests check HiGHS against.  The tree search itself is always
 ours.  HiGHS node LPs are warm-started: each model is loaded once into one
 persistent instance of scipy's HiGHS binding, and every node changes the
-column bounds and re-solves from the last basis by dual simplex (Achterberg,
-"Constraint Integer Programming", 2007).  A cold ``scipy.optimize.linprog``
-call takes its place only when scipy lacks that private binding.  Node
+column bounds that moved and re-solves from the last basis by dual simplex
+(Achterberg, "Constraint Integer Programming", 2007).  A cold
+``scipy.optimize.linprog`` call takes its place only when scipy lacks that
+private binding.  Node
 exploration is sequential and deterministic: branch on the fractional
 integer variable of lowest index and solve its floor child.  When that child
 keeps the node's bound the dive goes on there and the ceiling child stays
@@ -82,12 +83,14 @@ class Solution:
 class _WarmLP:
     """The model's LP loaded once into scipy's HiGHS binding and re-solved
     after each change of column bounds from the last basis: a short
-    dual-simplex warm start.  HiGHS presolves only while it has no basis."""
+    dual-simplex warm start.  HiGHS presolves only while it has no basis.
+    Only the columns whose bounds moved since the last LP are passed on."""
 
     def __init__(self, core, arrays: "ModelArrays"):
         self.core = core
         self.c, self.obj_const = arrays.c, arrays.obj_const
-        self.cols = np.arange(arrays.n, dtype=np.int32)
+        # the column bounds HiGHS holds: the model's box until the first LP
+        self.lo, self.hi = arrays.lo.copy(), arrays.hi.copy()
         a = arrays.a
         lp = core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[1]
@@ -126,7 +129,10 @@ class _WarmLP:
         limit = math.inf if deadline is None else (
             highs.getRunTime() + max(deadline - time.monotonic(), 0.0))
         highs.setOptionValue("time_limit", limit)
-        highs.changeColsBounds(len(self.cols), self.cols, lo, hi)
+        moved = np.flatnonzero((lo != self.lo) | (hi != self.hi))
+        if len(moved):
+            self.lo[moved], self.hi[moved] = lo[moved], hi[moved]
+            highs.changeColsBounds(len(moved), moved.astype(np.int32), lo[moved], hi[moved])
         if highs.run() == self.core.HighsStatus.kError:
             raise NumericalFailure("HiGHS LP run failed")
         model_status = highs.getModelStatus()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
 
 from .errors import InputError, LengthMismatch, NotFound
@@ -125,10 +126,14 @@ def write_schedule(schedule: Schedule, out_dir) -> dict:
     csv_path = out / "schedule.csv"
     names = list(schedule.series)
     stamps = _timestamps(schedule)
+    columns = [schedule.series[name] for name in names]
+    text = {}  # value -> its CSV text, each distinct value formatted once per file
+    for x in chain.from_iterable(columns):
+        if x not in text:
+            text[x] = _fmt(x)
     lines = [",".join(["timestamp"] + names)]
-    for i in range(schedule.grid.n_units):
-        row = [stamps[i]] + [_fmt(schedule.series[name][i]) for name in names]
-        lines.append(",".join(row))
+    for stamp, *row in zip(stamps, *columns, strict=True):
+        lines.append(",".join([stamp, *map(text.__getitem__, row)]))
     csv_path.write_text("\n".join(lines) + "\n")
     written["schedule"] = str(csv_path)
     return written

@@ -13,6 +13,7 @@ import re
 
 import numpy as np
 
+from besched.errors import ModelError
 from besched.milp import EQ, GE, LE, Model
 
 INF = math.inf
@@ -487,3 +488,203 @@ def solve_parsed_lp(parsed):
         return None, None
     values = {nm: float(res.x[col[nm]]) for nm in names}
     return float(res.fun), values
+
+
+# ---------------------------------------------------------------------------
+# linear expression arithmetic: a plain copy-per-operation reference
+
+
+class RefLinExpr:
+    """Linear expression arithmetic as first written: every operation copies,
+    subtraction adds the negated copy ``other * -1.0``.  The package's
+    ``LinExpr`` must give bit-equal ``terms`` (in the same order) and
+    ``const`` on every program of these operations."""
+
+    __slots__ = ("terms", "const")
+
+    def __init__(self, terms=None, const=0.0):
+        self.terms = dict(terms) if terms else {}
+        self.const = float(const)
+
+    def copy(self):
+        return RefLinExpr(self.terms, self.const)
+
+    def __add__(self, other):
+        out = self.copy()
+        if isinstance(other, RefLinExpr):
+            for vid, c in other.terms.items():
+                nc = out.terms.get(vid, 0.0) + c
+                if nc == 0.0:
+                    out.terms.pop(vid, None)
+                else:
+                    out.terms[vid] = nc
+            out.const += other.const
+        elif isinstance(other, RefVar):
+            nc = out.terms.get(other.id, 0.0) + 1.0
+            if nc == 0.0:
+                out.terms.pop(other.id, None)
+            else:
+                out.terms[other.id] = nc
+        elif isinstance(other, (int, float)):
+            out.const += other
+        else:
+            return NotImplemented
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (RefLinExpr, RefVar)):
+            return self + (other * -1.0)
+        if isinstance(other, (int, float)):
+            return self + (-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (self * -1.0) + other
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, float)):
+            return NotImplemented
+        if scalar == 0:
+            return RefLinExpr()
+        return RefLinExpr({v: c * scalar for v, c in self.terms.items()}, self.const * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1.0
+
+
+class RefVar:
+    """A variable handle for :class:`RefLinExpr`: every operation goes
+    through a one-term expression."""
+
+    def __init__(self, vid: int):
+        self.id = vid
+
+    def expr(self):
+        return RefLinExpr({self.id: 1.0})
+
+    def __add__(self, other):
+        return self.expr() + other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.expr() - other
+
+    def __rsub__(self, other):
+        return other - self.expr()
+
+    def __mul__(self, scalar):
+        return self.expr() * scalar
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self.expr() * -1.0
+
+
+# ---------------------------------------------------------------------------
+# LP export: the first, per-name and per-term version of ``milp.export_lp``
+
+_LEGAL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_EXPONENT_LIKE = re.compile(r"[eE][0-9.]")
+
+
+def _sanitize_names_reference(model: Model):
+    taken = set()
+    forward = {}  # var id -> lp name
+    renamed = {}
+    for v in model.vars:
+        name = v.name
+        if not _LEGAL_NAME.match(name) or _EXPONENT_LIKE.match(name):
+            name = re.sub(r"[^A-Za-z0-9_]", "_", name)
+            if not name or not _LEGAL_NAME.match(name) or _EXPONENT_LIKE.match(name):
+                name = "v_" + name
+        if name in taken:
+            k = 2
+            while f"{name}__{k}" in taken:
+                k += 1
+            name = f"{name}__{k}"
+        taken.add(name)
+        forward[v.id] = name
+        if name != v.name:
+            renamed[name] = v.name
+    return forward, renamed
+
+
+def _num_reference(x: float) -> str:
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return format(x, ".17g")
+
+
+def _terms_text_reference(terms: dict, names: dict) -> str:
+    parts = []
+    for vid in sorted(terms):
+        c = terms[vid]
+        sign = "-" if c < 0 else "+"
+        if not parts and sign == "+":
+            parts.append(f"{_num_reference(abs(c))} {names[vid]}")
+        else:
+            parts.append(f"{sign} {_num_reference(abs(c))} {names[vid]}")
+    return " ".join(parts)
+
+
+def export_lp_reference(model: Model):
+    """Returns (text, name_map) as ``milp.export_lp`` must produce them."""
+    names, renamed = _sanitize_names_reference(model)
+    used = set(model.objective.terms)
+    for c in model.constraints:
+        used.update(c.terms)
+
+    lines = ["\\ " + model.name, "Minimize"]
+    obj = _terms_text_reference(model.objective.terms, names)
+    orphan = " ".join(f"+ 0 {names[v.id]}" for v in model.vars if v.id not in used)
+    if not obj and not orphan and model.vars:
+        obj = f"0 {names[0]}"
+    lines.append(" obj: " + " ".join(x for x in (obj, orphan) if x))
+
+    lines.append("Subject To")
+    for c in model.constraints:
+        body = _terms_text_reference(c.terms, names)
+        if not body:
+            if not model.vars:
+                raise ModelError("cannot export a constraint over an empty variable set")
+            body = f"0 {names[0]}"
+        lines.append(f" c{c.id}: {body} {c.sense} {_num_reference(c.rhs)}")
+
+    bounds = []
+    generals = []
+    binaries = []
+    for v in model.vars:
+        d = v.domain
+        n = names[v.id]
+        if d.kind == "binary":
+            binaries.append(n)
+            continue
+        if d.kind == "integer":
+            generals.append(n)
+        if d.lo == -INF and d.hi == INF:
+            bounds.append(f" {n} free")
+        elif d.lo == d.hi:
+            bounds.append(f" {n} = {_num_reference(d.lo)}")
+        elif d.lo == 0.0 and d.hi == INF:
+            pass
+        else:
+            lo = "-inf" if d.lo == -INF else _num_reference(d.lo)
+            hi = "+inf" if d.hi == INF else _num_reference(d.hi)
+            bounds.append(f" {lo} <= {n} <= {hi}")
+    if bounds:
+        lines.append("Bounds")
+        lines.extend(bounds)
+    if generals:
+        lines.append("General")
+        lines.extend(" " + n for n in generals)
+    if binaries:
+        lines.append("Binary")
+        lines.extend(" " + n for n in binaries)
+    lines.append("End")
+    return "\n".join(lines) + "\n", renamed

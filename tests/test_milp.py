@@ -1,14 +1,17 @@
 """Model construction, validation and LP export."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from besched.errors import DuplicateName, ModelError, UndeclaredVariable
-from besched.milp import EQ, GE, LE, Domain, LinExpr, Model, export_lp
+from besched.milp import EQ, GE, LE, Domain, LinExpr, Model, Var, export_lp
 from besched.solver import SolveOptions, solve_builtin
 
-from oracles import parse_lp, solve_parsed_lp
+from oracles import (RefLinExpr, RefVar, export_lp_reference, parse_lp, random_milp,
+                     solve_parsed_lp)
 
 
 def test_add_var_registers_handle():
@@ -166,3 +169,132 @@ def test_evaluate_accepts_name_and_id_keys():
     e = 2 * x + 1.0
     assert m.evaluate(e, {"x": 1.0}) == 3.0
     assert m.evaluate(e, {x.id: 1.0}) == 3.0
+
+
+# -- arithmetic against the copy-per-operation reference ----------------------
+
+
+def _bits(x):
+    """Everything an operand is, down to the bits and order of its terms."""
+    if isinstance(x, (Var, RefVar)):
+        return ("var", x.id)
+    if isinstance(x, (LinExpr, RefLinExpr)):
+        return ("expr", [(vid, type(c), float(c).hex()) for vid, c in x.terms.items()],
+                type(x.const), x.const.hex())
+    return ("number", type(x), float(x).hex())
+
+
+SCALARS = (0, 0.0, -0.0, 1, -1, 3, 1.0, -1.0, 0.5, 0.1, 0.2, 0.3, -0.1, -0.2, 2.5, -7,
+           1e-300, 1e300)
+
+
+def _step(rng, a, b, k, fast):
+    """One random operation: the same operator on the package's objects and on
+    the reference's (``fast`` tells them apart only for ``accumulate``)."""
+    op = rng.randrange(11)
+    if op == 0:
+        return a + b
+    if op == 1:
+        return a - b
+    if op == 2:
+        return a + k
+    if op == 3:
+        return k + a
+    if op == 4:
+        return a - k
+    if op == 5:
+        return k - a
+    if op == 6:
+        return a * k
+    if op == 7:
+        return k * a
+    if op == 8:
+        return -a
+    # in place on a copy; the reference has only the binary operators
+    subtract = op == 10
+    if not fast:
+        return a - b if subtract else a + b
+    acc = a.copy() if isinstance(a, LinExpr) else a.expr()
+    assert acc.accumulate(b, subtract=subtract) is acc
+    return acc
+
+
+def test_linexpr_arithmetic_matches_the_reference_bit_for_bit():
+    m = Model()
+    xs = [m.continuous(f"x{j}") for j in range(5)]
+    for seed in range(300):
+        pool = [(x, RefVar(x.id)) for x in xs] + [(LinExpr(), RefLinExpr())]
+        rng = random.Random(seed)
+        for _ in range(30):
+            (a, ra), (b, rb) = rng.choice(pool), rng.choice(pool)
+            k = rng.choice(SCALARS)
+            before = [_bits(v) for v in (a, b, ra, rb)]
+            state = rng.getstate()
+            out = _step(rng, a, b, k, fast=True)
+            rng.setstate(state)
+            ref = _step(rng, ra, rb, k, fast=False)
+            assert _bits(out) == _bits(ref), seed
+            # no operator changes an operand, the in-place one included
+            assert [_bits(v) for v in (a, b, ra, rb)] == before
+            pool.append((out, ref))
+
+
+def test_linexpr_cancellation_and_signed_zero_constants():
+    m = Model()
+    x, y = m.continuous("x"), m.continuous("y")
+    e = (x + y) - x
+    assert list(e.terms) == [y.id]
+    assert (x * 0.1 + y * 0.2 - x * 0.1).terms == {y.id: 0.2}
+    assert (x - x).terms == {} and (e - e).terms == {}
+    # -x carries the constant -0.0 of ``x * -1.0``; 0 - x carries +0.0
+    assert math.copysign(1.0, (-x).const) == -1.0
+    assert math.copysign(1.0, (0 - x).const) == 1.0
+    assert math.copysign(1.0, (-0.0 - x).const) == -1.0
+    assert math.copysign(1.0, (x * -2).const) == -1.0
+    assert math.copysign(1.0, (x * 0).const) == 1.0
+    # subtracting the int 0 adds int 0, which turns -0.0 into 0.0; 0.0 does not
+    assert math.copysign(1.0, (-x - 0).const) == 1.0
+    assert math.copysign(1.0, (-x - 0.0).const) == -1.0
+    acc = LinExpr(const=-0.0)
+    acc.accumulate(x)
+    assert math.copysign(1.0, acc.const) == -1.0  # a variable adds no constant
+    acc.accumulate(acc)
+    assert acc.terms == {x.id: 2.0}
+    with pytest.raises(TypeError):
+        acc.accumulate("x")
+
+
+# -- LP export against the first per-term version -----------------------------
+
+
+def _assert_export_matches_reference(model):
+    lp = export_lp(model)
+    text, name_map = export_lp_reference(model)
+    assert lp.text == text
+    assert lp.name_map == name_map
+
+
+def test_export_lp_matches_the_reference_on_random_models():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        _assert_export_matches_reference(random_milp(rng))
+
+
+def test_export_lp_matches_the_reference_on_illegal_and_duplicate_names():
+    m = Model("names")
+    names = ["a.b", "a_b", "a_b__2", "1x", "e5", "E.1", "e", "E", "e_1", "", "_", "ä",
+             "x y", "x\ny", "ab]", "ab_", "9", "v_9", "ée3", "E7x", "x1", "x[1]"]
+    for j, name in enumerate(names):
+        v = m.add_var(name, (Domain.binary(), Domain.integer(-2, 3), Domain.continuous(),
+                             Domain.continuous(0, 5.25), Domain.continuous(1.5, 1.5))[j % 5])
+        m.add_constraint(v * (j - 7.5) + 0.1, (LE, GE, EQ)[j % 3], j / 3, f"row{j}")
+    m.set_objective(sum((v * 0.3 for v in m.vars[::2]), start=LinExpr()))
+    _assert_export_matches_reference(m)
+    renamed = export_lp(m).name_map
+    assert renamed["a_b__2"] == "a_b" and renamed["a_b__2__2"] == "a_b__2"
+    assert renamed["v_e5"] == "e5" and renamed["v_"] == "" and renamed["_e3"] == "ée3"
+    # nothing legal is renamed
+    _assert_export_matches_reference(Model("empty"))
+    only_legal = Model()
+    only_legal.binary("x1")
+    assert export_lp(only_legal).name_map == {}

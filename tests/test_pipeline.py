@@ -1,17 +1,26 @@
 """Parsed documents through build_problem/optimize, covering every element."""
 
+import gc
+import hashlib
+import weakref
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import besched.components as comp
+import besched.solver
 from besched.assembly import BalanceLedger, TimeGrid, build_balances, build_objective
 from besched.errors import InputError
 from besched.fcchp import FcchpCostParams, FcchpInitialState, FcchpPhysicalParams
 from besched.milp import Model, export_lp
-from besched.pipeline import FCCHP_PARAMS, build_problem, optimize
-from besched.solver import SolveOptions
+from besched.pipeline import FCCHP_PARAMS, build_problem, optimize, solve_problem
+from besched.schedule import extract_schedule
+from besched.solver import Solution, SolveOptions, solve_builtin
 from besched.xmlio import ELEMENTS, parse_configuration, parse_situation
+
+from helpers import write_daily_scenario
+from oracles import export_lp_reference
 
 PLANT_CONFIG = """<BuildingConfiguration xmlns="http://www.fokus.fraunhofer.de/WaveSave"
     id="PlantScenario" powerUnit="kW" energyUnit="kWh" priceUnit="ct" energyPriceUnit="ct/kWh">
@@ -296,3 +305,83 @@ def test_every_element_matches_the_builders_called_by_hand(tmp_path):
     assert export_lp(problem.model).text == export_lp(model).text
     assert [n for n, _ in problem.ledger.states] == [n for n, _ in ledger.states]
     assert _states(problem.ledger) == _states(ledger)
+
+
+# sha256 of the scenario's LP text as the per-term export (oracles) writes it
+EVERY_ELEMENT_LP_SHA256 = "5d4ba2f3ee9b893d3f0e785e5ea6be66654cd328af5149bf207944f6c5e7c6b4"
+
+
+def test_every_element_export_matches_the_reference_and_its_pinned_digest(tmp_path):
+    config, situation = _every_element_inputs(tmp_path)
+    model = build_problem(config, situation, base_dir=tmp_path).model
+    lp = export_lp(model)
+    assert (lp.text, lp.name_map) == export_lp_reference(model)
+    assert hashlib.sha256(lp.text.encode()).hexdigest() == EVERY_ELEMENT_LP_SHA256
+
+
+def _assert_extraction_equals_evaluate(model, ledger, solution):
+    """extract_schedule against Model.evaluate rounded by Python, bit for bit."""
+    got = extract_schedule(model, ledger, solution).series
+    want = {name: [round(model.evaluate(e, solution.values), 12) for e in exprs]
+            for name, exprs in ledger.states}
+    assert list(got) == list(want)
+    for name in want:
+        assert [v.hex() for v in got[name]] == [v.hex() for v in want[name]], name
+
+
+def test_extraction_equals_evaluate_on_the_every_element_scenario():
+    model, ledger = _every_element_by_hand()
+    solution = solve_builtin(model)
+    assert solution.status == "optimal"
+    _assert_extraction_equals_evaluate(model, ledger, solution)
+
+
+def test_extraction_equals_evaluate_on_the_day_scenario(tmp_path):
+    cfg_path, sit_path = write_daily_scenario(tmp_path)
+    config = parse_configuration(cfg_path.read_text())
+    problem = build_problem(config, parse_situation(sit_path.read_text(), config),
+                            base_dir=tmp_path)
+    solution = solve_problem(problem, SolveOptions())
+    assert solution.status == "optimal"
+    _assert_extraction_equals_evaluate(problem.model, problem.ledger, solution)
+
+
+def test_extraction_sums_in_term_order_and_rounds_like_python():
+    model = Model()
+    x = [model.continuous(f"x{j}") for j in range(4)]
+    ledger = BalanceLedger(TimeGrid(2, 1.0))
+    # inserted x2, x0, x1: (1e16 + 1) + 1 is 1e16, in column order 1e16 + 2
+    ledger.add_state("s", [x[2] + x[0] + x[1], x[3] * 1.0])
+    values = {"x0": 1.0, "x1": 1.0, "x2": 1e16, "x3": 1.0000000000005}
+    solution = Solution("optimal", values, 0.0)
+    series = extract_schedule(model, ledger, solution).series["s"]
+    assert series[0] == (1e16 + 1.0) + 1.0 == 1e16 != (1.0 + 1.0) + 1e16
+    # np.round scales by 1e12 and lands on 1.0; round rounds the decimal value
+    assert series[1] == round(1.0000000000005, 12) == 1.000000000001
+    assert float(np.round(1.0000000000005, 12)) == 1.0
+    _assert_extraction_equals_evaluate(model, ledger, solution)
+
+
+def test_a_solved_model_is_freed_without_the_cycle_collector(monkeypatch):
+    """No reference cycle keeps a model, its arrays or its HiGHS instance."""
+    kept = []
+    for cls in (besched.solver.ModelArrays, besched.solver._WarmLP):
+        def init(self, *args, _real=cls.__init__):
+            _real(self, *args)
+            kept.append(weakref.ref(self))
+
+        monkeypatch.setattr(cls, "__init__", init)
+    gc.collect()
+    gc.disable()
+    try:
+        model, ledger = _every_element_by_hand()
+        export_lp(model)
+        solution = solve_builtin(model)
+        assert solution.status == "optimal"
+        assert len(kept) == 2  # the arrays and their persistent HiGHS LP
+        dead = weakref.ref(model)
+        del model, ledger
+        assert dead() is None
+        assert [ref() for ref in kept] == [None, None]
+    finally:
+        gc.enable()

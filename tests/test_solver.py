@@ -15,6 +15,7 @@ from besched.solver import (
     UNBOUNDED,
     ModelArrays,
     SolveOptions,
+    _WarmLP,
     solve_builtin,
 )
 
@@ -356,3 +357,47 @@ def test_day_tree_size_does_not_depend_on_the_tariff(tmp_path):
         assert sol.objective == pytest.approx(ref.fun + arrays.obj_const, abs=1e-6)
         nodes.add(sol.stats["nodes"])
     assert len(nodes) == 1
+
+
+def test_warm_lp_passes_only_the_column_bounds_that_moved():
+    # presolve moves 5 of its 9 columns and leaves 4 integers free
+    m = random_milp(np.random.default_rng(2), max_binaries=10, max_rows=15)
+    arrays = ModelArrays(m)
+    warm = _WarmLP.load(arrays)
+    changed = []
+
+    class Recorder:
+        def __init__(self, highs):
+            self.highs = highs
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def changeColsBounds(self, num, cols, lo, hi):
+            changed.append(sorted(cols.tolist()))
+            return self.highs.changeColsBounds(num, cols, lo, hi)
+
+    warm.highs = Recorder(warm.highs)
+    arrays._warm = warm
+
+    def agrees_with_a_fresh_instance(lo, hi):
+        got = arrays.solve_lp(lo, hi, "highs")
+        want = ModelArrays(m).solve_lp(lo, hi, "highs")
+        assert got[0] == want[0]
+        if got[0] == OPTIMAL:
+            assert got[2] == pytest.approx(want[2], abs=1e-9)
+
+    # the first LP moves the model's box to the presolved one
+    ok, lo, hi = arrays.tighten_bounds(arrays.lo, arrays.hi)
+    assert ok
+    agrees_with_a_fresh_instance(lo, hi)
+    moved = np.flatnonzero((lo != arrays.lo) | (hi != arrays.hi)).tolist()
+    assert changed == [moved] and 0 < len(moved) < arrays.n
+    changed.clear()
+    j = int(np.flatnonzero(arrays.integral & (lo < hi))[0])
+    down = hi.copy()
+    down[j] = lo[j]
+    agrees_with_a_fresh_instance(lo, down)
+    agrees_with_a_fresh_instance(lo, down)  # nothing moved: no call at all
+    agrees_with_a_fresh_instance(lo, hi)
+    assert changed == [[j], [j]]
