@@ -6,7 +6,8 @@ Usage, from the root of the repository:
     python3 tools/bench.py --out BENCH_6.json --runs 10 --seed 601 --baseline ../parent
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` in a fresh interpreter, seed S = --seed + i for run i.  With
+--trace 0`` in a fresh interpreter, with T the ``run_seconds`` of
+BENCHMARK.json and seed S = --seed + i for run i.  With
 ``--baseline`` (another checkout, e.g. a ``git clone`` of the parent commit)
 every seed runs in both checkouts, as an alternating pair: the baseline goes
 first on even runs and second on odd ones, so slow drift of the host hits both
@@ -16,8 +17,8 @@ gives the per-layer self times and the model census.
 The file records, per workload and side, every end-to-end value with its
 median and quartiles, the pairs the change won, the traced layer times and
 the census, plus the git revision of each checkout and the machine.  The
-deltas of the medians against the newest earlier ``BENCH_*.json`` are printed
-and stored.
+deltas of the medians against the highest-numbered ``BENCH_<m>.json`` with m
+lower than the number in --out are printed and stored.
 """
 
 from __future__ import annotations
@@ -62,12 +63,17 @@ def spread(values: list) -> dict:
             "values": values}
 
 
+def bench_number(path: Path):
+    m = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+    return int(m.group(1)) if m else None
+
+
 def newest_earlier_bench(out: Path):
-    found = []
-    for path in REPO.glob("BENCH_*.json"):
-        m = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
-        if m and path.resolve() != out.resolve():
-            found.append((int(m.group(1)), path))
+    number = bench_number(out)
+    if number is None:
+        return None
+    found = [(bench_number(path), path) for path in REPO.glob("BENCH_*.json")]
+    found = [(n, path) for n, path in found if n is not None and n < number]
     return max(found)[1] if found else None
 
 
@@ -76,21 +82,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="another checkout to run in alternating pairs")
-    parser.add_argument("--workload", action="append", default=None,
-                        help="only this workload (repeatable)")
     args = parser.parse_args(argv)
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"change": REPO}
     if args.baseline:
         sides["baseline"] = args.baseline.resolve()
-    names = args.workload or [w["name"] for w in spec["workloads"]]
 
     report = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
         "sides": {side: revision(path) for side, path in sides.items()},
         "workloads": {},
     }
-    for name in names:
+    for name in (w["name"] for w in spec["workloads"]):
         values = {side: {} for side in sides}
         failed = {side: 0 for side in sides}
         for i, seed in enumerate(report["seeds"]):
