@@ -2,13 +2,15 @@
 chains, and the per-unit power/cost expressions, checked against the
 sequential simulator in oracles.py."""
 
+import hashlib
 import itertools
 
 import pytest
 
-from besched.assembly import TimeGrid
+from besched.assembly import BalanceLedger, TimeGrid
 from besched.errors import InconsistentHistory, ModelError
 from besched.fcchp import (
+    FcchpBuilder,
     FcchpCostParams,
     FcchpInitialState,
     build_min_durations,
@@ -16,7 +18,7 @@ from besched.fcchp import (
     derive_unit_params,
     replay_history,
 )
-from besched.milp import EQ, Model
+from besched.milp import EQ, Model, export_lp
 from besched.solver import SolveOptions, solve_builtin
 
 from helpers import build_plant, make_costs, make_phys, series, solve_pattern
@@ -26,6 +28,7 @@ from oracles import (
     profile_average_numeric,
     simulate_fcchp,
 )
+from test_acceptance import INITIAL_STATES
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +67,6 @@ def test_costs_require_full_price_series_and_finiteness():
     with pytest.raises(ModelError):
         FcchpCostParams(primary_price=(float("nan"),))
     m = Model()
-    from besched.fcchp import FcchpBuilder
-
     with pytest.raises(ModelError, match="entries"):
         FcchpBuilder(m, TimeGrid(4, 1.0), make_phys(), make_costs(3), FcchpInitialState())
 
@@ -431,3 +432,73 @@ def test_production_ramp_limit_binds():
     for a, bb in zip(levels, levels[1:]):
         assert abs(bb - a) <= 0.3 + 1e-6
     assert levels[-1] == pytest.approx(phys.p_th_min + 3 * 0.3, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# pinned models: the switched-state rows must build the very same model
+
+
+def _model_digest(models) -> str:
+    """sha256 over each model's LP text, row tags, big-M records and ledger
+    states (term order and float.hex of every coefficient)."""
+    h = hashlib.sha256()
+    for model, ledger in models:
+        h.update(export_lp(model).text.encode())
+        h.update("\n".join(c.tag for c in model.constraints).encode())
+        h.update(repr(model.bigms).encode())
+        for name, exprs in ledger.states if ledger else ():
+            h.update(repr((name, [([(v, c.hex()) for v, c in e.terms.items()], e.const.hex())
+                                  for e in exprs])).encode())
+    return h.hexdigest()
+
+
+def _fcchp_with_ledger(n, init, phys=None, dt=1.0):
+    grid = TimeGrid(n, dt)
+    model, ledger = Model("plant"), BalanceLedger(grid)
+    FcchpBuilder(model, grid, phys or make_phys(), make_costs(n), init).build(ledger)
+    return model, ledger
+
+
+def _criterion_5_states():
+    return [_fcchp_with_ledger(6, init) for init in INITIAL_STATES]
+
+
+def _criterion_3_ramp_plant():
+    phys = make_phys(d_on_min=1.5, d_on_max=10.0, d_off_min=0.5, d_init=0.25,
+                     d_start_up=0.5, d_down=0.25, delta_p_th_prod=0.8)
+    return [_fcchp_with_ledger(48, FcchpInitialState(), phys=phys, dt=0.25)]
+
+
+def _chain_histories():
+    models = []
+    for x_0 in (0, 1):
+        for hist_start, hist_stop in (({}, {}), ({-2: 1}, {}), ({}, {-1: 1}),
+                                      ({-4: 1, 0: 1}, {-1: 1})):
+            m = Model("chain")
+            chain = build_onoff_chain(m, 6, x_0, hist_start=hist_start, hist_stop=hist_stop)
+            build_min_durations(m, chain, on_min=3, off_min=2)
+            models.append((m, None))
+    return models
+
+
+# case -> (its models, their pinned sha256)
+PINNED_MODELS = {
+    "criterion_5_states": (
+        _criterion_5_states,
+        "ca97c657d520be4462e0744b3c7e923f3f4e8938111539591715d9d85112b0e4",
+    ),
+    "criterion_3_ramp_plant": (
+        _criterion_3_ramp_plant,
+        "34361d9d950e79ccb87941a0bbb00620736769b5bbd5acc6476bbb4fb728df78",
+    ),
+    "chain_histories": (
+        _chain_histories,
+        "0f6aa68645929f8f2f1191a9311aed7040b88645e99477c0a90c895c1ff17c17",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_MODELS)
+def test_switched_state_models_match_their_pinned_digest(case):
+    build, digest = PINNED_MODELS[case]
+    assert _model_digest(build()) == digest
