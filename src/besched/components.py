@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .assembly import CARRIERS, COLD, ELECTRIC, HEAT, BalanceLedger, TimeGrid
 from .errors import ModelError
 # FcchpBuilder is here as the FcCHP row's builder in the element table (xmlio.ELEMENTS)
-from .fcchp import FcchpBuilder, build_min_durations, build_onoff_chain
+from .fcchp import FcchpBuilder, OnOffChain, build_min_durations, build_onoff_chain
 from .linearize import product_bin_bounded
-from .milp import EQ, Model, as_expr
+from .milp import EQ, Model
 
 
 def _check_series(values, n, label, lo=None, hi=None):
@@ -35,21 +35,23 @@ def _check_series(values, n, label, lo=None, hi=None):
     return vals
 
 
-def _switch_history(grid: TimeGrid, is_on: bool, last_change_hours: float):
-    """Initial on/off state expressed as historical event flags.
+def _switched_chain(model: Model, spec, grid: TimeGrid) -> OnOffChain:
+    """The on/off chain and minimum run and off times of a switched component
+    (HeatPump, MechCHP), its initial state expressed as historical event flags.
 
     The last switching event lies last_change_hours before unit 1; an event
-    j units ago happened at unit 1 - j.
+    j units ago happened at unit 1 - j, and at unit 0 at the latest.
     """
-    if last_change_hours < 0:
+    if spec.last_change_hours < 0:
         raise ModelError("last state change must not lie in the future")
-    ago = max(grid.units_round(last_change_hours), 0)
-    event_unit = 1 - ago
-    if event_unit > 0:
-        event_unit = 0
-    if is_on:
-        return {event_unit: 1}, {}
-    return {}, {event_unit: 1}
+    event = {min(1 - grid.units_round(spec.last_change_hours), 0): 1}
+    hist_start, hist_stop = (event, {}) if spec.is_on_at_begin else ({}, event)
+    chain = build_onoff_chain(model, grid.n_units, int(spec.is_on_at_begin),
+                              hist_start=hist_start, hist_stop=hist_stop, name=spec.name)
+    on_min = max(grid.units_ceil(spec.min_run_time), 1) if spec.min_run_time > 0 else 1
+    off_min = max(grid.units_ceil(spec.min_off_time), 1) if spec.min_off_time > 0 else 1
+    build_min_durations(model, chain, on_min, off_min, name=spec.name)
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +84,12 @@ def build_usage(model: Model, spec: UsageSpec, grid: TimeGrid, ledger: BalanceLe
         if hmin[i] > hmax[i] + 1e-12:
             raise ModelError(f"{spec.name}: heating band empty at unit {i + 1} "
                              f"({hmin[i]} > {hmax[i]})")
-    ledger.add_sink(ELECTRIC, spec.name, [as_expr(v) for v in elec])
+    ledger.add_sink(ELECTRIC, spec.name, elec)
 
     heat = []
     for i in range(n):
         h = model.continuous(f"{spec.name}.heating[{i + 1}]", hmin[i], hmax[i])
-        heat.append(as_expr(h) + water[i])
+        heat.append(h + water[i])
     ledger.add_sink(HEAT, spec.name, heat)
 
     if spec.cooling_max:
@@ -98,10 +100,8 @@ def build_usage(model: Model, spec: UsageSpec, grid: TimeGrid, ledger: BalanceLe
             if cmin[i] > cmax[i] + 1e-12:
                 raise ModelError(f"{spec.name}: cooling band empty at unit {i + 1}")
         if any(v > 0 for v in cmax):
-            cool = [
-                as_expr(model.continuous(f"{spec.name}.cooling[{i + 1}]", cmin[i], cmax[i]))
-                for i in range(n)
-            ]
+            cool = [model.continuous(f"{spec.name}.cooling[{i + 1}]", cmin[i], cmax[i])
+                    for i in range(n)]
             ledger.add_sink(COLD, spec.name, cool)
 
 
@@ -135,8 +135,8 @@ def build_grid(model: Model, spec: GridSpec, grid: TimeGrid, ledger: BalanceLedg
         model.continuous(f"{spec.name}.feedIn[{i + 1}]", 0.0, spec.max_feed_in_power)
         for i in range(n)
     ]
-    ledger.add_source(ELECTRIC, spec.name, [as_expr(v) for v in supply])
-    ledger.add_sink(ELECTRIC, spec.name, [as_expr(v) for v in feed_in])
+    ledger.add_source(ELECTRIC, spec.name, supply)
+    ledger.add_sink(ELECTRIC, spec.name, feed_in)
     ledger.add_financial_input(spec.name, [supply[i] * (price[i] * dt) for i in range(n)])
     ledger.add_financial_output(spec.name, [feed_in[i] * (refund[i] * dt) for i in range(n)])
 
@@ -169,19 +169,13 @@ def build_heat_pump(model: Model, spec: HeatPumpSpec, grid: TimeGrid,
     cop = _check_series(spec.cop, n, f"{spec.name}.cop")
     if any(v <= 0 for v in cop):
         raise ModelError(f"{spec.name}: COP values must be positive")
-    hist_start, hist_stop = _switch_history(grid, spec.is_on_at_begin, spec.last_change_hours)
-    chain = build_onoff_chain(model, n, int(spec.is_on_at_begin),
-                              hist_start=hist_start, hist_stop=hist_stop, name=spec.name)
-    on_min = max(grid.units_ceil(spec.min_run_time), 1) if spec.min_run_time > 0 else 1
-    off_min = max(grid.units_ceil(spec.min_off_time), 1) if spec.min_off_time > 0 else 1
-    build_min_durations(model, chain, on_min, off_min, name=spec.name)
-
+    chain = _switched_chain(model, spec, grid)
     ledger.add_sink(ELECTRIC, spec.name, [x * spec.electric_power for x in chain.x])
     ledger.add_source(
         spec.carrier, spec.name,
         [chain.x[i] * (spec.electric_power * cop[i]) for i in range(n)],
     )
-    ledger.add_state(f"on_{spec.name}", [as_expr(x) for x in chain.x])
+    ledger.add_state(f"on_{spec.name}", chain.x)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +236,10 @@ def build_storage(model: Model, spec: StorageSpec, grid: TimeGrid,
         model.add_constraint(
             level[i] - prev * keep - flow, EQ, 0.0, f"{spec.name}.level.i={i + 1}"
         )
-    ledger.add_sink(spec.carrier, spec.name, [as_expr(c) for c in charge])
-    ledger.add_source(spec.carrier, spec.name, [as_expr(d) for d in discharge])
+    ledger.add_sink(spec.carrier, spec.name, charge)
+    ledger.add_source(spec.carrier, spec.name, discharge)
     prefix = {HEAT: "thermal", COLD: "cooling", ELECTRIC: "electric"}[spec.carrier]
-    ledger.add_state(f"{prefix}EnergyLevel_{spec.name}", [as_expr(e) for e in level])
+    ledger.add_state(f"{prefix}EnergyLevel_{spec.name}", level)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +281,9 @@ def build_converter(model: Model, spec: ConverterSpec, grid: TimeGrid,
         price = _check_series(spec.input_price, n, f"{spec.name}.input_price")
         dt = grid.hours_per_unit
         ledger.add_financial_input(spec.name, [inp[i] * (price[i] * dt) for i in range(n)])
-        ledger.add_state(f"primaryInputPower_{spec.name}", [as_expr(v) for v in inp])
+        ledger.add_state(f"primaryInputPower_{spec.name}", inp)
     else:
-        ledger.add_sink(spec.input_carrier, spec.name, [as_expr(v) for v in inp])
+        ledger.add_sink(spec.input_carrier, spec.name, inp)
     ledger.add_source(spec.output_carrier, spec.name, [v * spec.efficiency for v in inp])
 
 
@@ -308,13 +302,9 @@ def build_profile_source(model: Model, spec: PvSpec, grid: TimeGrid,
                          ledger: BalanceLedger) -> None:
     out = _check_series(spec.output, grid.n_units, f"{spec.name}.output", lo=0.0)
     if spec.curtailable:
-        series = [
-            as_expr(model.continuous(f"{spec.name}.output[{i + 1}]", 0.0, out[i]))
-            for i in range(grid.n_units)
-        ]
-    else:
-        series = [as_expr(v) for v in out]
-    ledger.add_source(ELECTRIC, spec.name, series)
+        out = [model.continuous(f"{spec.name}.output[{i + 1}]", 0.0, out[i])
+               for i in range(grid.n_units)]
+    ledger.add_source(ELECTRIC, spec.name, out)
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +346,15 @@ def build_mech_chp(model: Model, spec: MechChpSpec, grid: TimeGrid,
     n = grid.n_units
     dt = grid.hours_per_unit
     price = _check_series(spec.primary_price, n, f"{spec.name}.primary_price")
-    hist_start, hist_stop = _switch_history(grid, spec.is_on_at_begin, spec.last_change_hours)
-    chain = build_onoff_chain(model, n, int(spec.is_on_at_begin),
-                              hist_start=hist_start, hist_stop=hist_stop, name=spec.name)
-    on_min = max(grid.units_ceil(spec.min_run_time), 1) if spec.min_run_time > 0 else 1
-    off_min = max(grid.units_ceil(spec.min_off_time), 1) if spec.min_off_time > 0 else 1
-    build_min_durations(model, chain, on_min, off_min, name=spec.name)
-
+    chain = _switched_chain(model, spec, grid)
     heat, boiler_heat = [], []
     for i in range(1, n + 1):
         u = model.continuous(f"{spec.name}.uth[{i}]", spec.p_th_min, spec.p_th_max)
-        out = product_bin_bounded(
+        heat.append(product_bin_bounded(
             model, chain.x[i - 1], u, spec.p_th_min, spec.p_th_max,
             f"{spec.name}.out[{i}]", f"{spec.name}.modulation.i={i}",
-        )
-        heat.append(as_expr(out))
-        b_out = model.continuous(f"{spec.name}.boiler[{i}]", 0.0, spec.boiler_p_max)
-        boiler_heat.append(as_expr(b_out))
+        ))
+        boiler_heat.append(model.continuous(f"{spec.name}.boiler[{i}]", 0.0, spec.boiler_p_max))
 
     ledger.add_source(HEAT, spec.name, [heat[i] + boiler_heat[i] for i in range(n)])
     ledger.add_source(ELECTRIC, spec.name, [h * (spec.eta_el / spec.eta_th) for h in heat])
@@ -385,4 +367,4 @@ def build_mech_chp(model: Model, spec: MechChpSpec, grid: TimeGrid,
         fin.append(e)
     ledger.add_financial_input(spec.name, fin)
     ledger.add_state(f"primaryInputPower_{spec.name}", primary)
-    ledger.add_state(f"on_{spec.name}", [as_expr(x) for x in chain.x])
+    ledger.add_state(f"on_{spec.name}", chain.x)

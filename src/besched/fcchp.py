@@ -8,9 +8,10 @@ with an electric power peak.  Everything is expressed as binaries plus
 bounded integer trackers; the nonlinear recursions are expanded through the
 reformulations in :mod:`besched.linearize`.
 
-The on/off chain and minimum-duration rows are exposed as free functions
-because other switchable components (heat pumps, mechanical CHPs) share the
-exact same pattern.
+``transition_rows`` ties a binary state to the events that begin and end it:
+the on/off chain (``build_onoff_chain``, shared with heat pumps and mechanical
+CHPs), the warm-up and the production phase.  Windows of past events read the
+replayed history before unit 1 (``OnOffChain.start_at``, ``FcchpBuilder.sw_at``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .linearize import (
     record_bigm,
     select_interval_gated,
 )
-from .milp import EQ, GE, LE, LinExpr, Model, as_expr
+from .milp import EQ, GE, LE, LinExpr, Model
 
 log = logging.getLogger(__name__)
 
@@ -276,14 +277,36 @@ class OnOffChain:
     hist_start: dict
     hist_stop: dict
 
-    def x_at(self, i: int):
-        return self.x[i - 1] if i >= 1 else float(self.x_0)
-
     def start_at(self, i: int):
         return self.start[i - 1] if i >= 1 else float(self.hist_start.get(i, 0))
 
     def stop_at(self, i: int):
         return self.stop[i - 1] if i >= 1 else float(self.hist_stop.get(i, 0))
+
+
+def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, tag: str,
+                    on: list | None = None) -> None:
+    """Tie a binary state (one variable per unit, the constant state_0 before
+    unit 1) to the events that begin and end it.
+
+    begin_at and end_at map a unit to a variable or, before the horizon, a
+    constant.  Rows .a-.c set begin_i = 1 exactly when the state rises from
+    unit i-1 to i, rows .d-.f set end_i = 1 exactly when it falls; with on,
+    the .on row keeps the state inside on_i = 1.
+    """
+    for i in range(1, len(state) + 1):
+        now = state[i - 1]
+        prev = state[i - 2] if i > 1 else float(state_0)
+        begin, end = begin_at(i), end_at(i)
+        t = f"{tag}.i={i}"
+        model.add_constraint(begin - now + prev, GE, 0.0, f"{t}.a")
+        model.add_constraint(begin - now, LE, 0.0, f"{t}.b")
+        model.add_constraint(begin + prev, LE, 1.0, f"{t}.c")
+        model.add_constraint(end - prev + now, GE, 0.0, f"{t}.d")
+        model.add_constraint(end - prev, LE, 0.0, f"{t}.e")
+        model.add_constraint(end + now, LE, 1.0, f"{t}.f")
+        if on is not None:
+            model.add_constraint(on[i - 1] - now, GE, 0.0, f"{t}.on")
 
 
 def build_onoff_chain(model: Model, n: int, x_0: int, hist_start: dict | None = None,
@@ -293,31 +316,17 @@ def build_onoff_chain(model: Model, n: int, x_0: int, hist_start: dict | None = 
     start = [model.binary(f"{name}.start[{i}]") for i in range(1, n + 1)]
     stop = [model.binary(f"{name}.stop[{i}]") for i in range(1, n + 1)]
     chain = OnOffChain(x, start, stop, int(x_0), dict(hist_start or {}), dict(hist_stop or {}))
-    for i in range(1, n + 1):
-        xi = chain.x_at(i)
-        xp = chain.x_at(i - 1)
-        tag = f"{name}.startstop.i={i}"
-        model.add_constraint(start[i - 1] - xi + xp, GE, 0.0, f"{tag}.a")
-        model.add_constraint(start[i - 1] - xi, LE, 0.0, f"{tag}.b")
-        model.add_constraint(start[i - 1] + xp, LE, 1.0, f"{tag}.c")
-        model.add_constraint(stop[i - 1] - xp + xi, GE, 0.0, f"{tag}.d")
-        model.add_constraint(stop[i - 1] - xp, LE, 0.0, f"{tag}.e")
-        model.add_constraint(stop[i - 1] + xi, LE, 1.0, f"{tag}.f")
+    transition_rows(model, x, chain.x_0, chain.start_at, chain.stop_at, f"{name}.startstop")
     return chain
 
 
 def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: int,
                         name: str = "unit") -> None:
     """Minimum run and downtime rows over sliding windows of past events."""
-    n = len(chain.x)
-    for i in range(1, n + 1):
-        run = LinExpr()
-        for k in range(i - on_min + 1, i):
-            run = run + chain.start_at(k)
+    for i in range(1, len(chain.x) + 1):
+        run = sum(map(chain.start_at, range(i - on_min + 1, i)), LinExpr())
         model.add_constraint(chain.x[i - 1] - run, GE, 0.0, f"{name}.minrun.i={i}")
-        down = LinExpr()
-        for k in range(i - off_min + 1, i):
-            down = down + chain.stop_at(k)
+        down = sum(map(chain.stop_at, range(i - off_min + 1, i)), LinExpr())
         model.add_constraint(chain.x[i - 1] + down, LE, 1.0, f"{name}.mindown.i={i}")
 
 
@@ -415,6 +424,30 @@ class FcchpBuilder:
         self.w_lo = min(init.w_0, min(self.up.f_values))
         self.w_hi = max(init.w_0, max(self.up.f_values))
 
+    # -- values at earlier units ---------------------------------------------
+
+    def _times_prev(self, i: int, gate, tracker: list, value_0: int, lo, hi, name: str,
+                    tag: str):
+        """gate * tracker_{i-1} for a 0/1 gate: at unit 1 the previous value is
+        the constant value_0, after it a variable, expanded as a product."""
+        if i == 1:
+            return gate * value_0
+        return product_bin_bounded(self.model, gate, tracker[i - 2], lo, hi, name, tag)
+
+    def _kept(self, i: int, tracker: list, value_0: int, lo, hi, name: str, tag: str):
+        """The tracker's previous value unless a start at unit i resets it:
+        (1 - start_i) * tracker_{i-1}, expanded as a product after unit 1."""
+        start = self.vars["chain"].start[i - 1]
+        if i == 1:
+            return (1 - start) * value_0
+        prev = tracker[i - 2]
+        return prev - product_bin_bounded(self.model, start, prev, lo, hi, name, tag)
+
+    def sw_at(self, i: int):
+        if i >= 1:
+            return self.vars["stopWarmUp"][i - 1]
+        return float(self.hist_sw.get(i, 0))
+
     # -- state chains --------------------------------------------------------
 
     def build_chain(self) -> OnOffChain:
@@ -433,14 +466,8 @@ class FcchpBuilder:
         for i in range(1, self.n + 1):
             change = binary_abs_diff(chain.start[i - 1], chain.stop[i - 1])
             tag = f"{name}.lastchange.i={i}"
-            if i == 1:
-                # previous tracker value is the constant l_0
-                kept = (1 - change) * self.init.l_0
-            else:
-                kept = product_bin_bounded(
-                    m, 1 - change, l[i - 2], self.l_lo, self.n,
-                    f"{name}.lkeep[{i}]", f"{tag}.keep",
-                )
+            kept = self._times_prev(i, 1 - change, l, self.init.l_0, self.l_lo, self.n,
+                                    f"{name}.lkeep[{i}]", f"{tag}.keep")
             m.add_constraint(l[i - 1] - kept - change * i, EQ, 0.0, tag)
         self.vars["l"] = l
         return l
@@ -470,14 +497,9 @@ class FcchpBuilder:
         for i in range(1, self.n + 1):
             tag = f"{name}.coldstart.i={i}"
             # start after a downtime beyond L forces k_i = 1
-            if i == 1:
-                downtime_start = chain.start[0] * (1.0 - self.init.l_0)
-            else:
-                q = product_bin_bounded(
-                    m, chain.start[i - 1], l[i - 2], self.l_lo, self.n,
-                    f"{name}.ksl[{i}]", f"{tag}.p1",
-                )
-                downtime_start = chain.start[i - 1] * float(i) - q
+            q = self._times_prev(i, chain.start[i - 1], l, self.init.l_0, self.l_lo, self.n,
+                                 f"{name}.ksl[{i}]", f"{tag}.p1")
+            downtime_start = chain.start[i - 1] * float(i) - q
             m.add_constraint(downtime_start - big_m * k[i - 1], LE, L, f"{tag}.onstart")
             # pending cold start propagates through an ongoing downtime
             if i == 1:
@@ -511,8 +533,7 @@ class FcchpBuilder:
                 for d in range(1, i - self.l_lo + 1):
                     v = f(d)
                     if intervals and intervals[-1][2] == v:
-                        a, _b, _v = intervals[-1]
-                        intervals[-1] = (a, d, v)
+                        intervals[-1] = (intervals[-1][0], d, v)
                     else:
                         intervals.append((d, d, v))
                 looked_up, _ = select_interval_gated(
@@ -520,14 +541,8 @@ class FcchpBuilder:
                     x_min=i - self.n, x_max=i - self.l_lo,
                     name=f"{name}.wsel[{i}]", tag=f"{tag}.lookup",
                 )
-            prev_w = float(self.init.w_0) if i == 1 else w[i - 2]
-            if i == 1:
-                kept = (1 - chain.start[0]) * self.init.w_0
-            else:
-                kept = prev_w - product_bin_bounded(
-                    m, chain.start[i - 1], prev_w, self.w_lo, self.w_hi,
-                    f"{name}.wkeep[{i}]", f"{tag}.keep",
-                )
+            kept = self._kept(i, w, self.init.w_0, self.w_lo, self.w_hi,
+                              f"{name}.wkeep[{i}]", f"{tag}.keep")
             m.add_constraint(w[i - 1] - looked_up - kept, EQ, 0.0, tag)
         self.vars["w"] = w
         return w
@@ -535,24 +550,12 @@ class FcchpBuilder:
     def build_warmup_phase(self):
         m, name = self.model, self.name
         chain = self.vars["chain"]
-        y = [m.binary(f"{name}.y[{i}]") for i in range(1, self.n + 1)]
-        sw = [m.binary(f"{name}.stopWarmUp[{i}]") for i in range(1, self.n + 1)]
-
-        def y_at(i):
-            return y[i - 1] if i >= 1 else float(self.init.y_0)
-
-        for i in range(1, self.n + 1):
-            st = chain.start[i - 1]
-            tag = f"{name}.warmphase.i={i}"
-            m.add_constraint(st - y_at(i) + y_at(i - 1), GE, 0.0, f"{tag}.a")
-            m.add_constraint(st - y_at(i), LE, 0.0, f"{tag}.b")
-            m.add_constraint(st + y_at(i - 1), LE, 1.0, f"{tag}.c")
-            m.add_constraint(sw[i - 1] - y_at(i - 1) + y_at(i), GE, 0.0, f"{tag}.d")
-            m.add_constraint(sw[i - 1] - y_at(i - 1), LE, 0.0, f"{tag}.e")
-            m.add_constraint(sw[i - 1] + y_at(i), LE, 1.0, f"{tag}.f")
-            m.add_constraint(chain.x[i - 1] - y[i - 1], GE, 0.0, f"{tag}.on")
-        self.vars["y"] = y
-        self.vars["stopWarmUp"] = sw
+        y = self.vars["y"] = [m.binary(f"{name}.y[{i}]") for i in range(1, self.n + 1)]
+        sw = self.vars["stopWarmUp"] = [
+            m.binary(f"{name}.stopWarmUp[{i}]") for i in range(1, self.n + 1)
+        ]
+        transition_rows(m, y, self.init.y_0, chain.start_at, self.sw_at, f"{name}.warmphase",
+                        on=chain.x)
         return y, sw
 
     def build_warmup_bounds(self):
@@ -567,9 +570,7 @@ class FcchpBuilder:
 
         for i in range(1, self.n + 1):
             for j in range(f_lo, f_hi + 1):
-                recent = LinExpr()
-                for kk in range(i - j + 1, i):
-                    recent = recent + chain.start_at(kk)
+                recent = sum(map(chain.start_at, range(i - j + 1, i)), LinExpr())
                 if not recent.terms and recent.const == 0.0:
                     continue  # no start can fall into this window; sigma = 0
                 tag = f"{name}.minwarm.i={i}.j={j}"
@@ -593,13 +594,8 @@ class FcchpBuilder:
         r = [m.integer(f"{name}.r[{i}]", self.r_lo, self.n) for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             tag = f"{name}.maxwarm.i={i}"
-            if i == 1:
-                kept = (1 - chain.start[0]) * self.init.r_0
-            else:
-                kept = r[i - 2] - product_bin_bounded(
-                    m, chain.start[i - 1], r[i - 2], self.r_lo, self.n,
-                    f"{name}.rkeep[{i}]", f"{tag}.keep",
-                )
+            kept = self._kept(i, r, self.init.r_0, self.r_lo, self.n,
+                              f"{name}.rkeep[{i}]", f"{tag}.keep")
             m.add_constraint(
                 r[i - 1] - chain.start[i - 1] * float(i) - kept, EQ, 0.0, f"{tag}.track"
             )
@@ -613,18 +609,11 @@ class FcchpBuilder:
         self.vars["r"] = r
         return r
 
-    def sw_at(self, i: int):
-        if i >= 1:
-            return self.vars["stopWarmUp"][i - 1]
-        return float(self.hist_sw.get(i, 0))
-
     def build_startup_shutdown(self):
         m, name = self.model, self.name
         s = [m.binary(f"{name}.s[{i}]") for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
-            jump = LinExpr()
-            for j in range(1, self.up.lower_init + 1):
-                jump = jump + self.sw_at(i - j + 1)
+            jump = sum(map(self.sw_at, range(i, i - self.up.lower_init, -1)), LinExpr())
             m.add_constraint(s[i - 1] - jump, EQ, 0.0, f"{name}.jump.i={i}")
         self.vars["s"] = s
         return s
@@ -632,23 +621,10 @@ class FcchpBuilder:
     def build_production_phase(self):
         m, name = self.model, self.name
         chain = self.vars["chain"]
-        z = [m.binary(f"{name}.z[{i}]") for i in range(1, self.n + 1)]
-
-        def z_at(i):
-            return z[i - 1] if i >= 1 else float(self.init.z_0)
-
-        for i in range(1, self.n + 1):
-            trigger = self.sw_at(i - self.up.start_up)
-            stop = chain.stop[i - 1]
-            tag = f"{name}.prodphase.i={i}"
-            m.add_constraint(trigger - z_at(i) + z_at(i - 1), GE, 0.0, f"{tag}.a")
-            m.add_constraint(trigger - z_at(i), LE, 0.0, f"{tag}.b")
-            m.add_constraint(trigger + z_at(i - 1), LE, 1.0, f"{tag}.c")
-            m.add_constraint(stop - z_at(i - 1) + z_at(i), GE, 0.0, f"{tag}.d")
-            m.add_constraint(stop - z_at(i - 1), LE, 0.0, f"{tag}.e")
-            m.add_constraint(stop + z_at(i), LE, 1.0, f"{tag}.f")
-            m.add_constraint(chain.x[i - 1] - z[i - 1], GE, 0.0, f"{tag}.on")
-        self.vars["z"] = z
+        z = self.vars["z"] = [m.binary(f"{name}.z[{i}]") for i in range(1, self.n + 1)]
+        # production begins start_up units after the warm-up ends, and ends at a stop
+        transition_rows(m, z, self.init.z_0, lambda i: self.sw_at(i - self.up.start_up),
+                        chain.stop_at, f"{name}.prodphase", on=chain.x)
         return z
 
     # -- power and cost --------------------------------------------------------
@@ -679,9 +655,7 @@ class FcchpBuilder:
                 m, z[i - 1], u_th[i - 1], phys.p_th_min, phys.p_th_max,
                 f"{name}.zu[{i}]", f"{name}.prodlevel.i={i}",
             )
-            th = LinExpr()
-            for j in range(1, up.start_up + 1):
-                th = th + self.sw_at(i - j + 1) * up.p_th_up[j - 1]
+            th = sum((self.sw_at(i - j) * p for j, p in enumerate(up.p_th_up)), LinExpr())
             th = th + prod_level
             thermal.append(th)
             electric_out.append(th * (phys.eta_el / phys.eta_th))
@@ -690,15 +664,13 @@ class FcchpBuilder:
                 m, y[i - 1], k[i - 1], f"{name}.gamma[{i}]", f"{name}.coldwarm.i={i}"
             )
             gammas.append(gamma)
-            ein = y[i - 1] * phys.p_el_warm_up + gamma * phys.p_el_cold_start
-            for j in range(1, up.shut_down + 1):
-                ein = ein + chain.stop_at(i - j + 1) * up.p_el_down[j - 1]
+            ein = sum((chain.stop_at(i - j) * p for j, p in enumerate(up.p_el_down)),
+                      y[i - 1] * phys.p_el_warm_up + gamma * phys.p_el_cold_start)
             ein = ein + (1 - chain.x[i - 1]) * phys.p_el_stand_by
             electric_in.append(ein)
 
-            pin = y[i - 1] * phys.p_pr_warm_up + gamma * phys.p_pr_cold_start
-            for j in range(1, up.start_up + 1):
-                pin = pin + self.sw_at(i - j + 1) * up.p_pr_up[j - 1]
+            pin = sum((self.sw_at(i - j) * p for j, p in enumerate(up.p_pr_up)),
+                      y[i - 1] * phys.p_pr_warm_up + gamma * phys.p_pr_cold_start)
             pin = pin + prod_level * (1.0 / phys.eta_th)
             primary_in.append(pin)
 
@@ -746,10 +718,10 @@ class FcchpBuilder:
             ledger.add_financial_input(self.name, self.vars["financialInput"])
             ledger.add_state(f"primaryInputPower_{self.name}", self.vars["primaryInputPower"])
             chain = self.vars["chain"]
-            ledger.add_state(f"on_{self.name}", [as_expr(v) for v in chain.x])
-            ledger.add_state(f"start_{self.name}", [as_expr(v) for v in chain.start])
-            ledger.add_state(f"stop_{self.name}", [as_expr(v) for v in chain.stop])
-            ledger.add_state(f"warmUp_{self.name}", [as_expr(v) for v in self.vars["y"]])
-            ledger.add_state(f"production_{self.name}", [as_expr(v) for v in self.vars["z"]])
-            ledger.add_state(f"coldStart_{self.name}", [as_expr(v) for v in self.vars["gamma"]])
+            ledger.add_state(f"on_{self.name}", chain.x)
+            ledger.add_state(f"start_{self.name}", chain.start)
+            ledger.add_state(f"stop_{self.name}", chain.stop)
+            ledger.add_state(f"warmUp_{self.name}", self.vars["y"])
+            ledger.add_state(f"production_{self.name}", self.vars["z"])
+            ledger.add_state(f"coldStart_{self.name}", self.vars["gamma"])
         return self.vars
