@@ -36,7 +36,7 @@ class Problem:
 
 
 def _keywords(row: ElementRow, c: ParsedComponent, entry: ParsedComponent | None, n: int,
-              base_dir) -> dict:
+              base_dir, csv_rows: dict) -> dict:
     """The spec keywords of one component, its series loaded."""
     kw = dict(row.fixed)
     for attrs, schema in ((c.attrs, row.config), (entry.attrs if entry else {}, row.situation)):
@@ -45,7 +45,7 @@ def _keywords(row: ElementRow, c: ParsedComponent, entry: ParsedComponent | None
     for name, s in row.series.items():
         ref = entry.series.get(name) if entry else None
         if ref is not None:
-            kw[s.key] = load_timeseries(ref, n, base_dir)
+            kw[s.key] = load_timeseries(ref, n, base_dir, csv_rows)
         elif name in required:
             raise InputError(f"component {c.id!r}: missing series <{name}>")
         elif s.default == ZERO:
@@ -58,6 +58,7 @@ def build_problem(config: BuildingConfiguration, situation: BuildingSituation,
     grid = TimeGrid(situation.n_units, situation.hours_per_unit, start=situation.start)
     model = Model(config.id)
     ledger = BalanceLedger(grid)
+    csv_rows = {}  # each CSV container is read once for all its series, and only here
 
     for c in config.components:
         row = ELEMENTS[c.element]
@@ -68,7 +69,7 @@ def build_problem(config: BuildingConfiguration, situation: BuildingSituation,
             for attr in ("maxInitialHeatingEnergy", "maxInitialCoolingEnergy"):
                 if entry.attrs.get(attr, 0.0) != 0.0:
                     raise InputError(f"component {c.id!r}: nonzero {attr} is not supported")
-        kw = _keywords(row, c, entry, grid.n_units, base_dir)
+        kw = _keywords(row, c, entry, grid.n_units, base_dir, csv_rows)
         if c.element == "FcCHP":
             phys, costs, init = ({f.name: kw[f.name] for f in fields(cls) if f.name in kw}
                                  for cls in FCCHP_PARAMS)

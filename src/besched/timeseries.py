@@ -33,27 +33,31 @@ def _resolve(path: Path) -> Path:
     raise NotFound(f"time-series container not found: {path}", str(path))
 
 
-def _load_csv_column(path: Path, column: str):
+def _read_csv(path: Path) -> list:
+    """Every row of a CSV container, as text; the header must be there."""
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise InputError("empty CSV container", str(path))
+    return rows
+
+
+def _csv_column(path: Path, rows: list, column: str):
+    """One column as floats; only its own cells are converted and checked."""
+    header = [h.strip() for h in rows[0]]
+    if column not in header:
+        raise NotFound(f"no column {column!r} in {path.name} "
+                       f"(available: {', '.join(header)})", str(path))
+    idx = header.index(column)
+    values = []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError("empty CSV container", str(path)) from None
-        header = [h.strip() for h in header]
-        if column not in header:
-            raise NotFound(f"no column {column!r} in {path.name} "
-                           f"(available: {', '.join(header)})", str(path))
-        idx = header.index(column)
-        values = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                values.append(float(row[idx]))
-            except (IndexError, ValueError) as exc:
-                raise InputError(f"bad value in column {column!r} at line {row_no}",
-                                 str(path)) from exc
+            values.append(float(row[idx]))
+        except (IndexError, ValueError) as exc:
+            raise InputError(f"bad value in column {column!r} at line {row_no}",
+                             str(path)) from exc
     return values
 
 
@@ -71,12 +75,20 @@ def _load_hdf5_dataset(path: Path, dataset: str):
     return [float(v) for v in list(data.reshape(-1))]
 
 
-def load_timeseries(ref: SeriesRef, n_units: int, base_dir=".") -> list:
-    """Resolve a series reference to exactly n_units floats in target units."""
+def load_timeseries(ref: SeriesRef, n_units: int, base_dir=".", csv_rows=None) -> list:
+    """Resolve a series reference to exactly n_units floats in target units.
+
+    csv_rows maps a CSV container's path to its rows as read.  Callers that
+    resolve many references pass one dict for all of them, so each container
+    is read once; without it the container is read for this reference alone.
+    """
     path = _resolve(Path(base_dir) / ref.file_name)
     if path.suffix.lower() == ".csv":
-        column = ref.data_set_path.lstrip("/")
-        values = _load_csv_column(path, column)
+        if csv_rows is None:
+            csv_rows = {}
+        if path not in csv_rows:
+            csv_rows[path] = _read_csv(path)
+        values = _csv_column(path, csv_rows[path], ref.data_set_path.lstrip("/"))
     else:
         values = _load_hdf5_dataset(path, ref.data_set_path)
     if len(values) != n_units:

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,29 @@ def test_primary_converter_without_price_rejected(tmp_path):
     situation.__post_init__()
     with pytest.raises(InputError, match="boiler"):
         build_problem(config, situation, base_dir=tmp_path)
+
+
+def test_build_problem_reads_each_csv_container_once(tmp_path, monkeypatch):
+    cfg_path, sit_path = write_daily_scenario(tmp_path)
+    # a column no series references may hold anything
+    lines = (tmp_path / "scenario.csv").read_text().splitlines()
+    lines = [lines[0] + ",Unused"] + [line + ",oops" for line in lines[1:]]
+    (tmp_path / "scenario.csv").write_text("\n".join(lines) + "\n")
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self.name)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    config = parse_configuration(cfg_path.read_text())
+    situation = parse_situation(sit_path.read_text(), config)
+    assert sum(len(c.series) for c in situation.components) == 7
+    for _ in range(2):  # and again for the next build: nothing is kept between builds
+        opened.clear()
+        build_problem(config, situation, base_dir=tmp_path)
+        assert opened == ["scenario.csv"]
 
 
 def test_element_table_names_real_fields_and_builders():
