@@ -16,6 +16,7 @@ Exit codes of ``optimize``:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,13 @@ from .schedule import extract_schedule
 from .solver import TIME_LIMIT, SolveOptions
 from .timeseries import write_schedule
 from .xmlio import parse_configuration, parse_situation
+
+
+def _positive_seconds(text: str) -> float:
+    seconds = float(text)
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text!r}")
+    return seconds
 
 
 def _add_input_args(p):
@@ -47,7 +55,7 @@ def _build_parser():
                      help="external command template with {in} and {out}")
     opt.add_argument("--emit-lp", default=None, metavar="FILE",
                      help="also write the generated LP file")
-    opt.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
+    opt.add_argument("--time-limit", type=_positive_seconds, default=None, metavar="SECONDS")
 
     val = sub.add_parser("validate", help="parse and check inputs without solving")
     _add_input_args(val)

@@ -302,7 +302,7 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
     arrays = ModelArrays(model)
     backend = options.lp_backend
     t0 = time.monotonic()
-    deadline = t0 + options.time_limit if options.time_limit else None
+    deadline = None if options.time_limit is None else t0 + options.time_limit
 
     ok, lo0, hi0 = arrays.tighten_bounds(arrays.lo, arrays.hi)
     if not ok:

@@ -113,6 +113,20 @@ def test_optimize_time_limit_incumbent_exits_three_with_schedule(tmp_path, monke
     assert not (out / "schedule.csv").exists()
 
 
+def test_optimize_rejects_a_time_limit_that_is_not_positive_and_finite(
+        tmp_path, monkeypatch, capsys):
+    def no_solve(problem, options):
+        raise AssertionError("solved despite an invalid time limit")
+
+    monkeypatch.setattr(besched.cli, "solve_problem", no_solve)
+    args = _write_scenario(tmp_path)
+    for limit in ("0", "-1", "nan", "inf"):
+        out = tmp_path / f"out{limit}"
+        assert cli_main(["optimize", *args, "--out", str(out), "--time-limit", limit]) == 1
+        assert "--time-limit: must be a positive number of seconds" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_validate_reports_model_size(tmp_path, capsys):
     args = _write_scenario(tmp_path)
     assert cli_main(["validate", *args]) == 0
