@@ -309,14 +309,8 @@ def _local_attrs(el) -> dict:
 
 def _parse_value(raw: str, kind: str, units: dict, path: str):
     try:
-        if kind == POWER:
-            return float(raw) * units["powerUnit"]
-        if kind == ENERGY:
-            return float(raw) * units["energyUnit"]
-        if kind == PRICE:
-            return float(raw) * units["priceUnit"]
-        if kind == ENERGY_PRICE:
-            return float(raw) * units["energyPriceUnit"]
+        if kind in _KIND_UNIT:
+            return float(raw) * units[_KIND_UNIT[kind]]
         if kind == FLOAT:
             return float(raw)
         if kind == INT:
@@ -378,6 +372,25 @@ def _parse_root(text: str, expected: str):
     return root
 
 
+def _component_elements(root, root_path: str):
+    """(element, tag, id, path) of each child of a document root, in order.
+    An unknown element, a missing id or a duplicate id is an error."""
+    seen_ids = set()
+    for child in root:
+        tag = _strip_ns(child.tag)
+        path = f"{root_path}/{tag}"
+        if tag not in ELEMENTS:
+            raise InputError(f"unknown element <{tag}>", path)
+        comp_id = child.get("id")
+        if not comp_id:
+            raise InputError("missing required attribute 'id'", path)
+        path = f"{path}[@id={comp_id!r}]"
+        if comp_id in seen_ids:
+            raise InputError(f"duplicate component id {comp_id!r}", path)
+        seen_ids.add(comp_id)
+        yield child, tag, comp_id, path
+
+
 def _series_ref(el, kind: str, units: dict, path: str) -> SeriesRef:
     units = _element_units(el, units, path)
     file_name = el.get("fileName")
@@ -410,19 +423,7 @@ def parse_configuration(text: str) -> BuildingConfiguration:
         raise InputError(f"unknown attributes: {', '.join(extra)}", root_path)
 
     components = []
-    seen_ids = set()
-    for child in root:
-        tag = _strip_ns(child.tag)
-        path = f"{root_path}/{tag}"
-        if tag not in ELEMENTS:
-            raise InputError(f"unknown element <{tag}>", path)
-        comp_id = child.get("id")
-        if not comp_id:
-            raise InputError("missing required attribute 'id'", path)
-        path = f"{path}[@id={comp_id!r}]"
-        if comp_id in seen_ids:
-            raise InputError(f"duplicate component id {comp_id!r}", path)
-        seen_ids.add(comp_id)
+    for child, tag, comp_id, path in _component_elements(root, root_path):
         child_units = _element_units(child, units, path)
         attrs = _collect_attrs(child, ELEMENTS[tag].config, child_units, path)
         if len(child):
@@ -459,19 +460,7 @@ def parse_situation(text: str, config: BuildingConfiguration) -> BuildingSituati
         raise InputError(f"unknown attributes: {', '.join(extra)}", root_path)
 
     components = []
-    seen_ids = set()
-    for child in root:
-        tag = _strip_ns(child.tag)
-        path = f"{root_path}/{tag}"
-        if tag not in ELEMENTS:
-            raise InputError(f"unknown element <{tag}>", path)
-        comp_id = child.get("id")
-        if not comp_id:
-            raise InputError("missing required attribute 'id'", path)
-        path = f"{path}[@id={comp_id!r}]"
-        if comp_id in seen_ids:
-            raise InputError(f"duplicate component id {comp_id!r}", path)
-        seen_ids.add(comp_id)
+    for child, tag, comp_id, path in _component_elements(root, root_path):
         configured = config.by_id.get(comp_id)
         if configured is None:
             raise InputError(f"component {comp_id!r} is not in the configuration", path)
