@@ -16,7 +16,8 @@ gives the per-layer self times and the model census.
 
 The file records, per workload and side, every end-to-end value with its
 median and quartiles, the pairs the change won, the traced layer times and
-the census, plus the git revision of each checkout and the machine.  The
+the census, plus the git revision of each checkout, the line count of each
+``src/besched/*.py`` module in each checkout and the machine.  The
 deltas of the medians against the highest-numbered ``BENCH_<m>.json`` with m
 lower than the number in --out are printed and stored.
 """
@@ -53,6 +54,11 @@ def revision(checkout: Path) -> dict:
 
     return {"revision": git("rev-parse", "HEAD"),
             "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))}
+
+
+def line_counts(checkout: Path) -> dict:
+    return {path.name: len(path.read_text().splitlines())
+            for path in sorted((checkout / "src" / "besched").glob("*.py"))}
 
 
 def spread(values: list) -> dict:
@@ -98,6 +104,7 @@ def main(argv=None) -> int:
         "runs": args.runs, "seeds": [args.seed + i for i in range(args.runs)],
         "seconds": seconds,
         "sides": {side: revision(path) for side, path in sides.items()},
+        "line_counts": {side: line_counts(path) for side, path in sides.items()},
         "workloads": {},
     }
     for name in (w["name"] for w in spec["workloads"]):
