@@ -58,7 +58,7 @@ def build_problem(config: BuildingConfiguration, situation: BuildingSituation,
     grid = TimeGrid(situation.n_units, situation.hours_per_unit, start=situation.start)
     model = Model(config.id)
     ledger = BalanceLedger(grid)
-    csv_rows = {}  # each CSV container is read once for all its series, and only here
+    csv_rows = {}  # CSV container -> its rows, read once for all series of this build
 
     for c in config.components:
         row = ELEMENTS[c.element]
