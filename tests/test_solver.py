@@ -94,6 +94,8 @@ def test_time_limit_status():
     m = random_milp(rng, max_binaries=12, max_rows=20)
     sol = solve_builtin(m, SolveOptions(time_limit=1e-9))
     assert sol.status in (TIME_LIMIT, INFEASIBLE, OPTIMAL)  # tiny models may finish in one node
+    # a zero limit is a limit, not "no limit"
+    assert solve_builtin(m, SolveOptions(time_limit=0.0)).status == TIME_LIMIT
 
 
 def test_presolve_bound_tightening():
