@@ -6,6 +6,12 @@ registered with positive sign, yields with negative sign.  Every constraint
 carries a provenance tag so generated rows can be traced back to the
 component and time unit that emitted them.
 
+A ``Var`` is a slotted handle (id, name, domain), equal only to itself.
+``Model.binary``, ``integer`` and ``continuous`` give all variables of one
+box the same ``Domain``: a model builds and checks each distinct box once
+(a week model's 7392 columns have 846 boxes), in a dict that lives and dies
+with the model.
+
 Expressions are ``LinExpr`` dicts from variable id to coefficient plus a
 constant.  ``+``, ``-`` and ``*`` build new expressions and never change an
 operand; ``LinExpr.accumulate`` adds or subtracts in place, so a sum over
@@ -51,18 +57,6 @@ class Domain:
             raise ModelError("binary domain must be {0, 1}")
         if math.isnan(self.lo) or math.isnan(self.hi):
             raise ModelError("NaN bound")
-
-    @staticmethod
-    def binary() -> "Domain":
-        return Domain(BINARY, 0.0, 1.0)
-
-    @staticmethod
-    def integer(lo: float, hi: float) -> "Domain":
-        return Domain(INTEGER, float(lo), float(hi))
-
-    @staticmethod
-    def continuous(lo: float = -INF, hi: float = INF) -> "Domain":
-        return Domain(CONTINUOUS, float(lo), float(hi))
 
     @property
     def is_integral(self) -> bool:
@@ -169,11 +163,15 @@ def _adopt(terms: dict, const: float) -> LinExpr:
     return e
 
 
-@dataclass(frozen=True, eq=False)
 class Var:
-    id: int
-    name: str
-    domain: Domain
+    """A model's handle on one column; equal and hashed by identity."""
+
+    __slots__ = ("id", "name", "domain")
+
+    def __init__(self, id: int, name: str, domain: Domain):
+        self.id = id
+        self.name = name
+        self.domain = domain
 
     def expr(self) -> LinExpr:
         return _adopt({self.id: 1.0}, 0.0)
@@ -262,6 +260,7 @@ class Model:
         self.constraints: list[Constraint] = []
         self.objective: LinExpr = LinExpr()
         self.bigms: list = []  # BigM records, see linearize module
+        self._domains: dict = {}  # box key -> its one Domain, see _domain
 
     # -- variables ---------------------------------------------------------
 
@@ -273,14 +272,30 @@ class Model:
         self._by_name[name] = v
         return v
 
+    def _domain(self, kind: str, lo: float, hi: float) -> Domain:
+        """This model's one ``Domain`` of the box, checked when first built.
+
+        A box that fails the checks is never stored, so it raises on every
+        call.  0.0 equals -0.0, so a zero bound also keys by its sign: each
+        variable keeps the bound it was given.
+        """
+        if lo and hi:
+            key = (kind, lo, hi)
+        else:
+            key = (kind, lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi))
+        domain = self._domains.get(key)
+        if domain is None:
+            domain = self._domains[key] = Domain(kind, lo, hi)
+        return domain
+
     def binary(self, name: str) -> Var:
-        return self.add_var(name, Domain.binary())
+        return self.add_var(name, self._domain(BINARY, 0.0, 1.0))
 
     def integer(self, name: str, lo: float, hi: float) -> Var:
-        return self.add_var(name, Domain.integer(lo, hi))
+        return self.add_var(name, self._domain(INTEGER, float(lo), float(hi)))
 
     def continuous(self, name: str, lo: float = -INF, hi: float = INF) -> Var:
-        return self.add_var(name, Domain.continuous(lo, hi))
+        return self.add_var(name, self._domain(CONTINUOUS, float(lo), float(hi)))
 
     def var_by_name(self, name: str) -> Var:
         return self._by_name[name]
@@ -291,9 +306,10 @@ class Model:
     # -- constraints and objective ------------------------------------------
 
     def _check_declared(self, terms):
-        for vid in terms:
-            if vid < 0 or vid >= len(self.vars):
-                raise UndeclaredVariable(f"variable handle {vid} not declared in this model")
+        n = len(self.vars)
+        if terms and (min(terms) < 0 or max(terms) >= n):
+            bad = next(vid for vid in terms if vid < 0 or vid >= n)
+            raise UndeclaredVariable(f"variable handle {bad} not declared in this model")
 
     def add_constraint(self, lhs, sense: str, rhs: float = 0.0, tag: str = "") -> int:
         if sense not in (LE, EQ, GE):

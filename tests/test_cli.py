@@ -1,6 +1,7 @@
 """End-to-end command-line behavior on small generated scenarios."""
 
 import dataclasses
+import gc
 import json
 
 import besched.cli
@@ -120,11 +121,23 @@ def test_optimize_rejects_a_time_limit_that_is_not_positive_and_finite(
 
     monkeypatch.setattr(besched.cli, "solve_problem", no_solve)
     args = _write_scenario(tmp_path)
-    for limit in ("0", "-1", "nan", "inf"):
+    for limit in ("0", "-1", "nan", "inf", "abc", ""):
         out = tmp_path / f"out{limit}"
         assert cli_main(["optimize", *args, "--out", str(out), "--time-limit", limit]) == 1
-        assert "--time-limit: must be a positive number of seconds" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--time-limit: must be a positive number of seconds, got {limit!r}" in err
+        assert "_positive_seconds" not in err
         assert not out.exists()
+
+
+def test_only_the_first_call_freezes_the_import_heap(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(1))
+    besched.cli._freeze_import_heap.cache_clear()
+    args = _write_scenario(tmp_path)
+    assert cli_main(["validate", *args]) == 0
+    assert cli_main(["validate", *args]) == 0
+    assert calls == [1]
 
 
 def test_validate_reports_model_size(tmp_path, capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from besched.errors import DuplicateName, ModelError, UndeclaredVariable
-from besched.milp import EQ, GE, LE, Domain, LinExpr, Model, Var, export_lp
+from besched.milp import (BINARY, CONTINUOUS, EQ, GE, INTEGER, INF, LE, Domain, LinExpr, Model,
+                          Var, export_lp)
 from besched.solver import SolveOptions, solve_builtin
 
 from oracles import (RefLinExpr, RefVar, export_lp_reference, parse_lp, random_milp,
@@ -38,11 +39,65 @@ def test_duplicate_name_rejected():
 
 def test_domain_invariants():
     with pytest.raises(ModelError):
-        Domain.integer(3, 1)
+        Domain(INTEGER, 3.0, 1.0)
     with pytest.raises(ModelError):
-        Domain("binary", 0.0, 2.0)
+        Domain(BINARY, 0.0, 2.0)
     with pytest.raises(ModelError):
-        Domain.continuous(math.nan, 1.0)
+        Domain(CONTINUOUS, math.nan, 1.0)
+
+
+def test_equal_boxes_share_one_domain_within_a_model_only():
+    m, other = Model(), Model()
+    a, b = m.continuous("a", 0, 5), m.continuous("b", 0.0, 5.0)
+    assert a.domain is b.domain and a.domain == Domain(CONTINUOUS, 0.0, 5.0)
+    assert m.binary("x").domain is m.binary("y").domain
+    assert m.integer("i", -2, 3).domain is m.integer("j", -2.0, 3.0).domain
+    assert m.continuous("f").domain is m.continuous("g").domain
+    # the same bounds of another kind are another box
+    assert m.integer("k", 0, 5).domain is not a.domain
+    assert m.binary("z").domain is not m.continuous("u", 0, 1).domain
+    # a zero bound keeps the sign it was given
+    neg = m.continuous("neg", -0.0, 5.0)
+    assert neg.domain is not a.domain
+    assert math.copysign(1.0, neg.domain.lo) == -1.0 and math.copysign(1.0, a.domain.lo) == 1.0
+    assert m.continuous("neg2", -0.0, 5.0).domain is neg.domain
+    assert other.continuous("a", 0, 5).domain is not a.domain
+    assert other.binary("x").domain is not m.vars[2].domain
+
+
+def test_a_bad_box_raises_on_every_call():
+    m = Model()
+    for attempt in range(3):
+        with pytest.raises(ModelError, match="empty domain"):
+            m.integer(f"i{attempt}", 3, 1)
+        with pytest.raises(ModelError, match="empty domain"):
+            m.continuous(f"c{attempt}", 1.0, 0.0)
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(ModelError, match="NaN"):
+                m.continuous(f"n{attempt}", lo, hi)
+            with pytest.raises(ModelError, match="NaN"):
+                m.integer(f"n{attempt}", lo, hi)
+        with pytest.raises(ModelError, match="binary"):
+            m.add_var(f"b{attempt}", Domain(BINARY, 0.0, 2.0))
+    assert m.vars == []
+
+
+def test_a_var_is_a_slotted_handle_with_identity_equality():
+    m = Model()
+    x, y = m.continuous("x"), m.continuous("y")
+    assert not hasattr(x, "__dict__")
+    assert x == x and x != y and x != Var(x.id, x.name, x.domain)
+    assert hash(x) == object.__hash__(x)
+    assert len({x, y, Var(x.id, x.name, x.domain)}) == 3
+    assert repr(x) == "Var(x)"
+    rx, ry = RefVar(x.id), RefVar(y.id)
+    for k in SCALARS:
+        for out, ref in ((x + k, rx + k), (k + x, k + rx), (x - k, rx - k), (k - x, k - rx),
+                         (x * k, rx * k), (k * x, k * rx)):
+            assert _bits(out) == _bits(ref), k
+    for out, ref in ((x + y, rx + ry), (x - y, rx - ry), (x - x, rx - rx), (x + x, rx + rx),
+                     (-x, -rx), (x.expr(), rx.expr())):
+        assert _bits(out) == _bits(ref)
 
 
 def test_add_constraint_and_tags():
@@ -69,6 +124,14 @@ def test_undeclared_variable_rejected():
     foreign = m2.binary("alien")
     with pytest.raises(UndeclaredVariable):
         m1.add_constraint(foreign + 0.0, LE, 1.0, "bad")
+    m1.binary("x")
+    # the message names the first undeclared id in term order
+    for terms, bad in (({0: 1.0, 5: 1.0, -1: 1.0}, 5), ({-3: 1.0, 0: 2.0, 7: 1.0}, -3)):
+        with pytest.raises(UndeclaredVariable, match=rf"handle {bad} not declared"):
+            m1.add_constraint(LinExpr(terms), LE, 1.0, "bad")
+        with pytest.raises(UndeclaredVariable, match=rf"handle {bad} not declared"):
+            m1.set_objective(LinExpr(terms))
+    assert m1.constraints == []
 
 
 def test_empty_tag_rejected():
@@ -285,8 +348,9 @@ def test_export_lp_matches_the_reference_on_illegal_and_duplicate_names():
     names = ["a.b", "a_b", "a_b__2", "1x", "e5", "E.1", "e", "E", "e_1", "", "_", "ä",
              "x y", "x\ny", "ab]", "ab_", "9", "v_9", "ée3", "E7x", "x1", "x[1]"]
     for j, name in enumerate(names):
-        v = m.add_var(name, (Domain.binary(), Domain.integer(-2, 3), Domain.continuous(),
-                             Domain.continuous(0, 5.25), Domain.continuous(1.5, 1.5))[j % 5])
+        v = m.add_var(name, (Domain(BINARY, 0.0, 1.0), Domain(INTEGER, -2.0, 3.0),
+                             Domain(CONTINUOUS, -INF, INF), Domain(CONTINUOUS, 0.0, 5.25),
+                             Domain(CONTINUOUS, 1.5, 1.5))[j % 5])
         m.add_constraint(v * (j - 7.5) + 0.1, (LE, GE, EQ)[j % 3], j / 3, f"row{j}")
     m.set_objective(sum((v * 0.3 for v in m.vars[::2]), start=LinExpr()))
     _assert_export_matches_reference(m)

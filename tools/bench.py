@@ -16,8 +16,9 @@ gives the per-layer self times and the model census.
 
 The file records, per workload and side, every end-to-end value with its
 median and quartiles, the pairs the change won, the traced layer times and
-the census, plus the git revision of each checkout, the line count of each
-``src/besched/*.py`` module in each checkout and the machine.  The
+the census, plus the git revision of each checkout with the files under
+``MEASURED_PATHS`` that differ from it or are untracked, the line count of
+each ``src/besched/*.py`` module in each checkout and the machine.  The
 deltas of the medians against the highest-numbered ``BENCH_<m>.json`` with m
 lower than the number in --out are printed and stored.
 """
@@ -34,6 +35,8 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+# the paths whose contents change what a run measures; documents are not among them
+MEASURED_PATHS = ("src", "tests", "tools", "perfbench", "BENCHMARK.json", "pyproject.toml")
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -52,8 +55,13 @@ def revision(checkout: Path) -> dict:
         out = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
         return out.stdout.strip() if out.returncode == 0 else None
 
-    return {"revision": git("rev-parse", "HEAD"),
-            "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    def measured(*args):
+        return (git(*args, "--", *MEASURED_PATHS) or "").splitlines()
+
+    changed = sorted({*measured("diff", "--name-only", "HEAD"),
+                      *measured("ls-files", "--others", "--exclude-standard")})
+    return {"revision": git("rev-parse", "HEAD"), "uncommitted_changes": bool(changed),
+            "changed_paths": changed}
 
 
 def line_counts(checkout: Path) -> dict:
