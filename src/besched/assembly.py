@@ -50,10 +50,6 @@ class TimeGrid:
         if not (self.hours_per_unit > 0):
             raise ModelError(f"hoursPerTimeUnit must be positive, got {self.hours_per_unit}")
 
-    @property
-    def horizon_hours(self) -> float:
-        return self.n_units * self.hours_per_unit
-
     def units_ceil(self, hours: float) -> int:
         """Smallest whole number of units covering the duration."""
         return math.ceil(round(hours / self.hours_per_unit, 9))

@@ -17,6 +17,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,7 @@ def solve_external(model: Model, options: SolveOptions | None = None) -> Solutio
     if "{in}" not in template or "{out}" not in template:
         raise SolverError("external command template must contain {in} and {out}")
 
+    t0 = time.monotonic()
     lp = export_lp(model)
     with tempfile.TemporaryDirectory(prefix="besched_") as tmp:
         in_path = Path(tmp) / "model.lp"
@@ -118,8 +120,9 @@ def solve_external(model: Model, options: SolveOptions | None = None) -> Solutio
     status = _STATUS_MAP.get(status_letter)
     if status is None:
         raise SolverError(f"external solver ended with status {status_letter!r}")
+    stats = {"backend": "external", "time": time.monotonic() - t0}  # the same on every ending
     if status in (INFEASIBLE, UNBOUNDED):
-        return Solution(status)
+        return Solution(status, stats=stats)
 
     # map sanitized LP names back to model names
     values = {}
@@ -150,4 +153,4 @@ def solve_external(model: Model, options: SolveOptions | None = None) -> Solutio
             f"external solution violates a constraint by {violation:.3e}"
         )
     values = {v.name: float(x[v.id]) for v in model.vars}
-    return Solution(status, values, arrays.objective_value(x), {"backend": "external"})
+    return Solution(status, values, arrays.objective_value(x), stats)

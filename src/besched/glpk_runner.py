@@ -132,9 +132,6 @@ def solve_lp_file(in_path: str, out_path: str) -> int:
     parm.cov_cuts = GLP_ON
     parm.clq_cuts = GLP_ON
     parm.fp_heur = GLP_ON
-    tm_lim_ms = os.environ.get("GLPK_TM_LIM_MS")
-    if tm_lim_ms:
-        parm.tm_lim = int(tm_lim_ms)
     rc = lib.glp_intopt(prob, ctypes.byref(parm))
     if rc != 0:
         print(f"glpk: intopt failed with code {rc}", file=sys.stderr)

@@ -241,14 +241,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not (self.infeasible_rows or self.unbounded_objective_vars)
 
-    def is_empty(self) -> bool:
-        return not (
-            self.unused_vars
-            or self.infeasible_rows
-            or self.trivial_rows
-            or self.unbounded_objective_vars
-        )
-
 
 class Model:
     """Single-writer MILP container.  Sense is always minimize."""
@@ -297,9 +289,6 @@ class Model:
     def continuous(self, name: str, lo: float = -INF, hi: float = INF) -> Var:
         return self.add_var(name, self._domain(CONTINUOUS, float(lo), float(hi)))
 
-    def var_by_name(self, name: str) -> Var:
-        return self._by_name[name]
-
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
@@ -324,9 +313,6 @@ class Model:
         c = Constraint(len(self.constraints), dict(e.terms), sense, rhs, tag)
         self.constraints.append(c)
         return c.id
-
-    def constraints_by_tag(self, prefix: str):
-        return [c for c in self.constraints if c.tag.startswith(prefix)]
 
     def set_objective(self, expr) -> None:
         e = as_expr(expr)

@@ -6,9 +6,10 @@ reference that tests check HiGHS against.  The tree search itself is always
 ours.  HiGHS node LPs are warm-started: each model is loaded once into one
 persistent instance of scipy's HiGHS binding, and every node changes the
 column bounds that moved and re-solves from the last basis by dual simplex
-(Achterberg, "Constraint Integer Programming", 2007).  A cold
-``scipy.optimize.linprog`` call takes its place only when scipy lacks that
-private binding.  Node
+(Achterberg, "Constraint Integer Programming", 2007).  That binding,
+``scipy.optimize._highspy._core``, ships with scipy 1.15 and later; without it
+the first HiGHS LP raises :class:`SolverError`.  It is imported there, not
+with this module, so that runs that never solve do not pay for it.  Node
 exploration is sequential and deterministic: branch on the fractional
 integer variable of lowest index and solve its floor child.  When that child
 keeps the node's bound the dive goes on there and the ceiling child stays
@@ -59,10 +60,19 @@ _PRESOLVE_PASSES = 300  # a pass moves bounds one row along a chain; fixpoints s
 
 @dataclass
 class SolveOptions:
-    backend: str = "builtin"
+    """How to solve; an unknown ``backend`` or ``lp_backend`` raises
+    :class:`SolverError` here, before any work is done."""
+
+    backend: str = "builtin"  # builtin | external
     command: str | None = None  # external template with {in} and {out}
     time_limit: float | None = None  # seconds
     lp_backend: str = "highs"  # highs | dense (the reference simplex)
+
+    def __post_init__(self):
+        if self.backend not in ("builtin", "external"):
+            raise SolverError(f"unknown backend {self.backend!r}; expected builtin or external")
+        if self.lp_backend not in ("highs", "dense"):
+            raise SolverError(f"unknown lp_backend {self.lp_backend!r}; expected highs or dense")
 
 
 @dataclass
@@ -86,7 +96,12 @@ class _WarmLP:
     dual-simplex warm start.  HiGHS presolves only while it has no basis.
     Only the columns whose bounds moved since the last LP are passed on."""
 
-    def __init__(self, core, arrays: "ModelArrays"):
+    def __init__(self, arrays: "ModelArrays"):
+        try:
+            import scipy.optimize._highspy._core as core
+        except ImportError as exc:
+            raise SolverError("the built-in solver needs scipy >= 1.15 with its HiGHS "
+                              "binding scipy.optimize._highspy._core") from exc
         self.core = core
         self.c, self.obj_const = arrays.c, arrays.obj_const
         # the column bounds HiGHS holds: the model's box until the first LP
@@ -111,16 +126,6 @@ class _WarmLP:
         statuses = core.HighsModelStatus
         self.statuses = {statuses.kOptimal: OPTIMAL, statuses.kInfeasible: INFEASIBLE,
                          statuses.kUnbounded: UNBOUNDED, statuses.kTimeLimit: TIME_LIMIT}
-
-    @classmethod
-    def load(cls, arrays: "ModelArrays"):
-        """The warm LP, or False when scipy does not ship the private binding
-        (older scipy releases); callers then use ``linprog``."""
-        try:
-            import scipy.optimize._highspy._core as core
-        except ImportError:
-            return False
-        return cls(core, arrays)
 
     def solve(self, lo, hi, deadline):
         """Returns (status, x, objective) as ``ModelArrays.solve_lp`` does."""
@@ -150,7 +155,6 @@ class ModelArrays:
     sense masks, read by presolve, both LP backends and verification."""
 
     def __init__(self, model: Model):
-        self.model = model
         n = len(model.vars)
         self.n = n
         self.c = np.zeros(n)
@@ -197,33 +201,8 @@ class ModelArrays:
             return (INFEASIBLE if status == simplex.INFEASIBLE else UNBOUNDED), None, None
         if backend == "highs":
             if self._warm is None:
-                self._warm = _WarmLP.load(self)
-            if self._warm:
-                return self._warm.solve(lo, hi, deadline)
-            from scipy.optimize import linprog
-
-            # one-sided rows in model order, GE rows negated into LE form
-            ub = self.le != self.ge
-            eq = self.le & self.ge
-            sign = np.where(self.ge[ub], -1.0, 1.0)
-            a_ub = self.a[ub]
-            a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
-            res = linprog(
-                self.c,
-                A_ub=a_ub if ub.any() else None,
-                b_ub=sign * self.rhs[ub],
-                A_eq=self.a[eq] if eq.any() else None,
-                b_eq=self.rhs[eq],
-                bounds=np.column_stack([lo, hi]),
-                method="highs",
-            )
-            if res.status == 0:
-                return OPTIMAL, res.x, float(res.fun) + self.obj_const
-            if res.status == 2:
-                return INFEASIBLE, None, None
-            if res.status == 3:
-                return UNBOUNDED, None, None
-            raise NumericalFailure(f"HiGHS LP failed: {res.message}")
+                self._warm = _WarmLP(self)
+            return self._warm.solve(lo, hi, deadline)
         raise SolverError(f"unknown LP backend {backend!r}")
 
     # -- presolve: iterated activity-based bound tightening ------------------
@@ -300,13 +279,20 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
     incumbent is re-verified against every row before being reported."""
     options = options or SolveOptions()
     arrays = ModelArrays(model)
-    backend = options.lp_backend
+    lp_backend = options.lp_backend
     t0 = time.monotonic()
     deadline = None if options.time_limit is None else t0 + options.time_limit
+    nodes = 0
+    lp_time = 0.0  # seconds inside node LPs
+
+    def stats():
+        """The stats of every ending: the same keys whatever the status."""
+        return {"backend": "builtin", "lp_backend": lp_backend, "nodes": nodes,
+                "lp_solves": nodes, "lp_time": lp_time, "time": time.monotonic() - t0}
 
     ok, lo0, hi0 = arrays.tighten_bounds(arrays.lo, arrays.hi)
     if not ok:
-        return Solution(INFEASIBLE, stats={"nodes": 0, "lp_solves": 0, "lp_time": 0.0})
+        return Solution(INFEASIBLE, stats=stats())
 
     counter = 0
     # open nodes: (bound, counter, lo, hi, lp), where lp is the node's solved
@@ -314,8 +300,6 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
     heap = [(-math.inf, counter, lo0, hi0, None)]
     incumbent = None
     inc_obj = math.inf
-    nodes = 0
-    lp_time = 0.0  # seconds inside node LPs
     hit_time_limit = False
 
     def node_lp(lo, hi):
@@ -325,7 +309,7 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
         nonlocal nodes, lp_time, incumbent, inc_obj
         nodes += 1
         t_lp = time.monotonic()
-        status, x, obj = arrays.solve_lp(lo, hi, backend, deadline=deadline)
+        status, x, obj = arrays.solve_lp(lo, hi, lp_backend, deadline=deadline)
         lp_time += time.monotonic() - t_lp
         if status != OPTIMAL:
             return status, x, obj, None
@@ -361,8 +345,7 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
                 break
             if status == UNBOUNDED:
                 if incumbent is None and nodes == 1:
-                    return Solution(UNBOUNDED, stats={
-                        "nodes": nodes, "lp_solves": nodes, "lp_time": lp_time})
+                    return Solution(UNBOUNDED, stats=stats())
                 break
             if status != OPTIMAL or obj >= inc_obj - _GAP_TOL or j is None:
                 break
@@ -396,11 +379,8 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
                     heapq.heappush(heap, (up[2], counter, up_lo, hi, up))
                 hi, solved = down_hi, down
 
-    elapsed = time.monotonic() - t0
-    stats = {"nodes": nodes, "lp_solves": nodes, "lp_time": lp_time, "time": elapsed,
-             "backend": backend}
     if incumbent is None:
-        return Solution(TIME_LIMIT if hit_time_limit else INFEASIBLE, stats=stats)
+        return Solution(TIME_LIMIT if hit_time_limit else INFEASIBLE, stats=stats())
 
     violation = arrays.max_violation(incumbent)
     if violation > _VERIFY_TOL * 10:
@@ -409,4 +389,4 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
         )
     status = TIME_LIMIT if hit_time_limit else OPTIMAL
     values = {v.name: float(incumbent[v.id]) for v in model.vars}
-    return Solution(status, values, arrays.objective_value(incumbent), stats)
+    return Solution(status, values, arrays.objective_value(incumbent), stats())

@@ -3,10 +3,13 @@
 import dataclasses
 import gc
 import json
+import sys
 
 import besched.cli
 from besched.cli import cli_main
 from besched.solver import Solution
+
+from helpers import write_daily_scenario
 
 CONFIG = """<BuildingConfiguration xmlns="http://www.fokus.fraunhofer.de/WaveSave"
     id="SmallScenario" powerUnit="kW" energyUnit="kWh" priceUnit="ct" energyPriceUnit="ct/kWh">
@@ -55,6 +58,10 @@ def _write_scenario(tmp_path, water_kw=1.8, min_heating_w=0.0, max_heating_w=0.0
     ]
 
 
+# the stats of the built-in solver: the same keys on every ending
+BUILTIN_STATS = {"backend", "lp_backend", "nodes", "lp_solves", "lp_time", "time"}
+
+
 def test_optimize_writes_schedule_and_exits_zero(tmp_path, capsys):
     args = _write_scenario(tmp_path)
     out = tmp_path / "out"
@@ -62,7 +69,9 @@ def test_optimize_writes_schedule_and_exits_zero(tmp_path, capsys):
     assert rc == 0
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["status"] == "optimal"
-    assert {"nodes", "lp_solves", "lp_time"} <= meta["stats"].keys()
+    assert meta["stats"].keys() == BUILTIN_STATS
+    assert meta["stats"]["backend"] == "builtin"
+    assert meta["stats"]["lp_backend"] == "highs"
     header = (out / "schedule.csv").read_text().splitlines()[0]
     assert "on_HeatPump" in header
     assert "thermalEnergyLevel_HotWaterBuffer" in header
@@ -83,7 +92,21 @@ def test_optimize_infeasible_exits_two_with_metadata_only(tmp_path):
     meta = json.loads((out / "metadata.json").read_text(), parse_constant=_reject_constant)
     assert meta["status"] == "infeasible"
     assert meta["objective"] is None
+    assert meta["stats"].keys() == BUILTIN_STATS
     assert not (out / "schedule.csv").exists()
+
+
+def test_optimize_without_the_highs_binding_exits_one_with_an_error(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    config, situation = write_daily_scenario(tmp_path)
+    out = tmp_path / "out"
+    rc = cli_main(["optimize", "--config", str(config), "--situation", str(situation),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "scipy" in err
+    assert not out.exists()
 
 
 def test_optimize_time_limit_incumbent_exits_three_with_schedule(tmp_path, monkeypatch):

@@ -43,7 +43,6 @@ def test_grid_validation():
         TimeGrid(0, 1.0)
     with pytest.raises(ModelError):
         TimeGrid(4, 0.0)
-    assert TimeGrid(96, 0.25).horizon_hours == pytest.approx(24.0)
 
 
 def test_grid_unit_conversions():

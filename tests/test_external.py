@@ -109,6 +109,28 @@ def test_inconsistent_external_solution_rejected(tmp_path):
         solve_external(m, SolveOptions(backend="external", command=cmd))
 
 
+def test_every_external_ending_carries_the_same_stats(tmp_path):
+    # a fake solver that prints the solution it is given, here "x = 1" or
+    # "infeasible"
+    fake = tmp_path / "fake.py"
+    fake.write_text("import sys\nopen(sys.argv[3], 'w').write(open(sys.argv[1]).read())\n")
+    m = Model()
+    x = m.binary("x")
+    m.add_constraint(x + 0.0, GE, 1.0, "force")
+    m.set_objective(x + 0.0)
+    import sys
+
+    stats = {}
+    for status, text in ((OPTIMAL, "c column 1 x\ns mip 1 1 o 1\nj 1 1\n"),
+                         (INFEASIBLE, "s mip 0 0 n 0\n")):
+        (tmp_path / status).write_text(text)
+        cmd = f"{sys.executable} {fake} {tmp_path / status} {{in}} {{out}}"
+        sol = solve_external(m, SolveOptions(backend="external", command=cmd))
+        assert sol.status == status and sol.stats["backend"] == "external"
+        stats[status] = sol.stats.keys()
+    assert stats[OPTIMAL] == stats[INFEASIBLE] == {"backend", "time"}
+
+
 def test_sanitized_names_map_back():
     m = Model()
     x = m.binary("plant.x[1]")

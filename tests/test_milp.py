@@ -8,7 +8,7 @@ import pytest
 
 from besched.errors import DuplicateName, ModelError, UndeclaredVariable
 from besched.milp import (BINARY, CONTINUOUS, EQ, GE, INTEGER, INF, LE, Domain, LinExpr, Model,
-                          Var, export_lp)
+                          ValidationReport, Var, export_lp)
 from besched.solver import SolveOptions, solve_builtin
 
 from oracles import (RefLinExpr, RefVar, export_lp_reference, parse_lp, random_milp,
@@ -19,7 +19,7 @@ def test_add_var_registers_handle():
     m = Model()
     h = m.binary("x_1")
     assert len(m.vars) == 1
-    assert m.var_by_name("x_1") is h
+    assert m.vars[0] is h
     assert "x_1" in m
 
 
@@ -107,7 +107,7 @@ def test_add_constraint_and_tags():
     s = m.binary("start_1")
     cid = m.add_constraint(x1 - x0 - s, LE, 0.0, "unit.startstop.i=1")
     assert isinstance(cid, int)
-    assert [c.tag for c in m.constraints_by_tag("unit.startstop")] == ["unit.startstop.i=1"]
+    assert m.constraints[cid].tag == "unit.startstop.i=1"
 
 
 def test_degenerate_row_flagged_trivially_true():
@@ -153,8 +153,7 @@ def test_validate_reports():
 
 
 def test_validate_empty_model_empty_report():
-    report = Model().validate()
-    assert report.is_empty()
+    assert Model().validate() == ValidationReport()
 
 
 def test_linexpr_normalization():

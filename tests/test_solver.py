@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from besched.errors import SolverError
 from besched.milp import EQ, GE, LE, Model
 from besched.solver import (
     INFEASIBLE,
@@ -220,7 +221,6 @@ def _cold_linprog(arrays, lo, hi):
 
 
 def test_warm_highs_lp_matches_cold_linprog_over_bound_changes():
-    pytest.importorskip("scipy.optimize._highspy._core")
     rng = np.random.default_rng(17)
     seen = {OPTIMAL: 0, INFEASIBLE: 0}
     for _ in range(3):
@@ -245,33 +245,30 @@ def test_warm_highs_lp_matches_cold_linprog_over_bound_changes():
     assert seen[OPTIMAL] >= 10 and seen[INFEASIBLE] >= 10
 
 
-def test_linprog_fallback_matches_warm_highs(monkeypatch):
-    calls = []
-    linprog = scipy.optimize.linprog
-
-    def counted_linprog(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", counted_linprog)
-    models = _agree_models()
-    warm = [solve_builtin(m, SolveOptions(lp_backend="highs")) for m in models]
-    assert not calls
-    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    cold = [solve_builtin(m, SolveOptions(lp_backend="highs")) for m in models]
-    assert calls
-    for a, b in zip(warm, cold):
-        assert a.status == b.status
-        if a.status == OPTIMAL:
-            assert a.objective == pytest.approx(b.objective, abs=1e-6)
-
-
 @pytest.mark.parametrize("backend", ["dense", "highs"])
 def test_lp_after_the_deadline_reports_time_limit(backend):
     m = random_milp(np.random.default_rng(4))
     arrays = ModelArrays(m)
     status, x, obj = arrays.solve_lp(arrays.lo, arrays.hi, backend, deadline=time.monotonic() - 1)
     assert (status, x, obj) == (TIME_LIMIT, None, None)
+
+
+@pytest.mark.parametrize("names", [{"backend": "highs"}, {"lp_backend": "nope"}])
+def test_unknown_solver_names_are_rejected_at_construction(names):
+    with pytest.raises(SolverError, match="unknown"):
+        SolveOptions(**names)
+
+
+def test_a_missing_highs_binding_is_an_error_not_another_solver(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    m = Model()
+    x = m.continuous("x", 0.0, 10.0)
+    m.add_constraint(x + 0.0, LE, 5.0, "cap")
+    m.set_objective(x * -1.0)
+    with pytest.raises(SolverError, match="scipy >= 1.15"):
+        solve_builtin(m)
+    # the dense reference simplex does not need the binding
+    assert solve_builtin(m, SolveOptions(lp_backend="dense")).objective == -5.0
 
 
 def test_time_limit_inside_an_lp_keeps_the_incumbent(monkeypatch):
@@ -305,7 +302,6 @@ def test_time_limit_inside_an_lp_keeps_the_incumbent(monkeypatch):
 def test_highs_deadline_counts_from_now_not_from_the_first_lp():
     # HiGHS's clock adds up over every run of one instance: after 0.3 s of
     # LPs, a deadline 0.25 s ahead must still leave room for the next LP
-    pytest.importorskip("scipy.optimize._highspy._core")
     rng = np.random.default_rng(0)
     m = Model()
     xs = [m.continuous(f"x{j}", 0, 10) for j in range(150)]
@@ -365,7 +361,7 @@ def test_warm_lp_passes_only_the_column_bounds_that_moved():
     # presolve moves 5 of its 9 columns and leaves 4 integers free
     m = random_milp(np.random.default_rng(2), max_binaries=10, max_rows=15)
     arrays = ModelArrays(m)
-    warm = _WarmLP.load(arrays)
+    warm = _WarmLP(arrays)
     changed = []
 
     class Recorder:
