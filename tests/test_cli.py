@@ -79,6 +79,24 @@ def test_optimize_writes_schedule_and_exits_zero(tmp_path, capsys):
     assert "objective" in capsys.readouterr().out
 
 
+def test_day_closes_at_the_root_and_reruns_byte_identical(tmp_path):
+    # the dive after the root LP finds an incumbent at the root bound, so the
+    # tree is the root alone; the dive's LPs count in lp_solves, not in nodes
+    config, situation = write_daily_scenario(tmp_path / "scen")
+    schedules = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert cli_main(["optimize", "--config", str(config), "--situation", str(situation),
+                         "--out", str(out)]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["status"] == "optimal"
+        assert meta["stats"].keys() == BUILTIN_STATS
+        assert meta["stats"]["nodes"] == 1
+        assert 1 < meta["stats"]["lp_solves"] <= 14
+        schedules.append((out / "schedule.csv").read_bytes())
+    assert schedules[0] == schedules[1]
+
+
 def _reject_constant(name):
     raise ValueError(f"metadata.json is not strict JSON: {name}")
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from besched.errors import SolverError
+import besched.solver
+from besched.errors import NumericalFailure, SolverError
 from besched.milp import EQ, GE, LE, Model
 from besched.solver import (
     INFEASIBLE,
@@ -132,6 +133,23 @@ def test_presolve_propagates_along_a_chain_to_the_fixpoint():
     assert ok
     expected = [40.0 - k for k in range(1, 41)]
     assert lo.tolist() == expected and hi.tolist() == expected
+
+
+def test_presolve_past_its_deadline_stops_after_one_pass():
+    # one pass fixes the anchored end of the chain and no more; the bounds are
+    # sound: inside the input box and around the fixpoint's
+    m = Model()
+    xs = [m.integer(f"x{k}", 0, 100) for k in range(1, 41)]
+    m.add_constraint(xs[39] + 0.0, EQ, 0.0, "anchor")
+    for k in range(39):
+        m.add_constraint(xs[k] - xs[k + 1], EQ, 1.0, f"chain.k={k + 1}")
+    arrays = ModelArrays(m)
+    _, full_lo, full_hi = arrays.tighten_bounds(arrays.lo, arrays.hi)
+    ok, lo, hi = arrays.tighten_bounds(arrays.lo, arrays.hi, deadline=time.monotonic() - 1)
+    assert ok
+    assert np.count_nonzero(lo == hi) <= 1
+    assert np.all(arrays.lo <= lo) and np.all(hi <= arrays.hi)
+    assert np.all(lo <= full_lo) and np.all(full_hi <= hi)
 
 
 def test_presolve_matches_row_loop_reference():
@@ -355,6 +373,99 @@ def test_day_tree_size_does_not_depend_on_the_tariff(tmp_path):
         assert sol.objective == pytest.approx(ref.fun + arrays.obj_const, abs=1e-6)
         nodes.add(sol.stats["nodes"])
     assert len(nodes) == 1
+
+
+def _milp_objective(model):
+    arrays = ModelArrays(model)
+    ref = scipy.optimize.milp(
+        arrays.c,
+        constraints=scipy.optimize.LinearConstraint(
+            arrays.a, np.where(arrays.ge, arrays.rhs, -np.inf),
+            np.where(arrays.le, arrays.rhs, np.inf)),
+        bounds=scipy.optimize.Bounds(arrays.lo, arrays.hi),
+        integrality=arrays.integral.astype(int),
+        options={"mip_rel_gap": 0},
+    )
+    assert ref.status == 0
+    return ref.fun + arrays.obj_const
+
+
+def _day_model(scen, peak):
+    """The daily scenario with ``peak`` ct added to its 20 ct from 08:00 to 20:00."""
+    from besched.pipeline import build_problem
+    from besched.xmlio import parse_configuration, parse_situation
+    from helpers import write_daily_scenario
+
+    config, situation = write_daily_scenario(scen)
+    if peak:
+        rows = (scen / "scenario.csv").read_text().splitlines()
+        for i in range(32, 80):
+            cells = rows[i + 1].split(",")
+            cells[4] = repr(20.0 + peak)
+            rows[i + 1] = ",".join(cells)
+        (scen / "scenario.csv").write_text("\n".join(rows) + "\n")
+    cfg = parse_configuration(config.read_text())
+    return build_problem(cfg, parse_situation(situation.read_text(), cfg), base_dir=scen).model
+
+
+@pytest.mark.parametrize("peak, max_lps", [(0.0, 14), (7.25, 12)])
+def test_the_dive_closes_the_day_at_the_root(tmp_path, peak, max_lps):
+    # the root LP bound is the day's optimum; the dive after it ends on an
+    # integral point at that bound, so the tree is the root alone
+    model = _day_model(tmp_path, peak)
+    sol = solve_builtin(model)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(_milp_objective(model), abs=1e-6)
+    assert sol.stats["nodes"] == 1
+    assert 1 < sol.stats["lp_solves"] <= max_lps
+
+
+def test_a_dive_without_an_incumbent_leaves_the_tree_exact(monkeypatch):
+    # the root LP of most small random models is integral already; on the
+    # others the dive may end without an incumbent, and the tree alone
+    # must then find the optimum
+    dive = besched.solver._dive
+    ends = []
+
+    def recording_dive(*args):
+        ends.append(dive(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(besched.solver, "_dive", recording_dive)
+    failed = {"dense": 0, "highs": 0}
+    for seed in range(40):
+        m = random_milp(np.random.default_rng(seed), max_binaries=8, max_rows=6)
+        status, obj, _ = brute_force_solve(m)
+        for backend in failed:
+            ends.clear()
+            sol = solve_builtin(m, SolveOptions(lp_backend=backend))
+            if status == "infeasible":
+                assert sol.status == INFEASIBLE
+            else:
+                assert sol.status == OPTIMAL
+                assert sol.objective == pytest.approx(obj, abs=1e-6)
+            failed[backend] += len(ends) == 1 and ends[0] is None
+    assert all(failed.values()), failed
+
+
+def test_a_numerical_failure_inside_the_dive_leaves_the_tree_to_prove(tmp_path, monkeypatch):
+    model = _day_model(tmp_path, 0.0)
+    full = solve_builtin(model)
+    solve = _WarmLP.solve
+    calls = []
+
+    def fail_at_the_second_dive_lp(self, lo, hi, deadline):
+        calls.append(1)
+        if len(calls) == 3:  # the root LP, then the dive's first and second
+            raise NumericalFailure("HiGHS LP failed: Unknown")
+        return solve(self, lo, hi, deadline)
+
+    monkeypatch.setattr(_WarmLP, "solve", fail_at_the_second_dive_lp)
+    sol = solve_builtin(model)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(full.objective, abs=1e-9)
+    assert sol.stats["nodes"] > 1
+    assert ModelArrays(model).max_violation(sol.vector(model)) <= 1e-6
 
 
 def test_warm_lp_passes_only_the_column_bounds_that_moved():
