@@ -295,7 +295,9 @@ def _dive(arrays: ModelArrays, lo, hi, x, j, run_lp, deadline):
     in the box (lo, hi): set the fractional integer of lowest index to its
     ceiling, propagate, re-solve, until the LP point is integral.  Returns
     that point, or None once a propagation proves the box empty, an LP ends
-    other than optimal or fails numerically.  A heuristic: it proves nothing."""
+    other than optimal or fails numerically.  Each step raises one integer's
+    lower bound by at least 1, so the dive ends within the integers' ranges.
+    A heuristic: it proves nothing."""
     while j is not None:
         lo = lo.copy()
         lo[j] = math.floor(x[j]) + 1
