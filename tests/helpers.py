@@ -1,4 +1,6 @@
-"""Shared builders for the fuel-cell CHP tests."""
+"""Shared builders for the fuel-cell CHP tests and the scenario files."""
+
+import numpy as np
 
 from besched.assembly import TimeGrid
 from besched.fcchp import (
@@ -132,3 +134,76 @@ def series(model, builder, key, sol):
     for item in builder.vars[key]:
         out.append(round(model.evaluate(item + 0.0, sol.values), 9))
     return out
+
+
+WEEK_CONFIG = """<BuildingConfiguration xmlns="http://www.fokus.fraunhofer.de/WaveSave"
+    id="WeekStorage" powerUnit="kW" energyUnit="kWh" priceUnit="ct" energyPriceUnit="ct/kWh">
+  <Usage id="house" maxElectricPowerUse="30.0" maxHeatingPowerUse="30.0"
+      maxCoolingPowerUse="0.0"/>
+  <Grid id="grid" maxFeedInPower="8.0" maxSupplyPower="30.0"/>
+  <PV id="roof" curtailable="true"/>
+  <Battery id="battery" minEnergyLevel="0" maxEnergyLevel="8.0" lossPerHourFactor="0.002"
+      maxChargingPower="4.0" maxDischargingPower="4.0" chargeEfficiency="0.93"
+      dischargeEfficiency="0.96"/>
+  <HeatBuffer id="buffer" minThermalEnergyLevel="0" maxThermalEnergyLevel="15.0"
+      thermalLossPerHourFactor="0.004" maxThermalChargingPower="8.0"
+      maxThermalDischargingPower="8.0"/>
+  <Converter id="boiler" inputCarrier="primary" outputCarrier="heat" efficiency="0.92"
+      maxInputPower="24.0"/>
+</BuildingConfiguration>
+"""
+
+WEEK_SITUATION = """<BuildingSituation xmlns="http://www.fokus.fraunhofer.de/WaveSave"
+    id="WeekStorage" nbsOfTimeUnits="672" hoursPerTimeUnit="0.25"
+    start="2016-08-15T00:00:00">
+  <Usage id="house" maxInitialHeatingEnergy="0.0" maxInitialCoolingEnergy="0.0">
+    <ElectricPowerUsage fileName="week.csv" dataSetPath="/Elec"/>
+    <HotWaterPowerUsage fileName="week.csv" dataSetPath="/Water"/>
+    <MinHeatingPowerUsage fileName="week.csv" dataSetPath="/HeatMin"/>
+    <MaxHeatingPowerUsage fileName="week.csv" dataSetPath="/HeatMax"/>
+  </Usage>
+  <Grid id="grid">
+    <ElectricEnergyPrice fileName="week.csv" dataSetPath="/Price"/>
+    <ElectricEnergyRefund fileName="week.csv" dataSetPath="/Refund"/>
+  </Grid>
+  <PV id="roof">
+    <PredictedPowerOutput fileName="week.csv" dataSetPath="/PV"/>
+  </PV>
+  <Battery id="battery" initialEnergyLevel="3.0"/>
+  <HeatBuffer id="buffer" initialThermalEnergyLevel="7.5"/>
+  <Converter id="boiler">
+    <PrimaryEnergyPrice fileName="week.csv" dataSetPath="/Gas"/>
+  </Converter>
+</BuildingSituation>
+"""
+
+
+def write_week_scenario(dir_path, seed=0):
+    """A seeded 672-unit quarter-hour week: electric and heat demand, a grid
+    with feed-in, curtailable PV, a battery, a heat buffer and a gas boiler.
+    Sunny middays of some days carry negative prices, and the refund is zero
+    at night, so zero and negative cost coefficients both occur.  Returns the
+    config and situation file paths."""
+    rng = np.random.default_rng(seed)
+    dir_path.mkdir(parents=True, exist_ok=True)
+    (dir_path / "config.xml").write_text(WEEK_CONFIG)
+    (dir_path / "situation.xml").write_text(WEEK_SITUATION)
+    rows = ["Elec,Water,HeatMin,HeatMax,Price,Refund,PV,Gas"]
+    for day in range(7):
+        sun = rng.uniform(0.1, 1.0)
+        base, gas = rng.uniform(18.0, 28.0), rng.uniform(5.0, 9.0)
+        for q in range(96):
+            hour = q * 0.25
+            daylight = max(0.0, 1.0 - abs(hour - 13.0) / 7.0)
+            pv = 9.0 * sun * daylight
+            price = base + (6.0 if 17.0 <= hour < 21.0 else 0.0)
+            if sun > 0.7 and 11.0 <= hour < 15.0:
+                price = -rng.uniform(0.0, 3.0)
+            refund = 0.0 if daylight == 0.0 else 7.5
+            heat_min = rng.uniform(0.5, 3.5) * (1.4 if hour < 6.0 else 1.0)
+            water = 0.0 if hour < 5.0 else rng.uniform(0.0, 1.2)
+            vals = (0.2 + rng.uniform(0.0, 0.8), water, heat_min,
+                    heat_min + rng.uniform(0.0, 2.5), price, refund, pv, gas)
+            rows.append(",".join(repr(round(v, 5)) for v in vals))
+    (dir_path / "week.csv").write_text("\n".join(rows) + "\n")
+    return dir_path / "config.xml", dir_path / "situation.xml"
