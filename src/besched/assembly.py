@@ -7,6 +7,14 @@ then emits one balance equality per carrier and unit and a single minimize
 objective of total costs minus total yields.  Primary energy (gas) is not a
 balanced carrier: it is bought freely at posted prices and appears only in
 the financial entries of the components that burn it.
+
+The ledger keeps each series as one ``ExprBlock``: a builder registers a
+block, or a list of expressions that is converted once.  The balances of a
+carrier are then assembled from the stacked blocks in one pass and added
+with ``Model.add_rows``, and the objective is accumulated in one vector.
+Both add the terms in the order the ``LinExpr`` sums did (series, then
+unit, then term), so every coefficient is the same float, and a term that
+cancels to 0.0 is dropped as ``LinExpr`` drops it.
 """
 
 from __future__ import annotations
@@ -14,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ModelError, StructuralInfeasibility
-from .milp import EQ, LinExpr, Model, as_expr
+from .milp import EQ, ExprBlock, LinExpr, Model
 
 ELECTRIC = "electric"
 HEAT = "heat"
@@ -62,20 +72,29 @@ class TimeGrid:
 
 
 class BalanceLedger:
-    """Registry of every component's power and financial expressions."""
+    """Registry of every component's power and financial expressions.
+
+    A series is an ``ExprBlock`` or a sequence of ``LinExpr``, ``Var`` or
+    numbers, one per unit; it is kept as a block.
+    """
 
     def __init__(self, grid: TimeGrid):
         self.grid = grid
-        self.power: dict = {c: {SOURCE: [], SINK: []} for c in CARRIERS}
+        self.power: dict = {c: {SOURCE: [], SINK: []} for c in CARRIERS}  # (component, block)
         self.financial: dict = {"input": [], "output": []}
-        self.states: list = []  # (name, series) extracted into schedules
+        self.blocks: list = []  # (name, block) extracted into schedules
 
-    def _check_series(self, series, label):
+    @property
+    def states(self) -> list:
+        """(name, [LinExpr]) of every schedule series, built on each read."""
+        return [(name, block.exprs()) for name, block in self.blocks]
+
+    def _check_series(self, series, label) -> ExprBlock:
         if len(series) != self.grid.n_units:
             raise ModelError(
                 f"{label}: series has {len(series)} entries, expected {self.grid.n_units}"
             )
-        return list(map(as_expr, series))
+        return series if isinstance(series, ExprBlock) else ExprBlock.from_exprs(series)
 
     def add_power(self, carrier: str, role: str, component: str, series) -> None:
         if carrier not in CARRIERS:
@@ -109,12 +128,12 @@ class BalanceLedger:
         self.add_financial("output", component, series)
 
     def add_state(self, name: str, series) -> None:
-        self._add_state(name, list(map(as_expr, series)))
+        self._add_state(name, self._check_series(series, name))
 
-    def _add_state(self, name: str, exprs: list) -> None:
-        if any(n == name for n, _ in self.states):
+    def _add_state(self, name: str, block: ExprBlock) -> None:
+        if any(n == name for n, _ in self.blocks):
             raise ModelError(f"state series {name!r} already registered")
-        self.states.append((name, exprs))
+        self.blocks.append((name, block))
 
 
 def build_balances(model: Model, ledger: BalanceLedger) -> None:
@@ -122,36 +141,52 @@ def build_balances(model: Model, ledger: BalanceLedger) -> None:
 
     Carriers with no registrations produce no rows.  A carrier whose rows can
     never hold (forced nonzero power with nothing on the other side) is
-    reported as structurally infeasible before any solver runs.
+    reported as structurally infeasible before any solver runs.  Each row's
+    terms are stored in column order.
     """
     n = ledger.grid.n_units
     for carrier in CARRIERS:
-        sources = ledger.power[carrier][SOURCE]
-        sinks = ledger.power[carrier][SINK]
-        if not sources and not sinks:
+        blocks = [b for _, b in ledger.power[carrier][SOURCE]]
+        blocks += [b.negated() for _, b in ledger.power[carrier][SINK]]
+        if not blocks:
             continue
-        for i in range(n):
-            net = LinExpr()
-            for _, exprs in sources:
-                net.accumulate(exprs[i])
-            for _, exprs in sinks:
-                net.accumulate(exprs[i], subtract=True)
-            if not net.terms and abs(net.const) > 1e-12:
-                side = "sinks" if net.const < 0 else "sources"
-                raise StructuralInfeasibility(
-                    f"{carrier} balance at unit {i + 1} forces {abs(net.const)} kW "
-                    f"with no matching {side}"
-                )
-            model.add_constraint(net, EQ, 0.0, f"balance.{carrier}.i={i + 1}")
+        const = np.zeros(n)
+        for b in blocks:
+            const = const + b.const
+        net = ExprBlock.stack(blocks)
+        # every term keyed by (unit, column), in the order the sums add them
+        unit = np.repeat(np.arange(len(net)) % n, np.diff(net.ptr))
+        width = max(len(model.vars), 1)
+        keys, where = np.unique(unit * width + net.cols, return_inverse=True)
+        coefs = np.zeros(len(keys))
+        np.add.at(coefs, where, net.coefs)
+        kept = coefs != 0.0
+        unit, cols = np.divmod(keys[kept], width)
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(unit, minlength=n))))
+        forced = np.flatnonzero((ptr[1:] == ptr[:-1]) & (np.abs(const) > 1e-12))
+        if len(forced):
+            i = int(forced[0])
+            side = "sinks" if const[i] < 0 else "sources"
+            raise StructuralInfeasibility(
+                f"{carrier} balance at unit {i + 1} forces {abs(float(const[i]))} kW "
+                f"with no matching {side}"
+            )
+        model.add_rows(ExprBlock(ptr, cols, coefs[kept], const), EQ, 0.0, f"balance.{carrier}")
 
 
 def build_objective(model: Model, ledger: BalanceLedger) -> None:
-    """Total costs enter positive, total yields negative; sense is minimize."""
-    obj = LinExpr()
-    for _, exprs in ledger.financial["input"]:
-        for e in exprs:
-            obj.accumulate(e)
-    for _, exprs in ledger.financial["output"]:
-        for e in exprs:
-            obj.accumulate(e, subtract=True)
-    model.set_objective(obj)
+    """Total costs enter positive, total yields negative; sense is minimize.
+
+    The coefficients are summed per column in one vector, series by series
+    and unit by unit, and the constants one by one in the same order.
+    """
+    blocks = [b for _, b in ledger.financial["input"]]
+    blocks += [b.negated() for _, b in ledger.financial["output"]]
+    coefs = np.zeros(len(model.vars))
+    const = 0.0
+    for b in blocks:
+        np.add.at(coefs, b.cols, b.coefs)
+        for k in b.const.tolist():
+            const += k
+    cols = np.flatnonzero(coefs)
+    model.set_objective(LinExpr(dict(zip(cols.tolist(), coefs[cols].tolist())), const))

@@ -6,6 +6,13 @@ Each builder adds its variables and rows to the model and registers the
 component's per-carrier power series and money flows in the BalanceLedger.
 Builders never touch another component's entries; coupling happens only
 through the carrier balances assembled later.
+
+Usage, grid, storage, converter and PV are built as arrays over the time
+units: ``Model.continuous_series`` makes a named series of columns,
+``ExprBlock`` holds their expressions and ``Model.add_rows`` adds the
+storage rows as one block.  Each gives bit for bit the variables, rows and
+expressions that the ``LinExpr`` operators would.  The switched components
+(heat pump, mechanical CHP, fcCHP) are built unit by unit with ``LinExpr``.
 """
 
 from __future__ import annotations
@@ -13,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .assembly import CARRIERS, COLD, ELECTRIC, HEAT, BalanceLedger, TimeGrid
 from .errors import ModelError
 # FcchpBuilder is here as the FcCHP row's builder in the element table (xmlio.ELEMENTS)
 from .fcchp import FcchpBuilder, OnOffChain, build_min_durations, build_onoff_chain
 from .linearize import product_bin_bounded
-from .milp import EQ, Model
+from .milp import EQ, ExprBlock, Model
 
 
 def _check_series(values, n, label, lo=None, hi=None):
@@ -84,13 +93,9 @@ def build_usage(model: Model, spec: UsageSpec, grid: TimeGrid, ledger: BalanceLe
         if hmin[i] > hmax[i] + 1e-12:
             raise ModelError(f"{spec.name}: heating band empty at unit {i + 1} "
                              f"({hmin[i]} > {hmax[i]})")
-    ledger.add_sink(ELECTRIC, spec.name, elec)
-
-    heat = []
-    for i in range(n):
-        h = model.continuous(f"{spec.name}.heating[{i + 1}]", hmin[i], hmax[i])
-        heat.append(h + water[i])
-    ledger.add_sink(HEAT, spec.name, heat)
+    ledger.add_sink(ELECTRIC, spec.name, ExprBlock.constants(elec))
+    heat = model.continuous_series(f"{spec.name}.heating", n, hmin, hmax)
+    ledger.add_sink(HEAT, spec.name, ExprBlock.columns(heat, const=water))
 
     if spec.cooling_max:
         cmin = _check_series(spec.cooling_min, n, f"{spec.name}.cooling_min", lo=0.0)
@@ -100,9 +105,8 @@ def build_usage(model: Model, spec: UsageSpec, grid: TimeGrid, ledger: BalanceLe
             if cmin[i] > cmax[i] + 1e-12:
                 raise ModelError(f"{spec.name}: cooling band empty at unit {i + 1}")
         if any(v > 0 for v in cmax):
-            cool = [model.continuous(f"{spec.name}.cooling[{i + 1}]", cmin[i], cmax[i])
-                    for i in range(n)]
-            ledger.add_sink(COLD, spec.name, cool)
+            cool = model.continuous_series(f"{spec.name}.cooling", n, cmin, cmax)
+            ledger.add_sink(COLD, spec.name, ExprBlock.columns(cool))
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +131,12 @@ def build_grid(model: Model, spec: GridSpec, grid: TimeGrid, ledger: BalanceLedg
     price = _check_series(spec.price, n, f"{spec.name}.price")
     refund = _check_series(spec.refund, n, f"{spec.name}.refund")
     dt = grid.hours_per_unit
-    supply = [
-        model.continuous(f"{spec.name}.supply[{i + 1}]", 0.0, spec.max_supply_power)
-        for i in range(n)
-    ]
-    feed_in = [
-        model.continuous(f"{spec.name}.feedIn[{i + 1}]", 0.0, spec.max_feed_in_power)
-        for i in range(n)
-    ]
-    ledger.add_source(ELECTRIC, spec.name, supply)
-    ledger.add_sink(ELECTRIC, spec.name, feed_in)
-    ledger.add_financial_input(spec.name, [supply[i] * (price[i] * dt) for i in range(n)])
-    ledger.add_financial_output(spec.name, [feed_in[i] * (refund[i] * dt) for i in range(n)])
+    supply = model.continuous_series(f"{spec.name}.supply", n, 0.0, spec.max_supply_power)
+    feed_in = model.continuous_series(f"{spec.name}.feedIn", n, 0.0, spec.max_feed_in_power)
+    ledger.add_source(ELECTRIC, spec.name, ExprBlock.columns(supply))
+    ledger.add_sink(ELECTRIC, spec.name, ExprBlock.columns(feed_in))
+    ledger.add_financial_input(spec.name, ExprBlock.scaled(supply, np.array(price) * dt))
+    ledger.add_financial_output(spec.name, ExprBlock.scaled(feed_in, np.array(refund) * dt))
 
 
 # ---------------------------------------------------------------------------
@@ -218,28 +216,24 @@ def build_storage(model: Model, spec: StorageSpec, grid: TimeGrid,
     keep = 1.0 - spec.loss_per_hour * dt
     if keep <= 0:
         raise ModelError(f"{spec.name}: loss factor drains the store within one unit")
-    level = [
-        model.continuous(f"{spec.name}.level[{i + 1}]", spec.min_level, spec.max_level)
-        for i in range(n)
-    ]
-    charge = [
-        model.continuous(f"{spec.name}.charge[{i + 1}]", 0.0, spec.max_charge_power)
-        for i in range(n)
-    ]
-    discharge = [
-        model.continuous(f"{spec.name}.discharge[{i + 1}]", 0.0, spec.max_discharge_power)
-        for i in range(n)
-    ]
-    for i in range(n):
-        prev = spec.initial_level if i == 0 else level[i - 1]
-        flow = charge[i] * (spec.charge_efficiency * dt) - discharge[i] * (dt / spec.discharge_efficiency)
-        model.add_constraint(
-            level[i] - prev * keep - flow, EQ, 0.0, f"{spec.name}.level.i={i + 1}"
-        )
-    ledger.add_sink(spec.carrier, spec.name, charge)
-    ledger.add_source(spec.carrier, spec.name, discharge)
+    level = model.continuous_series(f"{spec.name}.level", n, spec.min_level, spec.max_level)
+    charge = model.continuous_series(f"{spec.name}.charge", n, 0.0, spec.max_charge_power)
+    discharge = model.continuous_series(f"{spec.name}.discharge", n, 0.0,
+                                        spec.max_discharge_power)
+    # level[i] - keep * level[i - 1] - cin * charge[i] + dout * discharge[i] = 0,
+    # with keep * initial level on the right-hand side at unit 1
+    cin, dout = spec.charge_efficiency * dt, dt / spec.discharge_efficiency
+    cols = np.stack([level, np.concatenate(([-1], level[:-1])), charge, discharge], axis=1)
+    coefs = np.broadcast_to(np.array([1.0, -keep, -cin, dout]), cols.shape)
+    const = np.zeros(n)
+    const[0] = -(spec.initial_level * keep)
+    model.add_rows(ExprBlock(np.concatenate(([0], np.arange(1, n + 1) * 4 - 1)),
+                             np.delete(cols.ravel(), 1), np.delete(coefs.ravel(), 1), const),
+                   EQ, 0.0, f"{spec.name}.level")
+    ledger.add_sink(spec.carrier, spec.name, ExprBlock.columns(charge))
+    ledger.add_source(spec.carrier, spec.name, ExprBlock.columns(discharge))
     prefix = {HEAT: "thermal", COLD: "cooling", ELECTRIC: "electric"}[spec.carrier]
-    ledger.add_state(f"{prefix}EnergyLevel_{spec.name}", level)
+    ledger.add_state(f"{prefix}EnergyLevel_{spec.name}", ExprBlock.columns(level))
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +267,15 @@ class ConverterSpec:
 def build_converter(model: Model, spec: ConverterSpec, grid: TimeGrid,
                     ledger: BalanceLedger) -> None:
     n = grid.n_units
-    inp = [
-        model.continuous(f"{spec.name}.input[{i + 1}]", 0.0, spec.max_input_power)
-        for i in range(n)
-    ]
+    inp = model.continuous_series(f"{spec.name}.input", n, 0.0, spec.max_input_power)
     if spec.input_carrier == PRIMARY:
         price = _check_series(spec.input_price, n, f"{spec.name}.input_price")
         dt = grid.hours_per_unit
-        ledger.add_financial_input(spec.name, [inp[i] * (price[i] * dt) for i in range(n)])
-        ledger.add_state(f"primaryInputPower_{spec.name}", inp)
+        ledger.add_financial_input(spec.name, ExprBlock.scaled(inp, np.array(price) * dt))
+        ledger.add_state(f"primaryInputPower_{spec.name}", ExprBlock.columns(inp))
     else:
-        ledger.add_sink(spec.input_carrier, spec.name, inp)
-    ledger.add_source(spec.output_carrier, spec.name, [v * spec.efficiency for v in inp])
+        ledger.add_sink(spec.input_carrier, spec.name, ExprBlock.columns(inp))
+    ledger.add_source(spec.output_carrier, spec.name, ExprBlock.scaled(inp, spec.efficiency))
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +293,10 @@ def build_profile_source(model: Model, spec: PvSpec, grid: TimeGrid,
                          ledger: BalanceLedger) -> None:
     out = _check_series(spec.output, grid.n_units, f"{spec.name}.output", lo=0.0)
     if spec.curtailable:
-        out = [model.continuous(f"{spec.name}.output[{i + 1}]", 0.0, out[i])
-               for i in range(grid.n_units)]
-    ledger.add_source(ELECTRIC, spec.name, out)
+        cols = model.continuous_series(f"{spec.name}.output", grid.n_units, 0.0, out)
+        ledger.add_source(ELECTRIC, spec.name, ExprBlock.columns(cols))
+    else:
+        ledger.add_source(ELECTRIC, spec.name, ExprBlock.constants(out))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,16 @@ registered with positive sign, yields with negative sign.  Every constraint
 carries a provenance tag so generated rows can be traced back to the
 component and time unit that emitted them.
 
+A model keeps its rows in one CSR row store: column and coefficient arrays,
+row ends, senses, right-hand sides and tags.  ``add_constraint`` appends one
+row from an expression, ``add_rows`` a block of rows, one per time unit,
+from an ``ExprBlock``: a series of expressions held as arrays (term columns
+and coefficients in insertion order, row pointers and a constant vector).
+``Model.continuous_series`` makes the named columns of such a series in one
+call.  ``row_arrays`` hands the store to the solver and to ``export_lp`` as
+numpy arrays; ``Model.constraints`` is a read-only view that builds a
+``Constraint`` record for each row it is asked for.
+
 A ``Var`` is a slotted handle (id, name, domain), equal only to itself.
 ``Model.binary``, ``integer`` and ``continuous`` give all variables of one
 box the same ``Domain``: a model builds and checks each distinct box once
@@ -29,7 +39,14 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import attrgetter, ne
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DuplicateName, ModelError, UndeclaredVariable
 
@@ -42,6 +59,10 @@ BINARY = "binary"
 LE = "<="
 EQ = "="
 GE = ">="
+
+# a row's sense as stored: -1 for <=, 0 for =, 1 for >=
+_SENSE_CODE = {LE: -1, EQ: 0, GE: 1}
+_SENSE_OF = {-1: LE, 0: EQ, 1: GE}
 
 
 @dataclass(frozen=True)
@@ -221,6 +242,86 @@ def as_expr(x) -> LinExpr:
     raise TypeError(f"cannot treat {x!r} as a linear expression")
 
 
+class ExprBlock:
+    """A series of linear expressions held as arrays, one per time unit.
+
+    The terms of expression ``i`` are ``cols[ptr[i]:ptr[i + 1]]`` with the
+    coefficients in the same places of ``coefs``, in term insertion order,
+    and its constant is ``const[i]``.  The constructors below give bit for
+    bit the expressions that the ``LinExpr`` operators would.
+    """
+
+    __slots__ = ("ptr", "cols", "coefs", "const")
+
+    def __init__(self, ptr, cols, coefs, const):
+        self.ptr = ptr
+        self.cols = cols
+        self.coefs = coefs
+        self.const = const
+
+    def __len__(self) -> int:
+        return len(self.const)
+
+    @classmethod
+    def columns(cls, cols, const=0.0) -> "ExprBlock":
+        """The expressions ``Var + const``: one term of coefficient 1.0 each."""
+        cols = np.asarray(cols, dtype=np.int64)
+        n = len(cols)
+        # Var + k adds k to the constant 0.0, which turns a -0.0 into 0.0
+        return cls(np.arange(n + 1), cols, np.ones(n),
+                   np.add(0.0, np.broadcast_to(np.asarray(const, dtype=float), (n,))))
+
+    @classmethod
+    def scaled(cls, cols, scale) -> "ExprBlock":
+        """The expressions ``Var * k``: no term where k is 0, and the constant
+        ``0.0 * k`` (-0.0 for a negative k) elsewhere."""
+        cols = np.asarray(cols, dtype=np.int64)
+        k = np.broadcast_to(np.asarray(scale, dtype=float), cols.shape)
+        keep = k != 0.0
+        ptr = np.concatenate(([0], np.cumsum(keep)))
+        return cls(ptr, cols[keep], k[keep], np.where(keep, 0.0 * k, 0.0))
+
+    @classmethod
+    def constants(cls, values) -> "ExprBlock":
+        const = np.array(values, dtype=float)
+        return cls(np.zeros(len(const) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                   np.zeros(0), const)
+
+    @classmethod
+    def from_exprs(cls, series) -> "ExprBlock":
+        """The block of a sequence of ``LinExpr``, ``Var`` or numbers."""
+        exprs = list(map(as_expr, series))
+        terms = [e.terms for e in exprs]
+        lens = np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
+        ptr = np.concatenate(([0], np.cumsum(lens)))
+        nnz = int(ptr[-1])
+        cols = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=nnz)
+        coefs = np.fromiter(chain.from_iterable(map(dict.values, terms)), dtype=float,
+                            count=nnz)
+        const = np.fromiter((e.const for e in exprs), dtype=float, count=len(exprs))
+        return cls(ptr, cols, coefs, const)
+
+    @classmethod
+    def stack(cls, blocks) -> "ExprBlock":
+        """The expressions of every block, one block after the other."""
+        if not blocks:
+            return cls.constants(())
+        lens = np.concatenate([np.diff(b.ptr) for b in blocks])
+        return cls(np.concatenate(([0], np.cumsum(lens))),
+                   np.concatenate([b.cols for b in blocks]),
+                   np.concatenate([b.coefs for b in blocks]),
+                   np.concatenate([b.const for b in blocks]))
+
+    def negated(self) -> "ExprBlock":
+        return ExprBlock(self.ptr, self.cols, -self.coefs, -self.const)
+
+    def exprs(self) -> list:
+        """The expressions as ``LinExpr``, built on each call."""
+        cols, coefs, ptr = self.cols.tolist(), self.coefs.tolist(), self.ptr.tolist()
+        return [_adopt(dict(zip(cols[a:b], coefs[a:b])), k)
+                for a, b, k in zip(ptr, ptr[1:], self.const.tolist())]
+
+
 @dataclass
 class Constraint:
     id: int
@@ -242,6 +343,56 @@ class ValidationReport:
         return not (self.infeasible_rows or self.unbounded_objective_vars)
 
 
+class RowArrays(NamedTuple):
+    """A model's rows as numpy arrays: row ``k`` has the terms
+    ``cols[indptr[k]:indptr[k + 1]]`` with ``coefs`` in the same places."""
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    coefs: np.ndarray
+    senses: np.ndarray  # int8: -1 for <=, 0 for =, 1 for >=
+    rhs: np.ndarray
+    tags: list
+
+
+class _RowView(Sequence):
+    """Read-only view of a model's rows: each row read is a new ``Constraint``
+    with the terms in stored order."""
+
+    __slots__ = ("_model",)
+
+    def __init__(self, model: "Model"):
+        self._model = model
+
+    def __len__(self) -> int:
+        return len(self._model._tags)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        m = self._model
+        k = range(len(m._tags))[k]  # negative indices, and IndexError past the end
+        start = m._ends[k - 1] if k else 0
+        end = m._ends[k]
+        return Constraint(k, dict(zip(m._cols[start:end], m._coefs[start:end])),
+                          _SENSE_OF[m._senses[k]], m._rhs[k], m._tags[k])
+
+    def __iter__(self):
+        m = self._model
+        cols, coefs, start = m._cols.tolist(), m._coefs.tolist(), 0
+        for k, (end, code, rhs, tag) in enumerate(zip(m._ends, m._senses, m._rhs, m._tags)):
+            yield Constraint(k, dict(zip(cols[start:end], coefs[start:end])), _SENSE_OF[code],
+                             rhs, tag)
+            start = end
+
+    def __eq__(self, other):
+        if not isinstance(other, (_RowView, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
 class Model:
     """Single-writer MILP container.  Sense is always minimize."""
 
@@ -249,7 +400,13 @@ class Model:
         self.name = name
         self.vars: list[Var] = []
         self._by_name: dict[str, Var] = {}
-        self.constraints: list[Constraint] = []
+        # the CSR row store: row k's terms end at _ends[k] in _cols/_coefs
+        self._cols = array("q")
+        self._coefs = array("d")
+        self._ends = array("q")
+        self._senses = array("b")
+        self._rhs = array("d")
+        self._tags: list[str] = []
         self.objective: LinExpr = LinExpr()
         self.bigms: list = []  # BigM records, see linearize module
         self._domains: dict = {}  # box key -> its one Domain, see _domain
@@ -289,6 +446,28 @@ class Model:
     def continuous(self, name: str, lo: float = -INF, hi: float = INF) -> Var:
         return self.add_var(name, self._domain(CONTINUOUS, float(lo), float(hi)))
 
+    def continuous_series(self, name: str, n: int, lo=-INF, hi=INF) -> np.ndarray:
+        """Continuous columns ``name[1]`` to ``name[n]``; returns their ids.
+
+        ``lo`` and ``hi`` are each one bound for all columns or one per
+        column.  The same columns as ``n`` calls of :meth:`continuous`.
+        """
+        names = [f"{name}[{i}]" for i in range(1, n + 1)]
+        if not self._by_name.keys().isdisjoint(names):
+            taken = next(x for x in names if x in self._by_name)
+            raise DuplicateName(f"variable name already in use: {taken!r}")
+        if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+            domains = [self._domain(CONTINUOUS, float(lo), float(hi))] * n
+        else:
+            los = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).tolist()
+            his = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).tolist()
+            domains = [self._domain(CONTINUOUS, a, b) for a, b in zip(los, his)]
+        start = len(self.vars)
+        new = list(map(Var, range(start, start + n), names, domains))
+        self.vars.extend(new)
+        self._by_name.update(zip(names, new))
+        return np.arange(start, start + n)
+
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
@@ -300,19 +479,64 @@ class Model:
             bad = next(vid for vid in terms if vid < 0 or vid >= n)
             raise UndeclaredVariable(f"variable handle {bad} not declared in this model")
 
-    def add_constraint(self, lhs, sense: str, rhs: float = 0.0, tag: str = "") -> int:
-        if sense not in (LE, EQ, GE):
+    @staticmethod
+    def _check_row(sense: str, tag: str):
+        if sense not in _SENSE_CODE:
             raise ModelError(f"unknown constraint sense: {sense!r}")
         if not tag:
             raise ModelError("constraint tag must be non-empty")
+
+    @property
+    def constraints(self) -> _RowView:
+        """The rows, read-only: each row read is a new ``Constraint``."""
+        return _RowView(self)
+
+    def add_constraint(self, lhs, sense: str, rhs: float = 0.0, tag: str = "") -> int:
+        self._check_row(sense, tag)
         e = as_expr(lhs)
-        self._check_declared(e.terms)
+        terms = e.terms
+        self._check_declared(terms)
         rhs = float(rhs) - e.const
         if not math.isfinite(rhs):
             raise ModelError(f"non-finite rhs in constraint {tag!r}")
-        c = Constraint(len(self.constraints), dict(e.terms), sense, rhs, tag)
-        self.constraints.append(c)
-        return c.id
+        self._cols.extend(terms)
+        self._coefs.extend(terms.values())
+        self._ends.append(len(self._cols))
+        self._senses.append(_SENSE_CODE[sense])
+        self._rhs.append(rhs)
+        self._tags.append(tag)
+        return len(self._tags) - 1
+
+    def add_rows(self, lhs: ExprBlock, sense: str, rhs=0.0, tag: str = "") -> range:
+        """One row per expression of ``lhs``, tagged ``{tag}.i=1``, ``.i=2``, ...
+
+        Row i is the row ``add_constraint(lhs[i], sense, rhs[i])`` adds, with
+        ``rhs`` one number for all rows or one per row.  Returns the row ids.
+        """
+        self._check_row(sense, tag)
+        cols = lhs.cols
+        if len(cols) and (cols.min() < 0 or cols.max() >= len(self.vars)):
+            self._check_declared(cols.tolist())
+        n = len(lhs)
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)) - lhs.const
+        bad = np.flatnonzero(~np.isfinite(rhs))
+        if len(bad):
+            raise ModelError(f"non-finite rhs in constraint {f'{tag}.i={bad[0] + 1}'!r}")
+        first, base = len(self._tags), len(self._cols)
+        self._cols.frombytes(np.asarray(cols, dtype=np.int64).tobytes())
+        self._coefs.frombytes(np.asarray(lhs.coefs, dtype=float).tobytes())
+        self._ends.frombytes((np.asarray(lhs.ptr[1:], dtype=np.int64) + base).tobytes())
+        self._senses.frombytes(np.full(n, _SENSE_CODE[sense], dtype=np.int8).tobytes())
+        self._rhs.frombytes(rhs.tobytes())
+        self._tags.extend([f"{tag}.i={i}" for i in range(1, n + 1)])
+        return range(first, first + n)
+
+    def row_arrays(self) -> RowArrays:
+        """The row store as numpy arrays, copied: the model stays writable."""
+        return RowArrays(np.concatenate(([0], np.array(self._ends, dtype=np.int64))),
+                         np.array(self._cols, dtype=np.int64), np.array(self._coefs),
+                         np.array(self._senses, dtype=np.int8), np.array(self._rhs),
+                         list(self._tags))
 
     def set_objective(self, expr) -> None:
         e = as_expr(expr)
@@ -339,22 +563,19 @@ class Model:
 
     def validate(self) -> ValidationReport:
         report = ValidationReport()
-        used = set(self.objective.terms)
-        for c in self.constraints:
-            used.update(c.terms)
-        for v in self.vars:
-            if v.id not in used:
-                report.unused_vars.append(v.name)
-        for c in self.constraints:
-            if not c.terms:
-                satisfied = {
-                    LE: 0.0 <= c.rhs + 1e-12,
-                    EQ: abs(c.rhs) <= 1e-12,
-                    GE: 0.0 >= c.rhs - 1e-12,
-                }[c.sense]
-                (report.trivial_rows if satisfied else report.infeasible_rows).append(
-                    (c.id, c.tag)
-                )
+        rows = self.row_arrays()
+        used = _used_columns(self, rows)
+        report.unused_vars = [self.vars[vid].name for vid in np.flatnonzero(~used).tolist()]
+        empty = np.flatnonzero(np.diff(rows.indptr) == 0).tolist()
+        for k, code, rhs in zip(empty, rows.senses[empty].tolist(), rows.rhs[empty].tolist()):
+            satisfied = {
+                LE: 0.0 <= rhs + 1e-12,
+                EQ: abs(rhs) <= 1e-12,
+                GE: 0.0 >= rhs - 1e-12,
+            }[_SENSE_OF[code]]
+            (report.trivial_rows if satisfied else report.infeasible_rows).append(
+                (k, rows.tags[k])
+            )
         for vid, coef in self.objective.terms.items():
             v = self.vars[vid]
             if v.domain.kind != CONTINUOUS or coef == 0.0:
@@ -367,9 +588,14 @@ class Model:
 
 # -- LP file export -----------------------------------------------------------
 
-_ILLEGAL_CHAR = re.compile(r"[^A-Za-z0-9_]")
+# every character but [A-Za-z0-9_] and the newline that separates names
+_ILLEGAL_CHAR = re.compile(r"[^A-Za-z0-9_\n]")
 _ILLEGAL_ASCII = str.maketrans(
-    {c: "_" for c in map(chr, range(128)) if not (c.isalnum() or c == "_")})
+    {c: "_" for c in map(chr, range(128)) if not (c.isalnum() or c in "_\n")})
+# a sanitized name that needs the prefix v_: empty, a leading digit, or "e1"
+_PREFIX = re.compile(r"[0-9]|[eE][0-9]|$")
+# the first characters of a name that never needs it
+_NO_PREFIX = frozenset("ABCDFGHIJKLMNOPQRSTUVWXYZabcdfghijklmnopqrstuvwxyz_")
 
 
 @dataclass
@@ -385,32 +611,36 @@ def _sanitize_names(model: Model):
     """Map every variable to an LP-legal name, reversibly.
 
     Every character outside ``[A-Za-z0-9_]`` becomes ``_``, in one
-    translation over all names joined: it maps one character to one, so the
-    name lengths cut the result apart again (on a week model that takes
-    2 ms, a translation per name 14 ms).  A name that is then empty,
-    starts with a digit or could be read as an exponent (``e1``) gets the
-    prefix ``v_``, and a name already taken gets ``__2``, ``__3``, ...
+    translation over all names joined by newlines, which the translation
+    keeps and a split then cuts at (on a week model that takes 2 ms, a
+    translation per name 14 ms).  A name that is then empty, starts with a
+    digit or could be read as an exponent (``e1``) gets the prefix ``v_``,
+    and a name already taken gets ``__2``, ``__3``, ...  Both are rare: the
+    names are walked one by one only when one of them starts with a digit,
+    ``e``, ``E`` or nothing, or when two are equal.
     """
     originals = [v.name for v in model.vars]
-    joined = "".join(originals).translate(_ILLEGAL_ASCII)
+    if not originals:
+        return [], {}
+    joined = "\n".join(originals)
+    if joined.count("\n") >= len(originals):  # a name holds a newline itself
+        joined = "\n".join(name.replace("\n", "_") for name in originals)
+    joined = joined.translate(_ILLEGAL_ASCII)
     if not joined.isascii():
         joined = _ILLEGAL_CHAR.sub("_", joined)
-    names = []  # by var id
-    taken = set()
-    end = 0
-    for original in originals:
-        start, end = end, end + len(original)
-        name = joined[start:end]
-        if not name or name[0].isdigit() or (name[0] in "eE" and name[1:2].isdigit()):
-            name = "v_" + name
-        if name in taken:
-            k = 2
-            while f"{name}__{k}" in taken:
-                k += 1
-            name = f"{name}__{k}"
-        taken.add(name)
-        names.append(name)
-    renamed = {name: original for name, original in zip(names, originals) if name != original}
+    names = joined.split("\n")  # by var id
+    if not _NO_PREFIX.issuperset({name[:1] for name in names}):
+        names = ["v_" + name if _PREFIX.match(name) else name for name in names]
+    if len(set(names)) < len(names):
+        taken = set()
+        for i, name in enumerate(names):
+            if name in taken:
+                k = 2
+                while f"{name}__{k}" in taken:
+                    k += 1
+                name = names[i] = f"{name}__{k}"
+            taken.add(name)
+    renamed = dict(compress(zip(names, originals), map(ne, names, originals)))
     return names, renamed
 
 
@@ -432,6 +662,21 @@ class _Texts(dict):
         return text
 
 
+def _num_texts(values: np.ndarray) -> _Texts:
+    """A ``_num`` cache that already holds every finite one of ``values``.
+
+    They are formatted in one ``%`` operation: ``%.17g`` writes what
+    ``_num`` writes for every finite number but -0.0, which is set apart.
+    A number left out (inf, NaN) is formatted by ``_num`` when asked for.
+    """
+    num = _Texts(_num)
+    distinct = np.unique(values[np.isfinite(values)]).tolist()
+    num.update(zip(distinct, (("%.17g\n" * len(distinct)) % tuple(distinct)).split("\n")))
+    if 0.0 in num:
+        num[0.0] = "0"
+    return num
+
+
 def _box_text(lo: float, hi: float, num: _Texts):
     if lo == -INF and hi == INF:
         return " ", " free"
@@ -442,6 +687,49 @@ def _box_text(lo: float, hi: float, num: _Texts):
     return f" {'-inf' if lo == -INF else num[lo]} <= ", f" <= {'+inf' if hi == INF else num[hi]}"
 
 
+def _used_columns(model: Model, rows: RowArrays) -> np.ndarray:
+    """Per column: does the objective or any row hold it?"""
+    used = np.zeros(len(model.vars), dtype=bool)
+    used[rows.cols] = True
+    used[np.fromiter(model.objective.terms, dtype=np.int64)] = True
+    return used
+
+
+def _rows_text(rows: RowArrays, names: list, num: _Texts) -> str:
+    """The lines of the Subject To section, joined.
+
+    Row k is the tokens ``c{k}:``, a signed number and a name per term in
+    column order (``0`` and the first name for a row without terms), its
+    sense and its rhs ending the line.  All tokens go into one array and one
+    join, with each distinct coefficient formatted once.
+    """
+    indptr = rows.indptr
+    m, nnz = len(rows.rhs), len(rows.cols)
+    lens = np.diff(indptr)
+    row_of = np.repeat(np.arange(m), lens)
+    order = np.lexsort((rows.cols, row_of))
+    width = 2 * np.maximum(lens, 1) + 3
+    start = np.cumsum(width) - width
+    tokens = np.empty(int(width.sum()), dtype=object)
+    tokens[start] = [f"c{k}:" for k in range(m)]
+    at = start[row_of] + 1 + 2 * (np.arange(nnz) - indptr[row_of])
+    distinct, which = np.unique(rows.coefs[order], return_inverse=True)
+    signed = np.array([f"{'-' if c < 0 else '+'} {num[abs(c)]}" for c in distinct.tolist()],
+                      dtype=object)
+    tokens[at] = signed[which]
+    tokens[at + 1] = np.array(names, dtype=object)[rows.cols[order]]
+    # the first term of a row goes without a plus sign
+    first = start[lens > 0] + 1
+    tokens[first] = [t[2:] if t[:1] == "+" else t for t in tokens[first].tolist()]
+    empty = start[lens == 0]
+    tokens[empty + 1] = "0"
+    tokens[empty + 2] = names[0]
+    end = start + width
+    tokens[end - 2] = np.array([LE, EQ, GE], dtype=object)[rows.senses + 1]
+    tokens[end - 1] = [num[r] + "\n" for r in rows.rhs.tolist()]
+    return " " + " ".join(tokens.tolist())[:-1]
+
+
 def export_lp(model: Model) -> LpFile:
     """Serialize the model to CPLEX LP format text.
 
@@ -449,56 +737,48 @@ def export_lp(model: Model) -> LpFile:
     objective constant is not representable in the format and is left out;
     callers recompute objective values from variable assignments.
 
-    Each row's terms are written in column order.  Each distinct number is
-    formatted once per export, through caches that live only for this call.
+    Each row's terms are written in column order, read from the row store
+    sorted once.  Each distinct number is formatted once per export, through
+    caches that live only for this call, and each distinct box once.
     """
     names, renamed = _sanitize_names(model)
-    num = _Texts(_num)
-    signed = _Texts(lambda c: f"{'-' if c < 0 else '+'} {_num(abs(c))} ")
+    rows = model.row_arrays()
+    obj_coefs = np.fromiter(model.objective.terms.values(), dtype=float)
+    domains = list(map(attrgetter("domain"), model.vars))
+    distinct_domains = dict(zip(map(id, domains), domains))
+    num = _num_texts(np.concatenate((
+        np.abs(rows.coefs), rows.rhs, np.abs(obj_coefs),
+        [x for d in distinct_domains.values() for x in (d.lo, d.hi)])))
+    signed = _Texts(lambda c: f"{'-' if c < 0 else '+'} {num[abs(c)]} ")
 
     def terms_text(terms):
         text = " ".join([signed[terms[vid]] + names[vid] for vid in sorted(terms)])
         return text[2:] if text[:1] == "+" else text
 
-    used = set(model.objective.terms)
-    for c in model.constraints:
-        used.update(c.terms)
-
+    used = _used_columns(model, rows)
     lines = ["\\ " + model.name, "Minimize"]
     obj = terms_text(model.objective.terms)
     # vars appearing nowhere still need a column for LP readers
-    orphan = " ".join(f"+ 0 {names[v.id]}" for v in model.vars if v.id not in used)
+    orphan = " ".join(f"+ 0 {names[vid]}" for vid in np.flatnonzero(~used).tolist())
     if not obj and not orphan and model.vars:
         obj = f"0 {names[0]}"
     lines.append(" obj: " + " ".join(x for x in (obj, orphan) if x))
 
     lines.append("Subject To")
-    for c in model.constraints:
-        body = terms_text(c.terms)
-        if not body:
-            if not model.vars:
-                raise ModelError("cannot export a constraint over an empty variable set")
-            body = f"0 {names[0]}"
-        lines.append(f" c{c.id}: {body} {c.sense} {num[c.rhs]}")
+    if len(rows.rhs):
+        if not model.vars:
+            raise ModelError("cannot export a constraint over an empty variable set")
+        lines.append(_rows_text(rows, names, num))
 
-    bounds = []
-    generals = []
-    binaries = []
-    # (lo, hi) -> (before, after) the name, () for the default box: a week
-    # model has 7392 columns but a handful of boxes
-    box_text = {}
-    for v, n in zip(model.vars, names):
-        d = v.domain
-        if d.kind == BINARY:
-            binaries.append(n)
-            continue
-        if d.kind == INTEGER:
-            generals.append(n)
-        box = box_text.get((d.lo, d.hi))
-        if box is None:
-            box = box_text[(d.lo, d.hi)] = _box_text(d.lo, d.hi, num)
-        if box:
-            bounds.append(box[0] + n + box[1])
+    # each distinct box's text before and after the name, () where a column
+    # has no line in Bounds: a binary or the default box
+    box_text = {key: () if d.kind == BINARY else _box_text(d.lo, d.hi, num)
+                for key, d in distinct_domains.items()}
+    boxes = list(map(box_text.__getitem__, map(id, domains)))
+    bounds = [box[0] + n + box[1] for box, n in zip(boxes, names) if box]
+    kinds = {d.kind for d in distinct_domains.values()}
+    generals = [n for d, n in zip(domains, names) if d.kind == INTEGER] if INTEGER in kinds else []
+    binaries = [n for d, n in zip(domains, names) if d.kind == BINARY] if BINARY in kinds else []
     if bounds:
         lines.append("Bounds")
         lines.extend(bounds)

@@ -23,10 +23,12 @@ Before the tree, and only when the root LP is fractional, one propagation
 dive looks for an incumbent (Berthold, "Primal Heuristics for Mixed Integer
 Programs", 2006): it sets the fractional integer of lowest index to its
 ceiling, propagates bounds as presolve does and re-solves the warm LP, until
-the LP point is integral.  A box that propagation proves empty, an LP that
-ends other than optimal or fails numerically ends the dive without one.  The
-tree then starts from the solved root, with the root LP as its bound and the
-dive's point as its incumbent.  ``stats`` counts ``nodes`` of the tree, the
+the LP point is integral.  Each step starts from a propagation fixpoint, so
+it propagates only the rows of the column it set and then of the columns
+that move.  A box that propagation proves empty, an LP that ends other than
+optimal or fails numerically ends the dive without one.  The tree then
+starts from the solved root, with the root LP as its bound and the dive's
+point as its incumbent.  ``stats`` counts ``nodes`` of the tree, the
 root included, and ``lp_solves`` of tree and dive together.
 
 Degenerate models have many optimal vertices, and a warm start returns
@@ -38,25 +40,26 @@ There the root LP is already the optimum, and the propagation dive reaches it
 in 9 more LPs, so the tree is the root alone: 10 LPs on each tariff.
 
 :class:`ModelArrays` compiles a model once into one sparse CSR constraint
-matrix.  Presolve, both LP backends and the verification of every reported
-solution read that matrix.  Presolve is activity-based bound propagation run
-as whole-matrix passes until no bound moves (Savelsbergh, ORSA J. Computing
-1994); it proves many fixed-pattern models infeasible without any LP.
+matrix, copied from the model's CSR row store.  Presolve, both LP backends
+and the verification of every reported solution read that matrix.  Presolve
+is activity-based bound propagation run as whole-matrix passes until no
+bound moves (Savelsbergh, ORSA J. Computing 1994); it proves many
+fixed-pattern models infeasible without any LP.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import NumericalFailure, SolverError
-from .milp import GE, LE, Model
+from .milp import EQ, GE, LE, Model
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -170,26 +173,19 @@ class ModelArrays:
         n = len(model.vars)
         self.n = n
         self.c = np.zeros(n)
-        for vid, coef in model.objective.terms.items():
-            self.c[vid] = coef
+        obj = model.objective.terms
+        self.c[np.fromiter(obj, dtype=np.int64, count=len(obj))] = list(obj.values())
         self.obj_const = model.objective.const
-        self.lo = np.array([v.domain.lo for v in model.vars], dtype=float)
-        self.hi = np.array([v.domain.hi for v in model.vars], dtype=float)
-        self.integral = np.array([v.domain.is_integral for v in model.vars], dtype=bool)
-        cons = model.constraints
-        row_len = np.fromiter((len(con.terms) for con in cons), dtype=np.int64, count=len(cons))
-        indptr = np.concatenate(([0], np.cumsum(row_len)))
-        nnz = int(indptr[-1])
-        cols = np.fromiter(chain.from_iterable(con.terms for con in cons), dtype=np.int64,
-                           count=nnz)
-        data = np.fromiter(chain.from_iterable(con.terms.values() for con in cons),
-                           dtype=float, count=nnz)
-        self.a = csr_matrix((data, cols, indptr), shape=(len(cons), n))
+        domains = [v.domain for v in model.vars]
+        self.lo = np.array([d.lo for d in domains], dtype=float)
+        self.hi = np.array([d.hi for d in domains], dtype=float)
+        self.integral = np.array([d.is_integral for d in domains], dtype=bool)
+        rows = model.row_arrays()
+        self.a = csr_matrix((rows.coefs, rows.cols, rows.indptr), shape=(len(rows.rhs), n))
         self.a.sort_indices()
-        self.rhs = np.array([con.rhs for con in cons], dtype=float)
-        self.senses = [con.sense for con in cons]
-        self.le = np.array([s != GE for s in self.senses], dtype=bool)  # LE or EQ
-        self.ge = np.array([s != LE for s in self.senses], dtype=bool)  # GE or EQ
+        self.rhs = rows.rhs
+        self.le = rows.senses <= 0  # LE or EQ
+        self.ge = rows.senses >= 0  # GE or EQ
         self._warm = None  # the persistent HiGHS LP, loaded by the first "highs" LP
 
     # -- LP backends --------------------------------------------------------
@@ -205,9 +201,8 @@ class ModelArrays:
         if backend == "dense":
             from . import simplex
 
-            status, x, obj = simplex.solve_lp(
-                self.c, self.a.toarray(), self.senses, self.rhs, lo, hi
-            )
+            senses = np.where(self.le & self.ge, EQ, np.where(self.le, LE, GE)).tolist()
+            status, x, obj = simplex.solve_lp(self.c, self.a.toarray(), senses, self.rhs, lo, hi)
             if status == simplex.OPTIMAL:
                 return OPTIMAL, x, obj + self.obj_const
             return (INFEASIBLE if status == simplex.INFEASIBLE else UNBOUNDED), None, None
@@ -219,7 +214,29 @@ class ModelArrays:
 
     # -- presolve: iterated activity-based bound tightening ------------------
 
-    def tighten_bounds(self, lo, hi, deadline: float | None = None):
+    @functools.cached_property
+    def _nonzeros(self):
+        """Per nonzero, in CSR order: its row, column and coefficient, the
+        signs of the coefficient, the senses and rhs of its row."""
+        a = self.a
+        row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        coef = a.data
+        return (row, a.indices, coef, coef > 0, coef < 0, self.le[row], self.ge[row],
+                self.rhs[row])
+
+    @functools.cached_property
+    def _column_rows(self):
+        """(indptr, rows) of the CSC layout: the rows of each column."""
+        csc = self.a.tocsc()
+        return csc.indptr, csc.indices
+
+    def _nonzeros_of_columns(self, cols):
+        """The rows that hold any of ``cols``, and their nonzeros in CSR order."""
+        ptr, rows = self._column_rows
+        rows = np.unique(rows[_ranges(ptr, cols)])
+        return rows, _ranges(self.a.indptr, rows)
+
+    def tighten_bounds(self, lo, hi, deadline: float | None = None, changed=None):
         """Returns (feasible, lo, hi) with tightened copies.
 
         Each pass computes every row's minimum and maximum activity under the
@@ -227,22 +244,33 @@ class ModelArrays:
         tightens each variable to the tightest bound its rows imply.  Once
         ``time.monotonic()`` passes ``deadline`` no further pass starts: the
         bounds reached so far are returned, sound but less tight.
+
+        ``changed`` names the columns whose bounds moved since ``(lo, hi)``
+        was last a fixpoint of this propagation.  The first pass then covers
+        only their rows, and each later pass only the rows of the columns
+        that moved in the pass before: a row none of whose bounds moved
+        implies what it implied at the fixpoint, so the result is the same
+        as without ``changed``, at a fraction of the work.
         """
         lo = lo.copy()
         hi = hi.copy()
-        a, b = self.a, self.rhs
-        coef, col = a.data, a.indices
-        row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-        pos, neg = coef > 0, coef < 0
-        le_nz, ge_nz, b_nz = self.le[row], self.ge[row], b[row]
+        b, m = self.rhs, len(self.rhs)
+        every = self._nonzeros
+        rows = nz = slice(None)  # the rows a pass covers and their nonzeros: all
+        if changed is not None:
+            rows, nz = self._nonzeros_of_columns(np.asarray(changed, dtype=np.int64))
         for _ in range(_PRESOLVE_PASSES):
             if np.any(lo > hi + 1e-9):
                 return False, lo, hi
+            row, col, coef, pos, neg, le_nz, ge_nz, b_nz = (x[nz] for x in every)
+            if changed is not None:
+                lo_before, hi_before = lo.copy(), hi.copy()
             term_min = np.where(pos, coef * lo[col], coef * hi[col])
             term_max = np.where(pos, coef * hi[col], coef * lo[col])
-            min_act = np.bincount(row, term_min, minlength=len(b))
-            max_act = np.bincount(row, term_max, minlength=len(b))
-            if np.any(self.le & (min_act > b + 1e-7)) or np.any(self.ge & (max_act < b - 1e-7)):
+            min_act = np.bincount(row, term_min, minlength=m)
+            max_act = np.bincount(row, term_max, minlength=m)
+            if np.any(self.le[rows] & (min_act[rows] > b[rows] + 1e-7)) or np.any(
+                    self.ge[rows] & (max_act[rows] < b[rows] - 1e-7)):
                 return False, lo, hi
             # a row with an infinite activity bound implies nothing
             from_le = le_nz & np.isfinite(min_act)[row]
@@ -266,6 +294,9 @@ class ModelArrays:
             hi[mask] = np.floor(hi[mask] + 1e-6)
             if deadline is not None and time.monotonic() >= deadline:
                 break
+            if changed is not None:
+                rows, nz = self._nonzeros_of_columns(
+                    np.flatnonzero((lo != lo_before) | (hi != hi_before)))
         if np.any(lo > hi + 1e-9):
             return False, lo, hi
         return True, lo, hi
@@ -290,6 +321,14 @@ class ModelArrays:
         return float(self.c @ x) + self.obj_const
 
 
+def _ranges(ptr, idx):
+    """The positions ``ptr[i]`` to ``ptr[i + 1] - 1`` of every i in ``idx``, in order."""
+    starts = ptr[idx]
+    lens = ptr[idx + 1] - starts
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1] if len(ends) else 0)
+
+
 def _dive(arrays: ModelArrays, lo, hi, x, j, run_lp, deadline):
     """A propagation dive from an LP point ``x`` with fractional integer ``j``
     in the box (lo, hi): set the fractional integer of lowest index to its
@@ -297,11 +336,13 @@ def _dive(arrays: ModelArrays, lo, hi, x, j, run_lp, deadline):
     that point, or None once a propagation proves the box empty, an LP ends
     other than optimal or fails numerically.  Each step raises one integer's
     lower bound by at least 1, so the dive ends within the integers' ranges.
+    Each box it starts from is a propagation fixpoint, so only the rows of
+    the one column set and of the columns that then move are propagated.
     A heuristic: it proves nothing."""
     while j is not None:
         lo = lo.copy()
         lo[j] = math.floor(x[j]) + 1
-        ok, lo, hi = arrays.tighten_bounds(lo, hi, deadline)
+        ok, lo, hi = arrays.tighten_bounds(lo, hi, deadline, changed=[j])
         if not ok:
             return None
         try:

@@ -587,6 +587,54 @@ class RefVar:
 
 
 # ---------------------------------------------------------------------------
+# balances, objective and extraction as first written, over RefLinExpr
+
+
+def balances_reference(power: dict, n: int) -> list:
+    """The carrier balances summed one expression at a time.
+
+    ``power`` maps each carrier, in the order rows are emitted, to its
+    (sources, sinks): lists of series of ``RefLinExpr``.  Per unit the
+    sources are added and the sinks subtracted, one copy per step.  Returns
+    (tag, terms, rhs) per row, the rhs as ``add_constraint`` folds the
+    constant into it.
+    """
+    rows = []
+    for carrier, (sources, sinks) in power.items():
+        if not sources and not sinks:
+            continue
+        for i in range(n):
+            net = RefLinExpr()
+            for series in sources:
+                net = net + series[i]
+            for series in sinks:
+                net = net - series[i]
+            rows.append((f"balance.{carrier}.i={i + 1}", net.terms, 0.0 - net.const))
+    return rows
+
+
+def objective_reference(inputs: list, outputs: list) -> RefLinExpr:
+    """Total costs minus total yields, series by series and unit by unit."""
+    obj = RefLinExpr()
+    for series in inputs:
+        for e in series:
+            obj = obj + e
+    for series in outputs:
+        for e in series:
+            obj = obj - e
+    return obj
+
+
+def extract_reference(expr: RefLinExpr, x) -> float:
+    """A schedule value: the products added in term order, then the
+    constant, rounded by Python's ``round(v, 12)``."""
+    total = 0.0
+    for vid, c in expr.terms.items():
+        total += c * x[vid]
+    return round(total + expr.const, 12)
+
+
+# ---------------------------------------------------------------------------
 # LP export: the first, per-name and per-term version of ``milp.export_lp``
 
 _LEGAL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")

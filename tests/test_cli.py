@@ -224,3 +224,23 @@ def test_missing_input_file_exits_one(tmp_path, capsys):
 def test_bad_flags_exit_one(capsys):
     assert cli_main(["optimize", "--frobnicate"]) == 1
     assert cli_main(["no-such-command"]) == 1
+
+
+def test_the_parser_is_built_once_and_each_call_parses_its_own_flags(tmp_path, monkeypatch,
+                                                                     capsys):
+    limits = []
+
+    def record_limit(problem, options):
+        limits.append(options.time_limit)
+        return Solution("timeLimit")
+
+    monkeypatch.setattr(besched.cli, "solve_problem", record_limit)
+    besched.cli._build_parser.cache_clear()
+    args = _write_scenario(tmp_path)
+    assert cli_main(["optimize", *args, "--out", str(tmp_path / "a"), "--time-limit", "5"]) == 1
+    assert cli_main(["optimize", *args, "--out", str(tmp_path / "b")]) == 1
+    assert cli_main(["optimize", *args, "--out", str(tmp_path / "c"),
+                     "--time-limit", "abc"]) == 1
+    assert "--time-limit: must be a positive number of seconds" in capsys.readouterr().err
+    assert limits == [5.0, None]
+    assert besched.cli._build_parser.cache_info().misses == 1

@@ -510,3 +510,79 @@ def test_warm_lp_passes_only_the_column_bounds_that_moved():
     agrees_with_a_fresh_instance(lo, down)  # nothing moved: no call at all
     agrees_with_a_fresh_instance(lo, hi)
     assert changed == [[j], [j]]
+
+
+def _checking_changed_columns(monkeypatch):
+    """Wrap tighten_bounds: every call given ``changed`` is repeated without
+    it, and both results must be equal to the last bit.  Returns the list of
+    such calls."""
+    tighten = ModelArrays.tighten_bounds
+    steps = []
+
+    def tighten_both_ways(self, lo, hi, deadline=None, changed=None):
+        result = tighten(self, lo, hi, deadline, changed)
+        if changed is not None:
+            full = tighten(self, lo, hi, deadline)
+            assert result[0] == full[0]
+            assert np.array_equal(result[1], full[1]) and np.array_equal(result[2], full[2])
+            steps.append(changed)
+        return result
+
+    monkeypatch.setattr(ModelArrays, "tighten_bounds", tighten_both_ways)
+    return steps
+
+
+def test_dive_steps_propagate_only_the_moved_columns_and_match_a_full_pass(
+        tmp_path, monkeypatch):
+    steps = _checking_changed_columns(monkeypatch)
+    assert solve_builtin(_day_model(tmp_path, 0.0)).status == OPTIMAL
+    assert len(steps) >= 5
+    day_steps = len(steps)
+    # positive costs and a weighted cover row with a fractional rhs make the
+    # root LP of many random models fractional, so that they dive
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m = random_milp(rng, max_binaries=12, max_rows=20)
+        weights = rng.integers(2, 9, len(m.vars)).tolist()
+        m.add_constraint(sum((v * float(w) for v, w in zip(m.vars, weights)),
+                             start=m.vars[0] * 0.0),
+                         GE, float(rng.integers(1, sum(weights) + 1)) + 0.5, "cover")
+        costs = rng.integers(1, 10, len(m.vars)).tolist()
+        m.set_objective(sum((v * float(c) for v, c in zip(m.vars, costs)), start=m.vars[0] * 0.0))
+        solve_builtin(m)
+    assert len(steps) >= day_steps + 15
+
+
+def test_propagating_from_moved_columns_follows_a_chain_to_the_fixpoint():
+    # x_k - x_(k+1) = 1 along 40 integers: raising the last one's lower
+    # bound moves every other one, one row further in each pass
+    m = Model()
+    xs = [m.integer(f"x{k}", 0, 100) for k in range(1, 41)]
+    for k in range(39):
+        m.add_constraint(xs[k] - xs[k + 1], EQ, 1.0, f"chain.k={k + 1}")
+    arrays = ModelArrays(m)
+    ok, lo, hi = arrays.tighten_bounds(arrays.lo, arrays.hi)
+    assert ok and lo[0] == 39.0 and hi[39] == 61.0
+    lo[39] = 50.0
+    full = arrays.tighten_bounds(lo, hi)
+    moved = arrays.tighten_bounds(lo, hi, changed=[39])
+    assert moved[0] and full[0]
+    assert np.array_equal(moved[1], full[1]) and np.array_equal(moved[2], full[2])
+    assert moved[1].tolist() == [89.0 - k for k in range(40)]
+
+
+def test_a_solve_without_a_dive_builds_no_column_index(monkeypatch):
+    built = []
+    init = ModelArrays.__init__
+
+    def keep(self, model):
+        init(self, model)
+        built.append(self)
+
+    monkeypatch.setattr(ModelArrays, "__init__", keep)
+    m = Model()
+    x, y = m.continuous("x", 0, 4), m.continuous("y", 0, 4)
+    m.add_constraint(x + y, GE, 3.0, "cover")
+    m.set_objective(x + y * 2.0)
+    assert solve_builtin(m).status == OPTIMAL
+    assert "_nonzeros" in vars(built[0]) and "_column_rows" not in vars(built[0])
