@@ -104,9 +104,9 @@ class BalanceLedger:
         entries = self.power[carrier][role]
         if any(name == component for name, _ in entries):
             raise ModelError(f"component {component!r} already registered as {carrier} {role}")
-        exprs = self._check_series(series, f"{component}/{carrier}/{role}")
-        entries.append((component, exprs))
-        self._add_state(f"{SERIES_PREFIX[(carrier, role)]}_{component}", exprs)
+        block = self._check_series(series, f"{component}/{carrier}/{role}")
+        entries.append((component, block))
+        self._add_state(f"{SERIES_PREFIX[(carrier, role)]}_{component}", block)
 
     def add_source(self, carrier, component, series):
         self.add_power(carrier, SOURCE, component, series)
@@ -117,9 +117,9 @@ class BalanceLedger:
     def add_financial(self, role: str, component: str, series) -> None:
         if role not in ("input", "output"):
             raise ModelError(f"unknown financial role {role!r}")
-        exprs = self._check_series(series, f"{component}/financial/{role}")
-        self.financial[role].append((component, exprs))
-        self._add_state(f"financial{'Input' if role == 'input' else 'Output'}_{component}", exprs)
+        block = self._check_series(series, f"{component}/financial/{role}")
+        self.financial[role].append((component, block))
+        self._add_state(f"financial{'Input' if role == 'input' else 'Output'}_{component}", block)
 
     def add_financial_input(self, component, series):
         self.add_financial("input", component, series)

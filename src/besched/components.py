@@ -221,7 +221,8 @@ def build_storage(model: Model, spec: StorageSpec, grid: TimeGrid,
     discharge = model.continuous_series(f"{spec.name}.discharge", n, 0.0,
                                         spec.max_discharge_power)
     # level[i] - keep * level[i - 1] - cin * charge[i] + dout * discharge[i] = 0,
-    # with keep * initial level on the right-hand side at unit 1
+    # with keep * initial level on the right-hand side at unit 1, whose slot
+    # for the previous level (-1 here) is deleted
     cin, dout = spec.charge_efficiency * dt, dt / spec.discharge_efficiency
     cols = np.stack([level, np.concatenate(([-1], level[:-1])), charge, discharge], axis=1)
     coefs = np.broadcast_to(np.array([1.0, -keep, -cin, dout]), cols.shape)
