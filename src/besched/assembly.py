@@ -60,15 +60,20 @@ class TimeGrid:
         if not (self.hours_per_unit > 0):
             raise ModelError(f"hoursPerTimeUnit must be positive, got {self.hours_per_unit}")
 
+    def _units(self, hours: float) -> float:
+        if not math.isfinite(hours):
+            raise ModelError(f"a duration of {hours} h has no whole number of time units")
+        return hours / self.hours_per_unit
+
     def units_ceil(self, hours: float) -> int:
         """Smallest whole number of units covering the duration."""
-        return math.ceil(round(hours / self.hours_per_unit, 9))
+        return math.ceil(round(self._units(hours), 9))
 
     def units_floor(self, hours: float) -> int:
-        return math.floor(round(hours / self.hours_per_unit, 9))
+        return math.floor(round(self._units(hours), 9))
 
     def units_round(self, hours: float) -> int:
-        return round(hours / self.hours_per_unit)
+        return round(self._units(hours))
 
 
 class BalanceLedger:

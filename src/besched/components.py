@@ -332,6 +332,8 @@ class MechChpSpec:
             raise ModelError(f"{self.name}: boiler efficiency must lie in (0, 1]")
         if self.boiler_p_max < 0:
             raise ModelError(f"{self.name}: boiler output limit must be non-negative")
+        if not (math.isfinite(self.k_on) and math.isfinite(self.k_off)):
+            raise ModelError(f"{self.name}: switching costs must be finite")
 
 
 def build_mech_chp(model: Model, spec: MechChpSpec, grid: TimeGrid,

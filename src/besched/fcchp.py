@@ -54,9 +54,9 @@ class FcchpPhysicalParams:
     d_init: float
     d_start_up: float
     d_down: float
-    # warm-up duration in time units as a function of downtime in time units;
-    # either a sequence (value at downtime 1, 2, ...) or a callable
-    warmup_table: object = None
+    # warm-up duration in time units by downtime in time units: a sequence of
+    # the values at downtime 1, 2, ...; the last one holds for longer downtimes
+    warmup_table: tuple = ()
     p_el_stand_by: float = 0.0
     p_el_warm_up: float = 0.0
     p_el_cold_start: float = 0.0
@@ -81,8 +81,8 @@ class FcchpPhysicalParams:
                 raise ModelError(f"duration {label} must be positive")
         if self.d_init > self.d_start_up:
             raise ModelError("d_init must not exceed d_start_up")
-        if self.warmup_table is None:
-            raise ModelError("a warm-up duration table or function is required")
+        if not self.warmup_table:
+            raise ModelError("a non-empty warm-up duration table is required")
         if not (self.cold_start_threshold > 0):
             raise ModelError("cold-start downtime threshold must be positive")
         if not (self.delta_p_th_prod > 0):
@@ -90,12 +90,8 @@ class FcchpPhysicalParams:
 
     def warmup_units(self, downtime_units: int) -> int:
         """f(downtime), clipped to the last supporting value for long downtimes."""
-        if callable(self.warmup_table):
-            v = self.warmup_table(downtime_units)
-        else:
-            table = self.warmup_table
-            idx = min(downtime_units, len(table)) - 1
-            v = table[idx]
+        table = self.warmup_table
+        v = table[min(downtime_units, len(table)) - 1]
         iv = int(round(v))
         if iv < 1 or abs(iv - v) > 1e-9:
             raise ModelError(f"warm-up duration f({downtime_units}) = {v} is not a positive integer")
@@ -234,13 +230,8 @@ def derive_unit_params(phys: FcchpPhysicalParams, grid: TimeGrid) -> FcchpUnitPa
         covered = min(phys.d_down, (k + 1) * dt) - k * dt
         p_el_down.append(phys.p_el_add_shut_down * max(covered, 0.0) / dt)
 
-    f_values = []
-    clipped = False
-    for d in range(1, grid.n_units + 1):
-        if not callable(phys.warmup_table) and d > len(phys.warmup_table):
-            clipped = True
-        f_values.append(phys.warmup_units(d))
-    if clipped:
+    f_values = [phys.warmup_units(d) for d in range(1, grid.n_units + 1)]
+    if grid.n_units > len(phys.warmup_table):
         log.info("warm-up table shorter than the horizon; long downtimes use the last value")
     for a, b in zip(f_values, f_values[1:]):
         if b < a:
@@ -376,8 +367,6 @@ def replay_history(init: FcchpInitialState, up: FcchpUnitParams):
                     f"z_0 = {init.z_0} contradicts the start-up timeline "
                     f"(production begins at unit {warmup_end + up.start_up})"
                 )
-        if init.z_0 == 1 and init.y_0 == 1:
-            raise InconsistentHistory("warm-up and production cannot overlap")
     else:
         if init.r_0 > init.l_0:
             raise InconsistentHistory(

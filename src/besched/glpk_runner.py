@@ -25,7 +25,6 @@ GLP_NOFEAS = 4
 GLP_UNBND = 6
 
 GLP_ON = 1
-GLP_OFF = 0
 
 
 class GlpIocp(ctypes.Structure):

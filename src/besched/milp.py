@@ -31,8 +31,9 @@ its one-term dict directly; the results are bit for bit those of adding
 ``b * -1.0`` and of ``Var.expr() * k``.
 
 ``export_lp`` writes each row's terms in column order.  The variable names
-are made LP-legal in one translation over all of them, and each distinct
-number is formatted once per export, in caches that live for that call only.
+are made LP-legal in one translation over all of them.  ``_num_texts``, the
+one number writer of the LP file and of schedule.csv, formats each distinct
+number of a file once, all in one ``%`` operation.
 """
 
 from __future__ import annotations
@@ -336,11 +337,6 @@ class ValidationReport:
     unused_vars: list = field(default_factory=list)
     infeasible_rows: list = field(default_factory=list)  # (constraint id, tag)
     trivial_rows: list = field(default_factory=list)  # (constraint id, tag)
-    unbounded_objective_vars: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (self.infeasible_rows or self.unbounded_objective_vars)
 
 
 class RowArrays(NamedTuple):
@@ -532,15 +528,30 @@ class Model:
         return range(first, first + n)
 
     def row_arrays(self) -> RowArrays:
-        """The row store as numpy arrays, copied: the model stays writable."""
+        """The row store as numpy arrays, copied: the model stays writable.
+
+        Every reader of the rows comes through here, so a non-finite
+        coefficient is refused here, naming its row.
+        """
+        coefs = np.array(self._coefs)
+        bad = np.flatnonzero(~np.isfinite(coefs))
+        if len(bad):
+            row = int(np.searchsorted(self._ends, bad[0], side="right"))
+            raise ModelError(f"non-finite coefficient in constraint {self._tags[row]!r}")
         return RowArrays(np.concatenate(([0], np.array(self._ends, dtype=np.int64))),
-                         np.array(self._cols, dtype=np.int64), np.array(self._coefs),
+                         np.array(self._cols, dtype=np.int64), coefs,
                          np.array(self._senses, dtype=np.int8), np.array(self._rhs),
                          list(self._tags))
 
     def set_objective(self, expr) -> None:
         e = as_expr(expr)
         self._check_declared(e.terms)
+        if not math.isfinite(e.const):
+            raise ModelError(f"non-finite objective constant {e.const}")
+        coefs = np.fromiter(e.terms.values(), dtype=float, count=len(e.terms))
+        if not np.isfinite(coefs).all():
+            bad = next(vid for vid, c in e.terms.items() if not math.isfinite(c))
+            raise ModelError(f"non-finite objective coefficient of {self.vars[bad].name!r}")
         self.objective = e
 
     # -- evaluation ----------------------------------------------------------
@@ -576,13 +587,6 @@ class Model:
             (report.trivial_rows if satisfied else report.infeasible_rows).append(
                 (k, rows.tags[k])
             )
-        for vid, coef in self.objective.terms.items():
-            v = self.vars[vid]
-            if v.domain.kind != CONTINUOUS or coef == 0.0:
-                continue
-            # unbounded in the improving (downward) direction of minimize
-            if (coef > 0 and v.domain.lo == -INF) or (coef < 0 and v.domain.hi == INF):
-                report.unbounded_objective_vars.append(v.name)
         return report
 
 
@@ -602,9 +606,6 @@ _NO_PREFIX = frozenset("ABCDFGHIJKLMNOPQRSTUVWXYZabcdfghijklmnopqrstuvwxyz_")
 class LpFile:
     text: str
     name_map: dict  # sanitized name -> original name (only renamed entries)
-
-    def __str__(self):
-        return self.text
 
 
 def _sanitize_names(model: Model):
@@ -644,40 +645,21 @@ def _sanitize_names(model: Model):
     return names, renamed
 
 
-def _num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return format(x, ".17g")
+def _num_texts(values: np.ndarray, fmt: str) -> dict:
+    """The text of every distinct finite number of ``values``, by number.
 
-
-class _Texts(dict):
-    """Number -> text, each formatted on first use; one per export."""
-
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, x):
-        text = self[x] = self.fmt(x)
-        return text
-
-
-def _num_texts(values: np.ndarray) -> _Texts:
-    """A ``_num`` cache that already holds every finite one of ``values``.
-
-    They are formatted in one ``%`` operation: ``%.17g`` writes what
-    ``_num`` writes for every finite number but -0.0, which is set apart.
-    A number left out (inf, NaN) is formatted by ``_num`` when asked for.
+    They are formatted in one ``%`` operation: a whole number below 1e15 as
+    an integer (-0.0 as ``0``), any other with ``fmt``: ``%.17g`` in the LP
+    file, ``%r`` in schedule.csv.
     """
-    num = _Texts(_num)
-    distinct = np.unique(values[np.isfinite(values)]).tolist()
-    num.update(zip(distinct, (("%.17g\n" * len(distinct)) % tuple(distinct)).split("\n")))
-    if 0.0 in num:
-        num[0.0] = "0"
-    return num
+    distinct = np.unique(values[np.isfinite(values)])
+    whole = (distinct == np.trunc(distinct)) & (np.abs(distinct) < 1e15)
+    fmts = "\n".join(["%d" if w else fmt for w in whole.tolist()])
+    distinct = distinct.tolist()
+    return dict(zip(distinct, (fmts % tuple(distinct)).split("\n")))
 
 
-def _box_text(lo: float, hi: float, num: _Texts):
+def _box_text(lo: float, hi: float, num: dict):
     if lo == -INF and hi == INF:
         return " ", " free"
     if lo == hi:
@@ -695,7 +677,7 @@ def _used_columns(model: Model, rows: RowArrays) -> np.ndarray:
     return used
 
 
-def _rows_text(rows: RowArrays, names: list, num: _Texts) -> str:
+def _rows_text(rows: RowArrays, names: list, num: dict) -> str:
     """The lines of the Subject To section, joined.
 
     Row k is the tokens ``c{k}:``, a signed number and a name per term in
@@ -738,8 +720,8 @@ def export_lp(model: Model) -> LpFile:
     callers recompute objective values from variable assignments.
 
     Each row's terms are written in column order, read from the row store
-    sorted once.  Each distinct number is formatted once per export, through
-    caches that live only for this call, and each distinct box once.
+    sorted once.  Every distinct number is formatted once, by one
+    ``_num_texts`` call over all of them, and each distinct box once.
     """
     names, renamed = _sanitize_names(model)
     rows = model.row_arrays()
@@ -748,16 +730,15 @@ def export_lp(model: Model) -> LpFile:
     distinct_domains = dict(zip(map(id, domains), domains))
     num = _num_texts(np.concatenate((
         np.abs(rows.coefs), rows.rhs, np.abs(obj_coefs),
-        [x for d in distinct_domains.values() for x in (d.lo, d.hi)])))
-    signed = _Texts(lambda c: f"{'-' if c < 0 else '+'} {num[abs(c)]} ")
-
-    def terms_text(terms):
-        text = " ".join([signed[terms[vid]] + names[vid] for vid in sorted(terms)])
-        return text[2:] if text[:1] == "+" else text
+        [x for d in distinct_domains.values() for x in (d.lo, d.hi)])), "%.17g")
+    signed = {c: f"{'-' if c < 0 else '+'} {num[abs(c)]} "
+              for c in set(model.objective.terms.values())}
 
     used = _used_columns(model, rows)
     lines = ["\\ " + model.name, "Minimize"]
-    obj = terms_text(model.objective.terms)
+    obj = " ".join([signed[c] + names[vid] for vid, c in sorted(model.objective.terms.items())])
+    if obj[:1] == "+":
+        obj = obj[2:]
     # vars appearing nowhere still need a column for LP readers
     orphan = " ".join(f"+ 0 {names[vid]}" for vid in np.flatnonzero(~used).tolist())
     if not obj and not orphan and model.vars:

@@ -15,7 +15,10 @@ import json
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputError, LengthMismatch, NotFound
+from .milp import _num_texts
 from .schedule import Schedule
 from .xmlio import SeriesRef
 
@@ -100,12 +103,6 @@ def load_timeseries(ref: SeriesRef, n_units: int, base_dir=".", csv_rows=None) -
 # schedule output
 
 
-def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
 def _timestamps(schedule: Schedule):
     grid = schedule.grid
     if grid.start:
@@ -118,7 +115,10 @@ def _timestamps(schedule: Schedule):
 
 
 def write_schedule(schedule: Schedule, out_dir) -> dict:
-    """Write schedule.csv plus a metadata.json sidecar; returns written paths."""
+    """Write schedule.csv plus a metadata.json sidecar; returns written paths.
+
+    Every value of schedule.csv is written by ``milp._num_texts`` with ``%r``.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -139,10 +139,7 @@ def write_schedule(schedule: Schedule, out_dir) -> dict:
     names = list(schedule.series)
     stamps = _timestamps(schedule)
     columns = [schedule.series[name] for name in names]
-    text = {}  # value -> its CSV text, each distinct value formatted once per file
-    for x in chain.from_iterable(columns):
-        if x not in text:
-            text[x] = _fmt(x)
+    text = _num_texts(np.fromiter(chain.from_iterable(columns), dtype=float), "%r")
     lines = [",".join(["timestamp"] + names)]
     for stamp, *row in zip(stamps, *columns, strict=True):
         lines.append(",".join([stamp, *map(text.__getitem__, row)]))

@@ -11,13 +11,12 @@ element unit attributes, with the root element providing the defaults.
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InputError, ScenarioMismatch
-
-NAMESPACE = "http://www.fokus.fraunhofer.de/WaveSave"
 
 _POWER_SCALE = {"kW": 1.0, "W": 1e-3}
 _ENERGY_SCALE = {"kWh": 1.0}
@@ -307,12 +306,19 @@ def _local_attrs(el) -> dict:
     return {k: v for k, v in el.attrib.items() if not k.startswith("{")}
 
 
+def _number(raw: str) -> float:
+    value = float(raw)
+    if math.isnan(value):
+        raise ValueError(f"not a number: {raw!r}")
+    return value
+
+
 def _parse_value(raw: str, kind: str, units: dict, path: str):
     try:
         if kind in _KIND_UNIT:
-            return float(raw) * units[_KIND_UNIT[kind]]
+            return _number(raw) * units[_KIND_UNIT[kind]]
         if kind == FLOAT:
-            return float(raw)
+            return _number(raw)
         if kind == INT:
             return int(raw)
         if kind == BOOL:

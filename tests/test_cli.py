@@ -5,11 +5,17 @@ import gc
 import json
 import sys
 
+import time
+
+import numpy as np
+import pytest
+
 import besched.cli
 from besched.cli import cli_main
-from besched.solver import Solution
+from besched.solver import OPTIMAL, Solution, _WarmLP
 
 from helpers import write_daily_scenario
+from test_pipeline import ALL_CONFIG, ALL_SITUATION, write_every_element_series
 
 CONFIG = """<BuildingConfiguration xmlns="http://www.fokus.fraunhofer.de/WaveSave"
     id="SmallScenario" powerUnit="kW" energyUnit="kWh" priceUnit="ct" energyPriceUnit="ct/kWh">
@@ -179,6 +185,61 @@ def test_only_the_first_call_freezes_the_import_heap(tmp_path, monkeypatch):
     assert cli_main(["validate", *args]) == 0
     assert cli_main(["validate", *args]) == 0
     assert calls == [1]
+
+
+def test_optimize_refuses_an_incumbent_that_breaks_a_row(tmp_path, monkeypatch, capsys):
+    def off_the_rows(self, lo, hi, deadline):
+        # integral and inside the bounds, but it covers no demand
+        x = np.clip(0.0, lo, hi)
+        return OPTIMAL, x, float(self.c @ x) + self.obj_const
+
+    monkeypatch.setattr(_WarmLP, "solve", off_the_rows)
+    args = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["optimize", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: incumbent violates a constraint")
+    assert not (out / "schedule.csv").exists()
+
+
+def _write_every_element(tmp_path, config, situation):
+    write_every_element_series(tmp_path)
+    (tmp_path / "config.xml").write_text(config)
+    (tmp_path / "situation.xml").write_text(situation)
+    return ["--config", str(tmp_path / "config.xml"),
+            "--situation", str(tmp_path / "situation.xml")]
+
+
+@pytest.mark.parametrize("document, attr, value, message", [
+    # MechCHP
+    ("config", 'switchOnCost="2.0"', "nan", "not a number: 'nan'"),
+    ("config", 'switchOnCost="2.0"', "inf", "switching costs must be finite"),
+    ("config", 'switchOnCost="2.0"', "-inf", "switching costs must be finite"),
+    # HeatPump
+    ("config", 'minRunTimeInHours="3"', "inf", "a duration of inf h"),
+    ("config", 'minRunTimeInHours="3"', "nan", "not a number: 'nan'"),
+    ("situation", 'lastStartStopChangeInHours="1.0"', "inf", "a duration of inf h"),
+    ("situation", 'lastStartStopChangeInHours="1.0"', "nan", "not a number: 'nan'"),
+    # FcCHP
+    ("config", 'maxOnTimeInHours="10"', "inf", "a duration of inf h"),
+    ("config", 'warmUpSupportingValues="1 2 2 3"', "", "non-empty warm-up duration table"),
+])
+def test_optimize_rejects_a_non_finite_or_empty_value_with_one_error_line(
+        tmp_path, capsys, document, attr, value, message):
+    texts = {"config": ALL_CONFIG, "situation": ALL_SITUATION}
+    assert texts[document].count(attr) == 1
+    texts[document] = texts[document].replace(attr, f'{attr.split("=")[0]}="{value}"')
+    args = _write_every_element(tmp_path, texts["config"], texts["situation"])
+    out, lp = tmp_path / "out", tmp_path / "model.lp"
+    started = time.monotonic()
+    rc = cli_main(["optimize", *args, "--out", str(out), "--emit-lp", str(lp),
+                   "--time-limit", "5"])
+    assert time.monotonic() - started < 1.0
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and message in line
+    assert not out.exists() and not lp.exists()
 
 
 def test_validate_reports_model_size(tmp_path, capsys):

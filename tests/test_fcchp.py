@@ -150,8 +150,6 @@ def test_warmup_table_clipped_and_checked():
         derive_unit_params(make_phys(warmup_table=(2, 1)), TimeGrid(4, 1.0))
     with pytest.raises(ModelError, match="positive integer"):
         derive_unit_params(make_phys(warmup_table=(1, 2.5)), TimeGrid(4, 1.0))
-    up = derive_unit_params(make_phys(warmup_table=lambda d: min(d, 4)), TimeGrid(8, 1.0))
-    assert up.f_values == (1, 2, 3, 4, 4, 4, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +201,18 @@ def test_replay_stopped_plant_records_stop_and_cut_short_warmup():
     init = FcchpInitialState(x_0=0, l_0=-2, r_0=-4, w_0=10)
     _, sw = replay_history(init, _up())
     assert sw == {-2: 1}
+
+
+def test_replay_rejects_histories_no_run_produces():
+    # a running plant whose last change the start history denies as a start
+    with pytest.raises(InconsistentHistory, match="history denies"):
+        replay_history(FcchpInitialState(x_0=1, l_0=-4, r_0=-4, start_history={-4: 0}), _up())
+    # a warm-up declared over that would still run past unit 0
+    with pytest.raises(InconsistentHistory, match="runs past unit 0"):
+        replay_history(FcchpInitialState(x_0=1, l_0=-1, r_0=-1, w_0=3), _up())
+    # a plant off whose last start is newer than its last change
+    with pytest.raises(InconsistentHistory, match="not older"):
+        replay_history(FcchpInitialState(x_0=0, l_0=-5, r_0=-3), _up())
 
 
 def test_replay_rejects_start_after_last_change():

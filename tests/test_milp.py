@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from besched.errors import DuplicateName, ModelError, UndeclaredVariable
-from besched.milp import (BINARY, CONTINUOUS, EQ, GE, INTEGER, INF, LE, Domain, LinExpr, Model,
-                          ValidationReport, Var, export_lp)
+from besched.milp import (BINARY, CONTINUOUS, EQ, GE, INTEGER, INF, LE, Domain, ExprBlock,
+                          LinExpr, Model, ValidationReport, Var, export_lp)
 from besched.solver import SolveOptions, solve_builtin
 
 from oracles import (RefLinExpr, RefVar, export_lp_reference, parse_lp, random_milp,
@@ -134,6 +134,36 @@ def test_undeclared_variable_rejected():
     assert m1.constraints == []
 
 
+def test_rows_refuse_a_non_finite_rhs_and_an_undeclared_column():
+    m = Model()
+    ids = m.continuous_series("p", 3, 0.0, 1.0)
+    x = m.vars[0]
+    with pytest.raises(ModelError, match="non-finite rhs in constraint 'cap'"):
+        m.add_constraint(x + 0.0, LE, INF, "cap")
+    with pytest.raises(ModelError, match="non-finite rhs in constraint 'cap'"):
+        m.add_constraint(x + math.nan, LE, 1.0, "cap")
+    with pytest.raises(ModelError, match=r"non-finite rhs in constraint 'cap\.i=2'"):
+        m.add_rows(ExprBlock.columns(ids), LE, [1.0, INF, 1.0], "cap")
+    with pytest.raises(UndeclaredVariable, match="handle 3 not declared"):
+        m.add_rows(ExprBlock.columns([0, 3, 1]), LE, 1.0, "cap")
+    assert m.constraints == []
+
+
+def test_a_non_finite_coefficient_is_refused_naming_its_row_or_column():
+    m = Model()
+    x, y = m.binary("x"), m.binary("y")
+    m.add_constraint(x + y, LE, 1.0, "fine")
+    m.add_constraint(LinExpr({x.id: 2.0, y.id: math.inf}), LE, 1.0, "bad")
+    for read in (m.row_arrays, m.validate, lambda: export_lp(m), lambda: solve_builtin(m)):
+        with pytest.raises(ModelError, match="non-finite coefficient in constraint 'bad'"):
+            read()
+    with pytest.raises(ModelError, match="non-finite objective coefficient of 'y'"):
+        m.set_objective(LinExpr({x.id: 1.0, y.id: math.nan}))
+    with pytest.raises(ModelError, match="non-finite objective constant"):
+        m.set_objective(x * 1.0 + math.inf)
+    assert m.objective.terms == {}
+
+
 def test_empty_tag_rejected():
     m = Model()
     x = m.binary("x")
@@ -174,6 +204,21 @@ def test_export_lp_round_trips_through_independent_solver():
     obj, values = solve_parsed_lp(parse_lp(text))
     assert values["x"] == pytest.approx(1.0)
     assert obj == pytest.approx(1.0)
+
+
+def test_a_continuous_column_on_the_default_box_has_no_bounds_line():
+    m = Model()
+    u = m.continuous("u", 0.0)
+    x = m.continuous("x", 0.0, 2.0)
+    m.add_constraint(u + x, GE, 3.0, "cover")
+    m.set_objective(u * 2.0 + x)
+    text = export_lp(m).text
+    assert text.split("Bounds\n")[1] == " 0 <= x <= 2\nEnd\n"
+    parsed = parse_lp(text)
+    assert parsed["bounds"] == {"u": (0.0, INF), "x": (0.0, 2.0)}
+    obj, values = solve_parsed_lp(parsed)
+    assert obj == pytest.approx(4.0)
+    assert values["u"] == pytest.approx(1.0) and values["x"] == pytest.approx(2.0)
 
 
 def test_export_lp_serializes_all_senses():

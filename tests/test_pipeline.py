@@ -264,11 +264,15 @@ ALL_SERIES = {
 }
 
 
-def _every_element_inputs(tmp_path):
+def write_every_element_series(tmp_path):
     names = list(ALL_SERIES)
     rows = [",".join(names)]
     rows += [",".join(str(ALL_SERIES[k][i]) for k in names) for i in range(8)]
     (tmp_path / "all.csv").write_text("\n".join(rows) + "\n")
+
+
+def _every_element_inputs(tmp_path):
+    write_every_element_series(tmp_path)
     config = parse_configuration(ALL_CONFIG)
     return config, parse_situation(ALL_SITUATION, config)
 

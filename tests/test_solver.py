@@ -317,6 +317,19 @@ def test_time_limit_inside_an_lp_keeps_the_incumbent(monkeypatch):
     assert ModelArrays(m).max_violation(sol.vector(m)) <= 1e-6
 
 
+def test_an_incumbent_that_breaks_a_row_is_refused(monkeypatch):
+    # an LP engine that returns an integral point off the feasible set: the
+    # row-by-row check of the incumbent refuses to report it
+    m = Model()
+    x, y = m.binary("x"), m.binary("y")
+    m.add_constraint(x + y, LE, 1.0, "one")
+    m.set_objective(x * -1.0 - y)
+    monkeypatch.setattr(_WarmLP, "solve",
+                        lambda self, lo, hi, deadline: (OPTIMAL, np.ones(2), -2.0))
+    with pytest.raises(NumericalFailure, match="violates a constraint by 1.000e"):
+        solve_builtin(m)
+
+
 def test_highs_deadline_counts_from_now_not_from_the_first_lp():
     # HiGHS's clock adds up over every run of one instance: after 0.3 s of
     # LPs, a deadline 0.25 s ahead must still leave room for the next LP

@@ -102,6 +102,46 @@ def test_watt_attribute_scaled_to_kilowatt():
     assert cfg.by_id["HeatPump"].attrs["electricPower"] == pytest.approx(1.8)
 
 
+@pytest.mark.parametrize("old, new, match", [
+    ('<Grid id="GridConnection"', "<Grid", "missing required attribute 'id'"),
+    (' id="UDKHeatPumpScenario"', "", "missing required attribute 'id'"),
+    ('id="UDKHeatPumpScenario"', 'id="UDKHeatPumpScenario" version="2"',
+     "unknown attributes: version"),
+    ('maxCoolingPowerUse="0.0" powerUnit="kW"/>',
+     'maxCoolingPowerUse="0.0" powerUnit="kW"><Note/></Usage>',
+     "unexpected child element <Note>"),
+])
+def test_configuration_structure_errors(old, new, match):
+    assert CONFIG.count(old) == 1
+    with pytest.raises(InputError, match=match):
+        parse_configuration(CONFIG.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ('<Grid id="GridConnection">', "<Grid>", "missing required attribute 'id'"),
+    ('id="UDKHeatPumpScenario" nbsOfTimeUnits', "nbsOfTimeUnits",
+     "missing required attribute 'id'"),
+    ('nbsOfTimeUnits="96"', 'nbsOfTimeUnits="many"', "missing or malformed"),
+    (' hoursPerTimeUnit="0.25"', "", "missing or malformed"),
+    ('nbsOfTimeUnits="96"', 'nbsOfTimeUnits="0"', "at least one unit"),
+    ('hoursPerTimeUnit="0.25"', 'hoursPerTimeUnit="0"', "at least one unit"),
+    ('fileNameHDF5="UDKHeatPumpScenario.h5"',
+     'fileNameHDF5="UDKHeatPumpScenario.h5" version="2"', "unknown attributes: version"),
+    ('dataSetPath="/COP"', 'dataSetPath="/COP" color="red"', "unknown attributes: color"),
+    ("<CoefficientOfPerformance", "<Efficiency", "unknown element <Efficiency>"),
+    ('dataSetPath="/COP"/>',
+     'dataSetPath="/COP"/><CoefficientOfPerformance fileName="b.h5" dataSetPath="/COP"/>',
+     "duplicate series reference <CoefficientOfPerformance>"),
+    ('dataSetPath="/COP"/>', 'dataSetPath="/COP"/><HistoricalStart timeUnit="-1"/>',
+     "unknown element <HistoricalStart>"),
+])
+def test_situation_structure_errors(old, new, match):
+    cfg = parse_configuration(CONFIG)
+    assert SITUATION.count(old) == 1
+    with pytest.raises(InputError, match=match):
+        parse_situation(SITUATION.replace(old, new), cfg)
+
+
 def test_duplicate_component_id_rejected_with_path():
     text = CONFIG.replace('id="GridConnection"', 'id="HeatPump"')
     with pytest.raises(InputError, match=r"duplicate component id 'HeatPump'"):
@@ -205,4 +245,7 @@ def test_plant_element_with_state_and_history():
     # history in the future is rejected
     bad = situation.replace('timeUnit="-5"/>', 'timeUnit="1"/>')
     with pytest.raises(InputError, match="before unit 0"):
+        parse_situation(bad, cfg)
+    bad = situation.replace('timeUnit="-5"/>', 'timeUnit="soon"/>')
+    with pytest.raises(InputError, match="integer timeUnit"):
         parse_situation(bad, cfg)

@@ -18,9 +18,11 @@ The file records, per workload and side, every end-to-end value with its
 median and quartiles, the pairs the change won, the traced layer times and
 the census, plus the git revision of each checkout with the files under
 ``MEASURED_PATHS`` that differ from it or are untracked, the line count of
-each ``src/besched/*.py`` module in each checkout and the machine.  The
-deltas of the medians against the highest-numbered ``BENCH_<m>.json`` with m
-lower than the number in --out are printed and stored.
+each ``src/besched/*.py`` module in each checkout and their total
+(``line_totals``; the change's total minus the baseline's is printed), and
+the machine.  The deltas of the medians against the highest-numbered
+``BENCH_<m>.json`` with m lower than the number in --out are printed and
+stored.
 """
 
 from __future__ import annotations
@@ -115,6 +117,12 @@ def main(argv=None) -> int:
         "line_counts": {side: line_counts(path) for side, path in sides.items()},
         "workloads": {},
     }
+    report["line_totals"] = {side: sum(counts.values())
+                             for side, counts in report["line_counts"].items()}
+    if "baseline" in sides:
+        totals = report["line_totals"]
+        print(f"src/besched lines: {totals['baseline']} -> {totals['change']} "
+              f"({totals['change'] - totals['baseline']:+d})", file=sys.stderr, flush=True)
     for name in (w["name"] for w in spec["workloads"]):
         values = {side: {} for side in sides}
         failed = {side: 0 for side in sides}
