@@ -60,20 +60,22 @@ class TimeGrid:
         if not (self.hours_per_unit > 0):
             raise ModelError(f"hoursPerTimeUnit must be positive, got {self.hours_per_unit}")
 
-    def _units(self, hours: float) -> float:
+    def _units(self, hours: float, label: str) -> float:
+        """``label`` names the duration in an error, e.g. ``pump.minRunTimeInHours``."""
         if not math.isfinite(hours):
-            raise ModelError(f"a duration of {hours} h has no whole number of time units")
+            where = f"{label}: " if label else ""
+            raise ModelError(f"{where}a duration of {hours} h has no whole number of time units")
         return hours / self.hours_per_unit
 
-    def units_ceil(self, hours: float) -> int:
+    def units_ceil(self, hours: float, label: str = "") -> int:
         """Smallest whole number of units covering the duration."""
-        return math.ceil(round(self._units(hours), 9))
+        return math.ceil(round(self._units(hours, label), 9))
 
-    def units_floor(self, hours: float) -> int:
-        return math.floor(round(self._units(hours), 9))
+    def units_floor(self, hours: float, label: str = "") -> int:
+        return math.floor(round(self._units(hours, label), 9))
 
-    def units_round(self, hours: float) -> int:
-        return round(self._units(hours))
+    def units_round(self, hours: float, label: str = "") -> int:
+        return round(self._units(hours, label))
 
 
 class BalanceLedger:

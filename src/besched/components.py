@@ -53,12 +53,16 @@ def _switched_chain(model: Model, spec, grid: TimeGrid) -> OnOffChain:
     """
     if spec.last_change_hours < 0:
         raise ModelError("last state change must not lie in the future")
-    event = {min(1 - grid.units_round(spec.last_change_hours), 0): 1}
+    last = grid.units_round(spec.last_change_hours, f"{spec.name}.lastStartStopChangeInHours")
+    event = {min(1 - last, 0): 1}
     hist_start, hist_stop = (event, {}) if spec.is_on_at_begin else ({}, event)
     chain = build_onoff_chain(model, grid.n_units, int(spec.is_on_at_begin),
                               hist_start=hist_start, hist_stop=hist_stop, name=spec.name)
-    on_min = max(grid.units_ceil(spec.min_run_time), 1) if spec.min_run_time > 0 else 1
-    off_min = max(grid.units_ceil(spec.min_off_time), 1) if spec.min_off_time > 0 else 1
+    on_min = off_min = 1
+    if spec.min_run_time > 0:
+        on_min = max(grid.units_ceil(spec.min_run_time, f"{spec.name}.minRunTimeInHours"), 1)
+    if spec.min_off_time > 0:
+        off_min = max(grid.units_ceil(spec.min_off_time, f"{spec.name}.minOffTimeInHours"), 1)
     build_min_durations(model, chain, on_min, off_min, name=spec.name)
     return chain
 

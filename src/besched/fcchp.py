@@ -203,21 +203,24 @@ def _profile_average(t0: float, t1: float, phys: FcchpPhysicalParams) -> float:
     return (integral(t1) - integral(t0)) / (t1 - t0)
 
 
-def derive_unit_params(phys: FcchpPhysicalParams, grid: TimeGrid) -> FcchpUnitParams:
-    """Convert hour-based plant durations to the grid and build power steps."""
-    on_min = grid.units_ceil(phys.d_on_min)
-    on_max = grid.units_ceil(phys.d_on_max)
-    off_min = grid.units_ceil(phys.d_off_min)
+def derive_unit_params(phys: FcchpPhysicalParams, grid: TimeGrid,
+                       name: str = "fcCHP") -> FcchpUnitParams:
+    """Convert hour-based plant durations to the grid and build power steps.
+    ``name`` is the plant's id; an error names it and the duration's XML
+    attribute."""
+    on_min = grid.units_ceil(phys.d_on_min, f"{name}.minOnTimeInHours")
+    on_max = grid.units_ceil(phys.d_on_max, f"{name}.maxOnTimeInHours")
+    off_min = grid.units_ceil(phys.d_off_min, f"{name}.minOffTimeInHours")
     if on_min > grid.n_units:
         raise ModelError(
             f"minimum operating time of {on_min} units exceeds the {grid.n_units}-unit horizon"
         )
     if on_max < on_min:
         raise ModelError("maximum operating time is below the minimum operating time")
-    lower_init = grid.units_floor(phys.d_init)
-    upper_init = grid.units_ceil(phys.d_init)
-    start_up = max(grid.units_ceil(phys.d_start_up), 1)
-    shut_down = max(grid.units_ceil(phys.d_down), 1)
+    lower_init = grid.units_floor(phys.d_init, f"{name}.initDurationInHours")
+    upper_init = grid.units_ceil(phys.d_init, f"{name}.initDurationInHours")
+    start_up = max(grid.units_ceil(phys.d_start_up, f"{name}.startUpDurationInHours"), 1)
+    shut_down = max(grid.units_ceil(phys.d_down, f"{name}.shutDownDurationInHours"), 1)
 
     dt = grid.hours_per_unit
     p_th_up = tuple(_profile_average(k * dt, (k + 1) * dt, phys) for k in range(start_up))
@@ -403,7 +406,7 @@ class FcchpBuilder:
         self.costs = costs
         self.init = init
         self.name = name
-        self.up = derive_unit_params(phys, grid)
+        self.up = derive_unit_params(phys, grid, name)
         self.hist_stop, self.hist_sw = replay_history(init, self.up)
         self.n = grid.n_units
         self.vars: dict = {}

@@ -215,12 +215,14 @@ def _write_every_element(tmp_path, config, situation):
     ("config", 'switchOnCost="2.0"', "inf", "switching costs must be finite"),
     ("config", 'switchOnCost="2.0"', "-inf", "switching costs must be finite"),
     # HeatPump
-    ("config", 'minRunTimeInHours="3"', "inf", "a duration of inf h"),
+    ("config", 'minRunTimeInHours="3"', "inf",
+     "pump.minRunTimeInHours: a duration of inf h"),
     ("config", 'minRunTimeInHours="3"', "nan", "not a number: 'nan'"),
-    ("situation", 'lastStartStopChangeInHours="1.0"', "inf", "a duration of inf h"),
+    ("situation", 'lastStartStopChangeInHours="1.0"', "inf",
+     "pump.lastStartStopChangeInHours: a duration of inf h"),
     ("situation", 'lastStartStopChangeInHours="1.0"', "nan", "not a number: 'nan'"),
     # FcCHP
-    ("config", 'maxOnTimeInHours="10"', "inf", "a duration of inf h"),
+    ("config", 'maxOnTimeInHours="10"', "inf", "plant.maxOnTimeInHours: a duration of inf h"),
     ("config", 'warmUpSupportingValues="1 2 2 3"', "", "non-empty warm-up duration table"),
 ])
 def test_optimize_rejects_a_non_finite_or_empty_value_with_one_error_line(

@@ -22,6 +22,7 @@ from besched.solver import (
 )
 
 from oracles import brute_force_solve, propagate_bounds, random_milp
+from test_pipeline import _every_element_by_hand
 
 
 def test_rounding_forced():
@@ -599,3 +600,68 @@ def test_a_solve_without_a_dive_builds_no_column_index(monkeypatch):
     m.set_objective(x + y * 2.0)
     assert solve_builtin(m).status == OPTIMAL
     assert "_nonzeros" in vars(built[0]) and "_column_rows" not in vars(built[0])
+
+
+@pytest.mark.parametrize("model", ["every_element", "random_milp"])
+def test_highs_holds_exactly_the_compiled_model(model):
+    if model == "every_element":
+        m, _ = _every_element_by_hand()
+    else:
+        m = random_milp(np.random.default_rng(5), max_binaries=10, max_rows=15)
+    arrays = ModelArrays(m)
+    warm = _WarmLP(arrays)
+    lp = warm.highs.getLp()
+    core = warm.core
+    # HiGHS keeps the matrix column-wise
+    csc = arrays.a.tocsc()
+    assert lp.a_matrix_.format_ == core.MatrixFormat.kColwise
+    assert (lp.num_col_, lp.num_row_) == arrays.a.shape[::-1]
+    assert np.array_equal(lp.a_matrix_.start_, csc.indptr)
+    assert np.array_equal(lp.a_matrix_.index_, csc.indices)
+    assert np.array_equal(lp.a_matrix_.value_, csc.data)
+    assert lp.sense_ == core.ObjSense.kMinimize and lp.offset_ == 0.0
+    assert np.array_equal(lp.col_cost_, arrays.c)
+    assert np.array_equal(lp.col_lower_, arrays.lo) and np.array_equal(lp.col_upper_, arrays.hi)
+    assert np.array_equal(lp.row_lower_, np.where(arrays.ge, arrays.rhs, -np.inf))
+    assert np.array_equal(lp.row_upper_, np.where(arrays.le, arrays.rhs, np.inf))
+    # integrality is ours: HiGHS solves every node's LP relaxation
+    assert len(lp.integrality_) == arrays.n
+    assert set(lp.integrality_) == {core.HighsVarType.kContinuous}
+
+
+def _free_pair(cost_x, cost_y, *rows):
+    """Two free columns x and y with the objective cost_x x + cost_y y and
+    the rows (a, b, sense, rhs), each a x + b y sense rhs."""
+    m = Model()
+    x, y = m.continuous("x"), m.continuous("y")
+    for i, (a, b, sense, rhs) in enumerate(rows):
+        m.add_constraint(x * a + y * b, sense, rhs, f"r{i}")
+    m.set_objective(x * cost_x + y * cost_y)
+    return m
+
+
+@pytest.mark.parametrize("m, status", [
+    # x - y >= 1 and y - x >= 1: no bound on a free column to propagate from
+    (_free_pair(1.0, 0.0, (1.0, -1.0, GE, 1.0), (-1.0, 1.0, GE, 1.0)), INFEASIBLE),
+    (_free_pair(1.0, 1.0, (1.0, -1.0, LE, 1.0)), UNBOUNDED),
+    # the same rows, and the ray x = y improves -x - y: infeasible both ways
+    (_free_pair(-1.0, -1.0, (1.0, -1.0, GE, 1.0), (-1.0, 1.0, GE, 1.0)), INFEASIBLE),
+], ids=["infeasible", "unbounded", "primal_and_dual_infeasible"])
+def test_every_ending_of_a_pure_lp_without_highs_presolve(m, status):
+    arrays = ModelArrays(m)
+    ok, lo, hi = arrays.tighten_bounds(arrays.lo, arrays.hi)
+    assert ok and np.all(np.isinf(lo)) and np.all(np.isinf(hi))
+    solution = solve_builtin(m)  # NumericalFailure would propagate
+    assert solution.status == status
+    assert solution.stats["lp_solves"] == 1
+
+
+def test_highs_presolves_only_a_model_with_an_integer_column():
+    m = Model()
+    x, y = m.continuous("x", 0, 4), m.continuous("y", 0, 4)
+    m.add_constraint(x + y, GE, 3.0, "cover")
+    m.set_objective(x + y * 2.0)
+    assert _WarmLP(ModelArrays(m)).highs.getOptionValue("presolve")[1] == "off"
+    b = m.binary("b")
+    m.add_constraint(x - b * 4.0, LE, 0.0, "link")
+    assert _WarmLP(ModelArrays(m)).highs.getOptionValue("presolve")[1] == "choose"

@@ -16,9 +16,11 @@ gives the per-layer self times and the model census.
 
 The file records, per workload and side, every end-to-end value with its
 median and quartiles, the pairs the change won, the traced layer times and
-the census, plus the git revision of each checkout with the files under
-``MEASURED_PATHS`` that differ from it or are untracked, the line count of
-each ``src/besched/*.py`` module in each checkout and their total
+the census; per workload, the change minus the baseline of each traced
+layer metric (``per_layer_change``, printed as baseline -> change); the git
+revision of each checkout with the files under ``MEASURED_PATHS`` that
+differ from it or are untracked, the line count of each
+``src/besched/*.py`` module in each checkout and their total
 (``line_totals``; the change's total minus the baseline's is printed), and
 the machine.  The deltas of the medians against the highest-numbered
 ``BENCH_<m>.json`` with m lower than the number in --out are printed and
@@ -151,6 +153,16 @@ def main(argv=None) -> int:
             entry["per_layer"][side] = {m: rec["value"]
                                         for m, rec in traced["summary"]["metrics"].items()}
             entry["census"][side] = traced["detail"]["census_per_instance"]
+        if "baseline" in sides:
+            layers = entry["per_layer"]
+            entry["per_layer_change"] = {}
+            for metric, after in layers["change"].items():
+                before = layers["baseline"].get(metric)
+                if before is None:
+                    continue
+                entry["per_layer_change"][metric] = after - before
+                print(f"{name} traced {metric}: {before:.4g} -> {after:.4g} "
+                      f"({after - before:+.4g})", file=sys.stderr, flush=True)
         report["workloads"][name] = entry
 
     earlier = newest_earlier_bench(args.out)
