@@ -163,7 +163,7 @@ def build_balances(model: Model, ledger: BalanceLedger) -> None:
         net = ExprBlock.stack(blocks)
         # every term keyed by (unit, column), in the order the sums add them
         unit = np.repeat(np.arange(len(net)) % n, np.diff(net.ptr))
-        width = max(len(model.vars), 1)
+        width = max(model.n_columns, 1)
         keys, where = np.unique(unit * width + net.cols, return_inverse=True)
         coefs = np.zeros(len(keys))
         np.add.at(coefs, where, net.coefs)
@@ -189,7 +189,7 @@ def build_objective(model: Model, ledger: BalanceLedger) -> None:
     """
     blocks = [b for _, b in ledger.financial["input"]]
     blocks += [b.negated() for _, b in ledger.financial["output"]]
-    coefs = np.zeros(len(model.vars))
+    coefs = np.zeros(model.n_columns)
     const = 0.0
     for b in blocks:
         np.add.at(coefs, b.cols, b.coefs)

@@ -122,10 +122,11 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_validate(args) -> int:
     problem = _load_problem(args)
-    report = problem.model.validate()
-    n_int = sum(1 for v in problem.model.vars if v.domain.is_integral)
-    print(f"model ok: {len(problem.model.vars)} variables ({n_int} integer), "
-          f"{len(problem.model.constraints)} constraints")
+    model = problem.model
+    report = model.validate()
+    n_int = int(model.column_arrays().integral.sum())
+    print(f"model ok: {model.n_columns} variables ({n_int} integer), "
+          f"{len(model.constraints)} constraints")
     if report.infeasible_rows:
         for cid, tag in report.infeasible_rows:
             print(f"trivially infeasible row {cid}: {tag}")
@@ -135,7 +136,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_explain(args) -> int:
     problem = _load_problem(args)
-    names = {v.id: v.name for v in problem.model.vars}
+    names = problem.model.column_names()
     for con in problem.model.constraints:
         if not con.tag.startswith(args.tag):
             continue

@@ -31,17 +31,34 @@ from .milp import EQ, ExprBlock, Model
 
 
 def _check_series(values, n, label, lo=None, hi=None):
-    vals = tuple(float(v) for v in values)
-    if len(vals) != n:
-        raise ModelError(f"{label}: expected {n} entries, got {len(vals)}")
-    for i, v in enumerate(vals):
-        if not math.isfinite(v):
+    """The values as a tuple of floats, checked in one array pass: n of
+    them, finite and within [lo - 1e-12, hi + 1e-12].  The message names the
+    first offending unit."""
+    arr = np.array(values, dtype=float)
+    if arr.shape != (n,):
+        raise ModelError(f"{label}: expected {n} entries, got {arr.size}")
+    finite = np.isfinite(arr)
+    below = arr < lo - 1e-12 if lo is not None else np.zeros(n, dtype=bool)
+    above = arr > hi + 1e-12 if hi is not None else np.zeros(n, dtype=bool)
+    bad = np.flatnonzero(~finite | below | above)
+    if len(bad):
+        i = int(bad[0])
+        v = arr[i].item()
+        if not finite[i]:
             raise ModelError(f"{label}: non-finite value at unit {i + 1}")
-        if lo is not None and v < lo - 1e-12:
+        if below[i]:
             raise ModelError(f"{label}: value {v} below {lo} at unit {i + 1}")
-        if hi is not None and v > hi + 1e-12:
-            raise ModelError(f"{label}: value {v} above {hi} at unit {i + 1}")
-    return vals
+        raise ModelError(f"{label}: value {v} above {hi} at unit {i + 1}")
+    return tuple(arr.tolist())
+
+
+def _check_band(name, what, low, high):
+    """A band ``low <= high`` at every unit, or an error naming the first unit
+    where it is empty, as the column box would be."""
+    bad = np.flatnonzero(np.array(low) > np.array(high))
+    if len(bad):
+        i = int(bad[0])
+        raise ModelError(f"{name}: {what} band empty at unit {i + 1} ({low[i]} > {high[i]})")
 
 
 def _switched_chain(model: Model, spec, grid: TimeGrid) -> OnOffChain:
@@ -93,10 +110,7 @@ def build_usage(model: Model, spec: UsageSpec, grid: TimeGrid, ledger: BalanceLe
     hmin = _check_series(spec.heating_min, n, f"{spec.name}.heating_min", lo=0.0)
     hmax = _check_series(spec.heating_max, n, f"{spec.name}.heating_max",
                          lo=0.0, hi=spec.max_heating_power)
-    for i in range(n):
-        if hmin[i] > hmax[i] + 1e-12:
-            raise ModelError(f"{spec.name}: heating band empty at unit {i + 1} "
-                             f"({hmin[i]} > {hmax[i]})")
+    _check_band(spec.name, "heating", hmin, hmax)
     ledger.add_sink(ELECTRIC, spec.name, ExprBlock.constants(elec))
     heat = model.continuous_series(f"{spec.name}.heating", n, hmin, hmax)
     ledger.add_sink(HEAT, spec.name, ExprBlock.columns(heat, const=water))
@@ -105,9 +119,7 @@ def build_usage(model: Model, spec: UsageSpec, grid: TimeGrid, ledger: BalanceLe
         cmin = _check_series(spec.cooling_min, n, f"{spec.name}.cooling_min", lo=0.0)
         cmax = _check_series(spec.cooling_max, n, f"{spec.name}.cooling_max",
                              lo=0.0, hi=spec.max_cooling_power)
-        for i in range(n):
-            if cmin[i] > cmax[i] + 1e-12:
-                raise ModelError(f"{spec.name}: cooling band empty at unit {i + 1}")
+        _check_band(spec.name, "cooling", cmin, cmax)
         if any(v > 0 for v in cmax):
             cool = model.continuous_series(f"{spec.name}.cooling", n, cmin, cmax)
             ledger.add_sink(COLD, spec.name, ExprBlock.columns(cool))

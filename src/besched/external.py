@@ -135,16 +135,17 @@ def solve_external(model: Model, options: SolveOptions | None = None) -> Solutio
             unknown.append(lp_name)
     if unknown:
         raise SolutionParseError(f"solution contains unknown variables: {sorted(unknown)}")
-    absent = [v.name for v in model.vars if v.name not in values]
+    names = model.column_names()
+    absent = [name for name in names if name not in values]
     if absent:
         raise SolutionParseError(f"solution is missing variables: {absent[:5]}")
 
     arrays = ModelArrays(model)
-    x = np.array([values[v.name] for v in model.vars])
+    x = np.array([values[name] for name in names], dtype=float)
     drift = np.abs(x - np.round(x))
     drift[~arrays.integral] = 0.0
     if np.any(drift > _EXTERNAL_ROW_TOL):
-        bad = model.vars[int(np.argmax(drift))].name
+        bad = names[int(np.argmax(drift))]
         raise SolverInconsistency(f"integer variable {bad!r} is fractional in external solution")
     x[arrays.integral] = np.round(x[arrays.integral])
     violation = arrays.max_violation(x)
@@ -152,5 +153,4 @@ def solve_external(model: Model, options: SolveOptions | None = None) -> Solutio
         raise SolverInconsistency(
             f"external solution violates a constraint by {violation:.3e}"
         )
-    values = {v.name: float(x[v.id]) for v in model.vars}
-    return Solution(status, values, arrays.objective_value(x), stats)
+    return Solution(status, dict(zip(names, x.tolist())), arrays.objective_value(x), stats, x)

@@ -16,11 +16,21 @@ call.  ``row_arrays`` hands the store to the solver and to ``export_lp`` as
 numpy arrays; ``Model.constraints`` is a read-only view that builds a
 ``Constraint`` record for each row it is asked for.
 
+Beside the row store a model keeps a column store, the one record of each
+column's name and box: the names in a list, and per column the index of its
+box in the model's list of distinct ``Domain``s.  ``Model.binary``,
+``integer`` and ``continuous`` give all variables of one box the same
+``Domain``: a model builds and checks each distinct box once (a week model's
+7392 columns have 846 boxes), in a dict that lives and dies with the model.
+``continuous_series`` appends a whole series to the store at once, its
+distinct boxes found by one ``np.unique``.  ``column_arrays`` hands the
+boxes to the solver as numpy arrays, and ``export_lp`` maps each distinct
+box's text through the box index.
+
 A ``Var`` is a slotted handle (id, name, domain), equal only to itself.
-``Model.binary``, ``integer`` and ``continuous`` give all variables of one
-box the same ``Domain``: a model builds and checks each distinct box once
-(a week model's 7392 columns have 846 boxes), in a dict that lives and dies
-with the model.
+``Model.vars`` is a read-only view of the columns: column k reads as its one
+handle, made on the first read and kept, so a series column that is never
+read never gets one.
 
 Expressions are ``LinExpr`` dicts from variable id to coefficient plus a
 constant.  ``+``, ``-`` and ``*`` build new expressions and never change an
@@ -44,7 +54,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from operator import attrgetter, ne
+from operator import ne
 from typing import NamedTuple
 
 import numpy as np
@@ -389,13 +399,66 @@ class _RowView(Sequence):
     __hash__ = None
 
 
+class ColumnArrays(NamedTuple):
+    """A model's column boxes as numpy arrays, by column id."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    integral: np.ndarray  # bool: an integer or binary column
+
+
+class _ColumnView(Sequence):
+    """Read-only view of a model's columns: column ``k`` reads as its one
+    ``Var`` handle, made on the first read and kept."""
+
+    __slots__ = ("_model",)
+
+    def __init__(self, model: "Model"):
+        self._model = model
+
+    def __len__(self) -> int:
+        return len(self._model._names)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        m = self._model
+        handle = m._handles[k]  # negative indices, and IndexError past the end
+        if handle is None:
+            k = range(len(m._handles))[k]
+            handle = m._handles[k] = Var(k, m._names[k], m._boxes[m._box[k]])
+        return handle
+
+    def __iter__(self):
+        """The handles of the columns there are now, the missing ones made in
+        one pass."""
+        m = self._model
+        handles, names, boxes, box = m._handles, m._names, m._boxes, m._box
+        for k in [k for k, h in enumerate(handles) if h is None]:
+            handles[k] = Var(k, names[k], boxes[box[k]])
+        return iter(handles[:])
+
+    def __eq__(self, other):
+        if not isinstance(other, (_ColumnView, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
 class Model:
     """Single-writer MILP container.  Sense is always minimize."""
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.vars: list[Var] = []
-        self._by_name: dict[str, Var] = {}
+        # the column store: column k is named _names[k] and has the box
+        # _boxes[_box[k]]; _handles[k] is its Var once one was asked for
+        self._names: list[str] = []
+        self._box = array("q")
+        self._handles: list = []
+        self._by_name: dict[str, int] = {}  # column name -> column id
+        self._boxes: list[Domain] = []  # the distinct boxes, see _box_id
+        self._domains: dict = {}  # box key -> its index in _boxes
         # the CSR row store: row k's terms end at _ends[k] in _cols/_coefs
         self._cols = array("q")
         self._coefs = array("d")
@@ -405,20 +468,33 @@ class Model:
         self._tags: list[str] = []
         self.objective: LinExpr = LinExpr()
         self.bigms: list = []  # BigM records, see linearize module
-        self._domains: dict = {}  # box key -> its one Domain, see _domain
 
     # -- variables ---------------------------------------------------------
 
-    def add_var(self, name: str, domain: Domain) -> Var:
-        if name in self._by_name:
-            raise DuplicateName(f"variable name already in use: {name!r}")
-        v = Var(len(self.vars), name, domain)
-        self.vars.append(v)
-        self._by_name[name] = v
-        return v
+    @property
+    def vars(self) -> _ColumnView:
+        """The columns, read-only: column k reads as its one ``Var`` handle."""
+        return _ColumnView(self)
 
-    def _domain(self, kind: str, lo: float, hi: float) -> Domain:
-        """This model's one ``Domain`` of the box, checked when first built.
+    @property
+    def n_columns(self) -> int:
+        return len(self._names)
+
+    def column_names(self) -> list:
+        """The column names by column id, copied."""
+        return list(self._names)
+
+    def column_arrays(self) -> ColumnArrays:
+        """The column boxes as numpy arrays, built from the distinct boxes."""
+        boxes = self._boxes
+        box = np.array(self._box, dtype=np.int64)
+        return ColumnArrays(np.array([d.lo for d in boxes], dtype=float)[box],
+                            np.array([d.hi for d in boxes], dtype=float)[box],
+                            np.array([d.is_integral for d in boxes], dtype=bool)[box])
+
+    def _box_id(self, kind: str, lo: float, hi: float, domain: Domain | None = None) -> int:
+        """The index in ``_boxes`` of this model's one ``Domain`` of the box,
+        checked when first built (``domain``, when given, is that box).
 
         A box that fails the checks is never stored, so it raises on every
         call.  0.0 equals -0.0, so a zero bound also keys by its sign: each
@@ -428,40 +504,67 @@ class Model:
             key = (kind, lo, hi)
         else:
             key = (kind, lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi))
-        domain = self._domains.get(key)
-        if domain is None:
-            domain = self._domains[key] = Domain(kind, lo, hi)
-        return domain
+        box = self._domains.get(key)
+        if box is None:
+            self._boxes.append(Domain(kind, lo, hi) if domain is None else domain)
+            box = self._domains[key] = len(self._boxes) - 1
+        return box
+
+    def _add_column(self, name: str, box: int) -> Var:
+        if name in self._by_name:
+            raise DuplicateName(f"variable name already in use: {name!r}")
+        k = len(self._names)
+        v = Var(k, name, self._boxes[box])
+        self._names.append(name)
+        self._box.append(box)
+        self._handles.append(v)
+        self._by_name[name] = k
+        return v
+
+    def add_var(self, name: str, domain: Domain) -> Var:
+        return self._add_column(name, self._box_id(domain.kind, domain.lo, domain.hi, domain))
 
     def binary(self, name: str) -> Var:
-        return self.add_var(name, self._domain(BINARY, 0.0, 1.0))
+        return self._add_column(name, self._box_id(BINARY, 0.0, 1.0))
 
     def integer(self, name: str, lo: float, hi: float) -> Var:
-        return self.add_var(name, self._domain(INTEGER, float(lo), float(hi)))
+        return self._add_column(name, self._box_id(INTEGER, float(lo), float(hi)))
 
     def continuous(self, name: str, lo: float = -INF, hi: float = INF) -> Var:
-        return self.add_var(name, self._domain(CONTINUOUS, float(lo), float(hi)))
+        return self._add_column(name, self._box_id(CONTINUOUS, float(lo), float(hi)))
 
     def continuous_series(self, name: str, n: int, lo=-INF, hi=INF) -> np.ndarray:
         """Continuous columns ``name[1]`` to ``name[n]``; returns their ids.
 
         ``lo`` and ``hi`` are each one bound for all columns or one per
-        column.  The same columns as ``n`` calls of :meth:`continuous`.
+        column.  The same columns as ``n`` calls of :meth:`continuous`, but
+        no ``Var`` is made: the distinct boxes are found in one ``np.unique``
+        over the bytes of the bounds (so 0.0 and -0.0 stay apart) and each is
+        checked once, in unit order.  A bad box raises naming its first column.
         """
         names = [f"{name}[{i}]" for i in range(1, n + 1)]
         if not self._by_name.keys().isdisjoint(names):
             taken = next(x for x in names if x in self._by_name)
             raise DuplicateName(f"variable name already in use: {taken!r}")
-        if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-            domains = [self._domain(CONTINUOUS, float(lo), float(hi))] * n
-        else:
-            los = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).tolist()
-            his = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).tolist()
-            domains = [self._domain(CONTINUOUS, a, b) for a, b in zip(los, his)]
-        start = len(self.vars)
-        new = list(map(Var, range(start, start + n), names, domains))
-        self.vars.extend(new)
-        self._by_name.update(zip(names, new))
+        bounds = np.empty((n, 2))
+        bounds[:, 0], bounds[:, 1] = lo, hi
+        _, first, which = np.unique(bounds.view("V16").ravel(), return_index=True,
+                                    return_inverse=True)
+        order = np.argsort(first)
+        units = first[order].tolist()  # each box's first unit, in unit order
+        made, box_id = [], self._box_id
+        try:
+            for a, b in bounds[units].tolist():
+                made.append(box_id(CONTINUOUS, a, b))
+        except ModelError as exc:
+            raise ModelError(f"{names[units[len(made)]]}: {exc}") from None
+        ids = np.empty(len(units), dtype=np.int64)
+        ids[order] = made
+        start = len(self._names)
+        self._names.extend(names)
+        self._box.frombytes(ids[which].tobytes())
+        self._handles.extend([None] * n)
+        self._by_name.update(zip(names, range(start, start + n)))
         return np.arange(start, start + n)
 
     def __contains__(self, name: str) -> bool:
@@ -470,7 +573,7 @@ class Model:
     # -- constraints and objective ------------------------------------------
 
     def _check_declared(self, terms):
-        n = len(self.vars)
+        n = len(self._names)
         if terms and (min(terms) < 0 or max(terms) >= n):
             bad = next(vid for vid in terms if vid < 0 or vid >= n)
             raise UndeclaredVariable(f"variable handle {bad} not declared in this model")
@@ -511,7 +614,7 @@ class Model:
         """
         self._check_row(sense, tag)
         cols = lhs.cols
-        if len(cols) and (cols.min() < 0 or cols.max() >= len(self.vars)):
+        if len(cols) and (cols.min() < 0 or cols.max() >= len(self._names)):
             self._check_declared(cols.tolist())
         n = len(lhs)
         rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)) - lhs.const
@@ -551,7 +654,7 @@ class Model:
         coefs = np.fromiter(e.terms.values(), dtype=float, count=len(e.terms))
         if not np.isfinite(coefs).all():
             bad = next(vid for vid, c in e.terms.items() if not math.isfinite(c))
-            raise ModelError(f"non-finite objective coefficient of {self.vars[bad].name!r}")
+            raise ModelError(f"non-finite objective coefficient of {self._names[bad]!r}")
         self.objective = e
 
     # -- evaluation ----------------------------------------------------------
@@ -567,7 +670,7 @@ class Model:
         named = isinstance(values, dict) and values and isinstance(next(iter(values)), str)
         total = 0.0
         for v, c in e.terms.items():
-            total += c * values[self.vars[v].name if named else v]
+            total += c * values[self._names[v] if named else v]
         return total + e.const
 
     # -- validation ----------------------------------------------------------
@@ -576,7 +679,8 @@ class Model:
         report = ValidationReport()
         rows = self.row_arrays()
         used = _used_columns(self, rows)
-        report.unused_vars = [self.vars[vid].name for vid in np.flatnonzero(~used).tolist()]
+        names = self._names
+        report.unused_vars = [names[vid] for vid in np.flatnonzero(~used).tolist()]
         empty = np.flatnonzero(np.diff(rows.indptr) == 0).tolist()
         for k, code, rhs in zip(empty, rows.senses[empty].tolist(), rows.rhs[empty].tolist()):
             satisfied = {
@@ -620,7 +724,7 @@ def _sanitize_names(model: Model):
     names are walked one by one only when one of them starts with a digit,
     ``e``, ``E`` or nothing, or when two are equal.
     """
-    originals = [v.name for v in model.vars]
+    originals = model._names
     if not originals:
         return [], {}
     joined = "\n".join(originals)
@@ -671,7 +775,7 @@ def _box_text(lo: float, hi: float, num: dict):
 
 def _used_columns(model: Model, rows: RowArrays) -> np.ndarray:
     """Per column: does the objective or any row hold it?"""
-    used = np.zeros(len(model.vars), dtype=bool)
+    used = np.zeros(model.n_columns, dtype=bool)
     used[rows.cols] = True
     used[np.fromiter(model.objective.terms, dtype=np.int64)] = True
     return used
@@ -726,11 +830,10 @@ def export_lp(model: Model) -> LpFile:
     names, renamed = _sanitize_names(model)
     rows = model.row_arrays()
     obj_coefs = np.fromiter(model.objective.terms.values(), dtype=float)
-    domains = list(map(attrgetter("domain"), model.vars))
-    distinct_domains = dict(zip(map(id, domains), domains))
+    boxes = model._boxes
     num = _num_texts(np.concatenate((
         np.abs(rows.coefs), rows.rhs, np.abs(obj_coefs),
-        [x for d in distinct_domains.values() for x in (d.lo, d.hi)])), "%.17g")
+        [x for d in boxes for x in (d.lo, d.hi)])), "%.17g")
     signed = {c: f"{'-' if c < 0 else '+'} {num[abs(c)]} "
               for c in set(model.objective.terms.values())}
 
@@ -741,25 +844,27 @@ def export_lp(model: Model) -> LpFile:
         obj = obj[2:]
     # vars appearing nowhere still need a column for LP readers
     orphan = " ".join(f"+ 0 {names[vid]}" for vid in np.flatnonzero(~used).tolist())
-    if not obj and not orphan and model.vars:
+    if not obj and not orphan and names:
         obj = f"0 {names[0]}"
     lines.append(" obj: " + " ".join(x for x in (obj, orphan) if x))
 
     lines.append("Subject To")
     if len(rows.rhs):
-        if not model.vars:
+        if not names:
             raise ModelError("cannot export a constraint over an empty variable set")
         lines.append(_rows_text(rows, names, num))
 
     # each distinct box's text before and after the name, () where a column
     # has no line in Bounds: a binary or the default box
-    box_text = {key: () if d.kind == BINARY else _box_text(d.lo, d.hi, num)
-                for key, d in distinct_domains.items()}
-    boxes = list(map(box_text.__getitem__, map(id, domains)))
-    bounds = [box[0] + n + box[1] for box, n in zip(boxes, names) if box]
-    kinds = {d.kind for d in distinct_domains.values()}
-    generals = [n for d, n in zip(domains, names) if d.kind == INTEGER] if INTEGER in kinds else []
-    binaries = [n for d, n in zip(domains, names) if d.kind == BINARY] if BINARY in kinds else []
+    box_text = [() if d.kind == BINARY else _box_text(d.lo, d.hi, num) for d in boxes]
+    box_of = model._box
+    bounds = [text[0] + n + text[1]
+              for text, n in zip(map(box_text.__getitem__, box_of), names) if text]
+    kinds = [d.kind for d in boxes]
+    generals = ([n for b, n in zip(box_of, names) if kinds[b] == INTEGER]
+                if INTEGER in kinds else [])
+    binaries = ([n for b, n in zip(box_of, names) if kinds[b] == BINARY]
+                if BINARY in kinds else [])
     if bounds:
         lines.append("Bounds")
         lines.extend(bounds)

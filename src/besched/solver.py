@@ -51,7 +51,8 @@ There the root LP is already the optimum, and the propagation dive reaches it
 in 9 more LPs, so the tree is the root alone: 10 LPs on each tariff.
 
 :class:`ModelArrays` compiles a model once into one sparse CSR constraint
-matrix, copied from the model's CSR row store.  Presolve, both LP backends
+matrix, copied from the model's CSR row store, and its column boxes as
+arrays, read from the model's column store.  Presolve, both LP backends
 and the verification of every reported solution read that matrix.  Presolve
 is activity-based bound propagation run as whole-matrix passes until no
 bound moves (Savelsbergh, ORSA J. Computing 1994); it proves many
@@ -103,17 +104,25 @@ class SolveOptions:
 
 @dataclass
 class Solution:
+    """A solve's ending.  ``values`` maps each column name to its value;
+    ``x`` holds the same values by column id, or is None when the solver
+    gave only ``values``."""
+
     status: str
     values: dict = field(default_factory=dict)  # variable name -> value
     objective: float = math.nan
     stats: dict = field(default_factory=dict)
+    x: np.ndarray | None = None
 
     @property
     def feasible(self) -> bool:
         return self.status in (OPTIMAL, FEASIBLE)
 
     def vector(self, model: Model) -> np.ndarray:
-        return np.array([self.values[v.name] for v in model.vars])
+        """The values by column id: ``x``, or read from ``values`` by name."""
+        if self.x is not None:
+            return self.x
+        return np.array([self.values[name] for name in model.column_names()])
 
 
 class _WarmLP:
@@ -177,19 +186,18 @@ class _WarmLP:
 
 class ModelArrays:
     """The model's arrays: one CSR constraint matrix ``a`` with its ``rhs`` and
-    sense masks, read by presolve, both LP backends and verification."""
+    sense masks, the costs ``c`` and the column boxes ``lo``, ``hi`` and
+    ``integral`` of ``Model.column_arrays``, read by presolve, both LP
+    backends and verification."""
 
     def __init__(self, model: Model):
-        n = len(model.vars)
+        n = model.n_columns
         self.n = n
         self.c = np.zeros(n)
         obj = model.objective.terms
         self.c[np.fromiter(obj, dtype=np.int64, count=len(obj))] = list(obj.values())
         self.obj_const = model.objective.const
-        domains = [v.domain for v in model.vars]
-        self.lo = np.array([d.lo for d in domains], dtype=float)
-        self.hi = np.array([d.hi for d in domains], dtype=float)
-        self.integral = np.array([d.is_integral for d in domains], dtype=bool)
+        self.lo, self.hi, self.integral = model.column_arrays()
         rows = model.row_arrays()
         self.a = csr_matrix((rows.coefs, rows.cols, rows.indptr), shape=(len(rows.rhs), n))
         self.a.sort_indices()
@@ -497,5 +505,5 @@ def solve_builtin(model: Model, options: SolveOptions | None = None) -> Solution
             f"incumbent violates a constraint by {violation:.3e}; refusing to report it"
         )
     status = TIME_LIMIT if hit_time_limit else OPTIMAL
-    values = {v.name: float(incumbent[v.id]) for v in model.vars}
-    return Solution(status, values, arrays.objective_value(incumbent), stats())
+    values = dict(zip(model.column_names(), incumbent.tolist()))
+    return Solution(status, values, arrays.objective_value(incumbent), stats(), incumbent)

@@ -6,6 +6,13 @@ containers are supported through the same reference interface when h5py is
 installed.  A reference naming a container in the one format that is given
 in the other (e.g. a ``.h5`` reference next to a ``.csv`` file with the same
 stem) resolves to the existing file, so scenarios can ship either way.
+
+A CSV container is read and converted once per build: its data rows become
+one float matrix in one ``np.array`` call, which converts each cell as
+``float()`` does, and every referenced column is sliced from it.  When a
+cell is not a number or the rows differ in length, only the cells of each
+referenced column are converted, so a bad cell in a column nobody
+references does no harm.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import csv
 import json
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,32 +44,55 @@ def _resolve(path: Path) -> Path:
     raise NotFound(f"time-series container not found: {path}", str(path))
 
 
-def _read_csv(path: Path) -> list:
-    """Every row of a CSV container, as text; the header must be there."""
+class _CsvTable(NamedTuple):
+    """A CSV container as read: the header, the data rows that are not blank
+    with their line numbers, and those rows as one float matrix, or None when
+    a cell is not a number or the rows differ in length."""
+
+    header: list
+    rows: list
+    lines: list
+    matrix: np.ndarray | None
+
+
+def _read_csv(path: Path) -> _CsvTable:
+    """The container's rows, converted to floats in one pass where they can
+    be; the header must be there."""
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise InputError("empty CSV container", str(path))
-    return rows
-
-
-def _csv_column(path: Path, rows: list, column: str):
-    """One column as floats; only its own cells are converted and checked."""
     header = [h.strip() for h in rows[0]]
+    kept = [(line, row) for line, row in enumerate(rows[1:], start=2)
+            if row and not all(not cell.strip() for cell in row)]
+    lines = [line for line, _ in kept]
+    data = [row for _, row in kept]
+    try:
+        matrix = np.array(data, dtype=float) if data else np.empty((0, len(header)))
+    except ValueError:  # a cell that is not a number, or ragged rows
+        matrix = None
+    return _CsvTable(header, data, lines, matrix)
+
+
+def _csv_column(path: Path, table: _CsvTable, column: str) -> np.ndarray:
+    """One column as floats, sliced from the matrix.  Without one, only the
+    column's own cells are converted and checked, so a bad cell elsewhere
+    does no harm."""
+    header = table.header
     if column not in header:
         raise NotFound(f"no column {column!r} in {path.name} "
                        f"(available: {', '.join(header)})", str(path))
     idx = header.index(column)
+    if table.matrix is not None and idx < table.matrix.shape[1]:
+        return table.matrix[:, idx]
     values = []
-    for row_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for line, row in zip(table.lines, table.rows):
         try:
             values.append(float(row[idx]))
         except (IndexError, ValueError) as exc:
-            raise InputError(f"bad value in column {column!r} at line {row_no}",
+            raise InputError(f"bad value in column {column!r} at line {line}",
                              str(path)) from exc
-    return values
+    return np.array(values, dtype=float)
 
 
 def _load_hdf5_dataset(path: Path, dataset: str):
@@ -78,25 +109,26 @@ def _load_hdf5_dataset(path: Path, dataset: str):
     return [float(v) for v in list(data.reshape(-1))]
 
 
-def load_timeseries(ref: SeriesRef, n_units: int, base_dir=".", csv_rows=None) -> list:
+def load_timeseries(ref: SeriesRef, n_units: int, base_dir=".", csv_tables=None) -> list:
     """Resolve a series reference to exactly n_units floats in target units.
 
-    csv_rows maps a CSV container's path to its rows as read.  Callers that
-    resolve many references pass one dict for all of them, so each container
-    is read once; without it the container is read for this reference alone.
+    csv_tables maps a CSV container's path to its table as read.  Callers
+    that resolve many references pass one dict for all of them, so each
+    container is read and converted once; without it the container is read
+    for this reference alone.
     """
     path = _resolve(Path(base_dir) / ref.file_name)
     if path.suffix.lower() == ".csv":
-        if csv_rows is None:
-            csv_rows = {}
-        if path not in csv_rows:
-            csv_rows[path] = _read_csv(path)
-        values = _csv_column(path, csv_rows[path], ref.data_set_path.lstrip("/"))
+        if csv_tables is None:
+            csv_tables = {}
+        if path not in csv_tables:
+            csv_tables[path] = _read_csv(path)
+        values = _csv_column(path, csv_tables[path], ref.data_set_path.lstrip("/"))
     else:
         values = _load_hdf5_dataset(path, ref.data_set_path)
     if len(values) != n_units:
         raise LengthMismatch(len(values), n_units, f"{path}:{ref.data_set_path}")
-    return [v * ref.scale for v in values]
+    return (np.asarray(values, dtype=float) * ref.scale).tolist()
 
 
 # ---------------------------------------------------------------------------

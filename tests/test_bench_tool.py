@@ -1,0 +1,73 @@
+"""tools/bench.py: the gain and bound verdicts, checked on faked runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_tool", ROOT / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+BASE = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]  # IQR 0.015
+
+
+@pytest.mark.parametrize("change, better, gain, beyond", [
+    ([b - 0.05 for b in BASE], "lower", True, False),  # 10/10 pairs, -0.05 beyond the IQR
+    ([b - 0.05 for b in BASE[:9]] + [1.2], "lower", True, False),  # 9/10 pairs are enough
+    ([b - 0.05 for b in BASE[:8]] + [1.2, 1.2], "lower", False, False),  # 8/10 are not
+    ([b - 0.001 for b in BASE], "lower", False, False),  # every pair, inside the IQR
+    ([b + 0.001 for b in BASE], "higher", False, False),
+    ([b + 0.05 for b in BASE], "higher", True, False),
+    ([b + 0.3 for b in BASE], "lower", False, True),  # +30 % against a 25 % bound
+    ([b + 0.2 for b in BASE], "lower", False, False),  # +20 %: worse, but within
+    ([b * 0.7 for b in BASE], "higher", False, True),
+    (list(BASE), "lower", False, False),  # ties count for neither side
+])
+def test_the_verdicts_on_faked_runs(change, better, gain, beyond):
+    rec = bench.compare(change, BASE, better, 0.25)
+    assert rec["gain"] is gain and rec["beyond_bound"] is beyond
+    assert rec["baseline"]["iqr"] == pytest.approx(0.015)
+    line = bench.verdict_line("w", "m", rec, 0.25)
+    assert ("gain met" in line) is gain and ("WORSE than the 0.25 bound" in line) is beyond
+
+
+def test_ties_and_the_pair_count():
+    rec = bench.compare([1.0, 0.9, 1.0, 0.8], [1.0, 1.0, 1.0, 1.0], "lower", 0.25)
+    assert rec["change_better_pairs"] == 2 and rec["median_change"] == pytest.approx(-0.05)
+
+
+def test_a_faked_benchmark_stores_and_prints_both_verdicts(tmp_path, monkeypatch, capsys):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, workload, seed, trace))
+        faster = checkout == ROOT and workload == "week_storage_lp"
+        values = {m: 1.0 + 0.001 * seed for m in metrics}
+        if faster:
+            values["latency_p50_s"] *= 0.8
+        return {"summary": {"failed": 0, "metrics": {m: {"value": v}
+                                                     for m, v in values.items()}},
+                "detail": {"machine": {"cpus": 2}, "census_per_instance": {"milp.vars": 1}}}
+
+    monkeypatch.setattr(bench, "run_perfbench", fake_run)
+    baseline = tmp_path / "parent"
+    baseline.mkdir()
+    out = tmp_path / "BENCH_9999.json"
+    assert bench.main(["--out", str(out), "--runs", "10", "--seed", "1",
+                       "--baseline", str(baseline)]) == 0
+    report = json.loads(out.read_text())
+    week = report["workloads"]["week_storage_lp"]["end_to_end"]
+    assert week["latency_p50_s"]["gain"] is True and week["latency_p50_s"]["beyond_bound"] is False
+    assert week["setup_s"]["gain"] is False
+    day = report["workloads"]["day_heatpump_tariff"]["end_to_end"]
+    assert not any(rec["gain"] or rec["beyond_bound"] for rec in day.values())
+    err = capsys.readouterr().err
+    assert "week_storage_lp latency_p50_s: " in err and "gain met" in err
+    assert err.count("gain not met") == 3 * len(metrics) - 1
+    # ten pairs and one traced run per side and workload
+    assert len(calls) == 3 * (2 * 10 + 2)

@@ -307,3 +307,42 @@ def test_the_parser_is_built_once_and_each_call_parses_its_own_flags(tmp_path, m
     assert "--time-limit: must be a positive number of seconds" in capsys.readouterr().err
     assert limits == [5.0, None]
     assert besched.cli._build_parser.cache_info().misses == 1
+
+
+def test_optimize_makes_no_handle_for_a_series_column(tmp_path, monkeypatch):
+    import besched.milp
+
+    made, series, problems = [], [], []
+
+    class CountedVar(besched.milp.Var):
+        __slots__ = ()
+
+        def __init__(self, id, name, domain):
+            made.append(id)
+            super().__init__(id, name, domain)
+
+    def continuous_series(model, *args, **kwargs):
+        ids = continuous_series.inner(model, *args, **kwargs)
+        series.extend(ids.tolist())
+        return ids
+
+    def build_problem(*args, **kwargs):
+        problems.append(build_problem.inner(*args, **kwargs))
+        return problems[-1]
+
+    continuous_series.inner = besched.milp.Model.continuous_series
+    build_problem.inner = besched.cli.build_problem
+    monkeypatch.setattr(besched.milp, "Var", CountedVar)
+    monkeypatch.setattr(besched.milp.Model, "continuous_series", continuous_series)
+    monkeypatch.setattr(besched.cli, "build_problem", build_problem)
+    from helpers import write_week_scenario
+
+    config, situation = write_week_scenario(tmp_path / "week", seed=12)
+    assert cli_main(["optimize", "--config", str(config), "--situation", str(situation),
+                     "--out", str(tmp_path / "out"), "--emit-lp", str(tmp_path / "week.lp")]) == 0
+    (problem,) = problems
+    assert len(series) == problem.model.n_columns == 7392
+    assert made == []
+    # the check itself sees a handle made afterwards
+    problem.model.vars[series[-1]]
+    assert made == [series[-1]]

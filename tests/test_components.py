@@ -1,5 +1,8 @@
 """Time grid, balance ledger/assembly, and the standard component builders."""
 
+import math
+
+import numpy as np
 import pytest
 
 from besched.assembly import (
@@ -19,6 +22,7 @@ from besched.components import (
     PvSpec,
     StorageSpec,
     UsageSpec,
+    _check_series,
     build_converter,
     build_grid,
     build_heat_pump,
@@ -153,6 +157,71 @@ def test_usage_rejects_empty_band_and_limit_violations():
                       max_electric_power=5.0),
             grid, BalanceLedger(grid),
         )
+
+
+@pytest.mark.parametrize("field, low, high, message", [
+    ("heating", (1.0, 2.0 + 4e-13), (1.0, 2.0),
+     r"^Building: heating band empty at unit 2 \(2\.0000000000004 > 2\.0\)$"),
+    ("heating", (3.0, 0.0), (2.5, 0.0), r"^Building: heating band empty at unit 1 \(3\.0 > 2\.5\)$"),
+    ("cooling", (0.0, 1.0 + 4e-13), (0.5, 1.0),
+     r"^Building: cooling band empty at unit 2 \(1\.0000000000004 > 1\.0\)$"),
+    ("cooling", (0.75, 2.0), (0.5, 1.0), r"^Building: cooling band empty at unit 1 \(0\.75 > 0\.5\)$"),
+])
+def test_an_empty_band_names_the_component_and_the_unit(field, low, high, message):
+    """The band check is as strict as the column box: any excess fails there,
+    before the model sees the box."""
+    grid = _grid2()
+    bands = dict(heating_min=(1.0, 2.0), heating_max=(1.0, 2.0))
+    bands[f"{field}_min"], bands[f"{field}_max"] = low, high
+    spec = UsageSpec("Building", (0.1, 0.1), (0.0, 0.0), **bands)
+    with pytest.raises(ModelError, match=message):
+        build_usage(Model(), spec, grid, BalanceLedger(grid))
+
+
+def test_a_band_of_equal_bounds_is_one_point():
+    grid = _grid2()
+    m = Model()
+    spec = UsageSpec("Building", (0.1, 0.1), (0.0, 0.0), (1.0, 2.0), (1.0, 2.0),
+                     (0.5, -0.0), (0.5, 0.0))
+    build_usage(m, spec, grid, BalanceLedger(grid))
+    lo, hi, _ = m.column_arrays()
+    assert lo.tolist() == hi.tolist() == [1.0, 2.0, 0.5, 0.0]
+
+
+def _check_series_reference(values, n, label, lo=None, hi=None):
+    """The unit-by-unit check that _check_series replaces."""
+    vals = tuple(float(v) for v in values)
+    if len(vals) != n:
+        raise ModelError(f"{label}: expected {n} entries, got {len(vals)}")
+    for i, v in enumerate(vals):
+        if not math.isfinite(v):
+            raise ModelError(f"{label}: non-finite value at unit {i + 1}")
+        if lo is not None and v < lo - 1e-12:
+            raise ModelError(f"{label}: value {v} below {lo} at unit {i + 1}")
+        if hi is not None and v > hi + 1e-12:
+            raise ModelError(f"{label}: value {v} above {hi} at unit {i + 1}")
+    return vals
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ModelError as exc:
+        return str(exc)
+
+
+def test_check_series_matches_the_unit_loop():
+    rng = np.random.default_rng(8)
+    pool = [0.0, -0.0, 1.0, 2.0, 2.0 + 1e-13, 2.0 + 1e-11, -1e-13, -1e-11, 5.5, math.inf,
+            -math.inf, math.nan, 3]
+    for _ in range(400):
+        n = int(rng.integers(0, 5))
+        values = [pool[k] for k in rng.integers(0, len(pool), size=n + int(rng.integers(0, 2)))]
+        lo = [None, 0.0][int(rng.integers(0, 2))]
+        hi = [None, 2.0, math.inf][int(rng.integers(0, 3))]
+        want = _outcome(_check_series_reference, values, n, "X.s", lo, hi)
+        got = _outcome(_check_series, values, n, "X.s", lo, hi)
+        assert repr(got) == repr(want), (values, n, lo, hi)
 
 
 def test_usage_cooling_band_registered_when_present():

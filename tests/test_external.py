@@ -1,11 +1,13 @@
 """External-solver bridge: GLPK adapter, parsing, and cross-checks."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from besched.errors import SolutionParseError, SolverInconsistency, SpawnError
 from besched.external import glpk_command, parse_glpk_solution, solve_external
-from besched.milp import GE, LE, Model
+from besched.milp import GE, LE, Model, export_lp
 from besched.solver import INFEASIBLE, OPTIMAL, SolveOptions, solve_builtin
 
 from oracles import brute_force_solve, random_milp
@@ -139,3 +141,28 @@ def test_sanitized_names_map_back():
     sol = solve_external(m, _external_opts())
     assert sol.status == OPTIMAL
     assert sol.values["plant.x[1]"] == 1.0
+
+
+def test_an_external_solution_holds_its_values_by_column_id(tmp_path):
+    # a fake solver that prints the solution it is given, in LP names
+    fake = tmp_path / "fake.py"
+    fake.write_text("import sys\nopen(sys.argv[3], 'w').write(open(sys.argv[1]).read())\n")
+    m = Model()
+    x = m.binary("plant.x[1]")
+    ids = m.continuous_series("p", 2, 0.0, 2.0)
+    m.add_constraint(x + m.vars[int(ids[0])] + m.vars[int(ids[1])], LE, 3.0, "cap")
+    m.set_objective(-1 * x)
+    names = export_lp(m).name_map
+    assert set(names) == {"plant_x_1_", "p_1_", "p_2_"}
+    text = ("c column 1 plant_x_1_\nc column 2 p_2_\nc column 3 p_1_\ns mip 1 3 o -1\n"
+            "j 1 0.9999999\nj 2 1.5\nj 3 0.5\n")
+    (tmp_path / "given.sol").write_text(text)
+    cmd = f"{sys.executable} {fake} {tmp_path / 'given.sol'} {{in}} {{out}}"
+    sol = solve_external(m, SolveOptions(backend="external", command=cmd))
+    assert sol.status == OPTIMAL and sol.objective == -1.0
+    assert sol.x.tolist() == [1.0, 0.5, 1.5]
+    assert sol.values == {"plant.x[1]": 1.0, "p[1]": 0.5, "p[2]": 1.5}
+    assert sol.vector(m) is sol.x
+    (tmp_path / "given.sol").write_text("c column 1 plant_x_1_\ns mip 1 3 o -1\nj 1 1\n")
+    with pytest.raises(SolutionParseError, match=r"missing variables: \['p\[1\]', 'p\[2\]'\]"):
+        solve_external(m, SolveOptions(backend="external", command=cmd))

@@ -406,3 +406,112 @@ def test_export_lp_matches_the_reference_on_illegal_and_duplicate_names():
     only_legal = Model()
     only_legal.binary("x1")
     assert export_lp(only_legal).name_map == {}
+
+
+def _handle_readout(m):
+    """lo, hi and integrality read one handle at a time."""
+    return (np.array([v.domain.lo for v in m.vars], dtype=float),
+            np.array([v.domain.hi for v in m.vars], dtype=float),
+            np.array([v.domain.is_integral for v in m.vars], dtype=bool))
+
+
+def _week_model(tmp_path):
+    from besched.pipeline import build_problem
+    from besched.xmlio import parse_configuration, parse_situation
+    from helpers import write_week_scenario
+
+    config_path, situation_path = write_week_scenario(tmp_path / "week", seed=3)
+    config = parse_configuration(config_path.read_text())
+    situation = parse_situation(situation_path.read_text(), config)
+    return build_problem(config, situation, base_dir=config_path.parent).model
+
+
+def _every_box_model():
+    m = Model()
+    m.continuous("zero", 0.0, 0.0)
+    m.continuous("negzero", -0.0, -0.0)
+    m.continuous("free")
+    m.continuous("up", 0.0, INF)
+    m.continuous("down", -INF, -0.0)
+    m.binary("b")
+    m.integer("i", -3, 7)
+    m.add_var("given", Domain(INTEGER, -0.0, 2.0))
+    m.continuous_series("s", 6, [0.0, -0.0, -INF, 1.5, 0.0, -0.0], [0.0, 0.0, INF, INF, -0.0, 2.5])
+    m.continuous_series("t", 3)
+    return m
+
+
+def test_column_arrays_equal_the_handle_readout(tmp_path):
+    from test_pipeline import _every_element_by_hand
+
+    rng = np.random.default_rng(21)
+    models = [_every_box_model(), _every_element_by_hand()[0], _week_model(tmp_path), Model()]
+    models += [random_milp(rng) for _ in range(20)]
+    for m in models:
+        arrays = m.column_arrays()
+        for got, want in zip(arrays, _handle_readout(m)):
+            # bytes: -0.0 keeps its sign
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert len(arrays.lo) == m.n_columns == len(m.vars)
+        assert m.column_names() == [v.name for v in m.vars]
+    lo, hi, integral = models[0].column_arrays()
+    assert np.signbit(lo).tolist() == [False, True, True, False, True, False, True, True,
+                                       False, True, True, False, False, True, True, True, True]
+    assert integral.tolist() == [False] * 5 + [True] * 3 + [False] * 9
+
+
+def test_the_column_view_makes_one_handle_per_column_on_first_read():
+    m = Model()
+    assert m.vars == [] and len(m.vars) == 0 and list(m.vars) == []
+    with pytest.raises(IndexError):
+        m.vars[0]
+    x = m.continuous("x", 0.0, 1.0)
+    ids = m.continuous_series("p", 4, 0.0, [1.0, 2.0, 3.0, 4.0])
+    assert ids.tolist() == [1, 2, 3, 4] and len(m.vars) == 5
+    assert m.vars[0] is x
+    last = m.vars[-1]
+    assert last is m.vars[4] is m.vars[-1]
+    assert (last.id, last.name, last.domain.lo, last.domain.hi) == (4, "p[4]", 0.0, 4.0)
+    assert m.vars[1:3] == [m.vars[1], m.vars[2]] and m.vars[1] is m.vars[1]
+    assert m.vars[::-2] == [m.vars[4], m.vars[2], m.vars[0]]
+    assert m.vars == list(m.vars) == [m.vars[k] for k in range(5)]
+    assert m.vars != [x] and m.vars[2] != Var(2, "p[2]", m.vars[2].domain)
+    with pytest.raises(IndexError):
+        m.vars[5]
+    with pytest.raises(IndexError):
+        m.vars[-6]
+    # a series column's handle shares the model's one Domain of its box
+    assert m.vars[1].domain is m.continuous("q", 0.0, 1.0).domain
+    assert "p[3]" in m and "p[5]" not in m
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    ([0.0, math.nan, 0.0], 1.0, r"^Building\.heating\[2\]: NaN bound$"),
+    (0.0, [1.0, 1.0, math.nan], r"^Building\.heating\[3\]: NaN bound$"),
+    ([0.0, 2.0 + 4e-13, 3.0], [1.0, 2.0, 2.0],
+     r"^Building\.heating\[2\]: empty domain: lo=2\.0000000000004 > hi=2\.0$"),
+    (1.0, 0.0, r"^Building\.heating\[1\]: empty domain: lo=1\.0 > hi=0\.0$"),
+])
+def test_a_bad_series_box_raises_naming_its_column(lo, hi, message):
+    m = Model()
+    m.continuous("x", 0.0, 1.0)
+    for _ in range(2):  # a bad box is never stored, so it raises again
+        with pytest.raises(ModelError, match=message):
+            m.continuous_series("Building.heating", 3, lo, hi)
+    assert m.n_columns == 1 and "Building.heating[1]" not in m
+    m.continuous_series("Building.heating", 3, 0.0, 1.0)  # the names stay free
+    assert m.n_columns == 4
+
+
+def test_a_series_gives_the_columns_of_one_continuous_call_each():
+    rng = np.random.default_rng(4)
+    lo = rng.choice([0.0, -0.0, -INF, 1.0, 2.5], size=40)
+    hi = np.maximum(lo, rng.choice([0.0, -0.0, INF, 2.5, 3.0], size=40))
+    series, single = Model(), Model()
+    series.continuous_series("s", 40, lo, hi)
+    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()), start=1):
+        single.continuous(f"s[{i}]", a, b)
+    assert series.column_names() == single.column_names()
+    for got, want in zip(series.column_arrays(), single.column_arrays()):
+        assert got.tobytes() == want.tobytes()
+    assert export_lp(series).text == export_lp(single).text

@@ -9,13 +9,14 @@ import scipy.optimize
 
 import besched.solver
 from besched.errors import NumericalFailure, SolverError
-from besched.milp import EQ, GE, LE, Model
+from besched.milp import EQ, GE, LE, ExprBlock, Model
 from besched.solver import (
     INFEASIBLE,
     OPTIMAL,
     TIME_LIMIT,
     UNBOUNDED,
     ModelArrays,
+    Solution,
     SolveOptions,
     _WarmLP,
     solve_builtin,
@@ -209,6 +210,24 @@ def test_solution_vector_and_verification():
     arrays = ModelArrays(m)
     assert arrays.max_violation(sol.vector(m)) <= 1e-6
     assert arrays.objective_value(sol.vector(m)) == pytest.approx(sol.objective)
+
+
+def test_solution_vector_with_and_without_values_by_column_id():
+    m = Model()
+    m.continuous("a", 0.0, 2.0)
+    ids = m.continuous_series("p", 3, 0.0, [1.0, 2.0, 3.0])
+    m.add_rows(ExprBlock.columns(ids), GE, [0.5, 1.5, 2.5], "floor")
+    m.set_objective(ExprBlock.columns(ids).exprs()[0] + m.vars[0] * 2.0)
+    sol = solve_builtin(m)
+    assert sol.status == OPTIMAL and sol.x is not None
+    assert sol.vector(m) is sol.x
+    assert sol.values == dict(zip(m.column_names(), sol.x.tolist()))
+    # a solution given only as a dict reads its values by name
+    by_name = Solution(sol.status, dict(reversed(sol.values.items())), sol.objective)
+    assert by_name.x is None
+    assert by_name.vector(m).tobytes() == sol.x.tobytes()
+    with pytest.raises(KeyError):
+        Solution(OPTIMAL, {"a": 0.0}).vector(m)
 
 
 def _agree_models():

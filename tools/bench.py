@@ -16,7 +16,9 @@ gives the per-layer self times and the model census.
 
 The file records, per workload and side, every end-to-end value with its
 median and quartiles, the pairs the change won, the traced layer times and
-the census; per workload, the change minus the baseline of each traced
+the census; per workload and end-to-end metric, two verdicts (see
+``compare``): whether the change meets the claim rule for a gain, and
+whether it is worse than the baseline by more than the metric's bound; per workload, the change minus the baseline of each traced
 layer metric (``per_layer_change``, printed as baseline -> change); the git
 revision of each checkout with the files under ``MEASURED_PATHS`` that
 differ from it or are untracked, the line count of each
@@ -81,6 +83,39 @@ def spread(values: list) -> dict:
             "values": values}
 
 
+def compare(change: list, baseline: list, better: str, bound: float) -> dict:
+    """One end-to-end metric of one workload, from runs paired by index.
+
+    Beside each side's spread it records the pairs the change won (a tie
+    counts for neither side), the change of the medians and two verdicts:
+    ``gain``, the claim rule of the choosing-metrics guide (the change won at
+    least nine tenths of the pairs, and its median is better than the
+    baseline's by more than the baseline's interquartile range), and
+    ``beyond_bound``, the change's median worse than the baseline's by more
+    than ``bound`` (the metric's BENCHMARK.json bound) times the baseline
+    median.
+    """
+    rec = {"change": spread(change), "baseline": spread(baseline)}
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (c - b) < 0 for c, b in zip(change, baseline))
+    base = rec["baseline"]["median"]
+    rec["change_better_pairs"] = wins
+    rec["median_change"] = rec["change"]["median"] - base
+    improvement = -sign * rec["median_change"]  # positive when the change is better
+    rec["gain"] = wins >= 0.9 * min(len(change), len(baseline)) and (
+        improvement > rec["baseline"]["iqr"])
+    rec["beyond_bound"] = -improvement > bound * abs(base)
+    return rec
+
+
+def verdict_line(workload: str, metric: str, rec: dict, bound: float) -> str:
+    base, change = rec["baseline"], rec["change"]
+    return (f"{workload} {metric}: {base['median']:.4g} -> {change['median']:.4g}, "
+            f"change better in {rec['change_better_pairs']}/{len(change['values'])} pairs, "
+            f"baseline IQR {base['iqr']:.4g}: gain {'met' if rec['gain'] else 'not met'}; "
+            f"{'WORSE than' if rec['beyond_bound'] else 'within'} the {bound:g} bound")
+
+
 def bench_number(path: Path):
     m = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
     return int(m.group(1)) if m else None
@@ -107,6 +142,7 @@ def main(argv=None) -> int:
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"change": REPO}
     if args.baseline:
         sides["baseline"] = args.baseline.resolve()
@@ -141,12 +177,13 @@ def main(argv=None) -> int:
                     file=sys.stderr, flush=True)
         entry = {"failed": failed, "end_to_end": {}, "per_layer": {}, "census": {}}
         for metric in values["change"]:
-            rec = {side: spread(values[side][metric]) for side in sides}
             if "baseline" in sides:
-                sign = 1.0 if better[metric] == "lower" else -1.0
-                pairs = zip(values["change"][metric], values["baseline"][metric])
-                rec["change_better_pairs"] = sum(sign * (c - b) < 0 for c, b in pairs)
-                rec["median_change"] = rec["change"]["median"] - rec["baseline"]["median"]
+                rec = compare(values["change"][metric], values["baseline"][metric],
+                              better[metric], bounds[metric])
+                print(verdict_line(name, metric, rec, bounds[metric]), file=sys.stderr,
+                      flush=True)
+            else:
+                rec = {"change": spread(values["change"][metric])}
             entry["end_to_end"][metric] = rec
         for side, path in sides.items():
             traced = run_perfbench(path, name, args.seed, seconds, 1)
