@@ -26,8 +26,7 @@ from .assembly import CARRIERS, COLD, ELECTRIC, HEAT, BalanceLedger, TimeGrid
 from .errors import ModelError
 # FcchpBuilder is here as the FcCHP row's builder in the element table (xmlio.ELEMENTS)
 from .fcchp import FcchpBuilder, OnOffChain, build_min_durations, build_onoff_chain
-from .linearize import product_bin_bounded
-from .milp import EQ, ExprBlock, Model
+from .milp import EQ, LE, ExprBlock, Model
 
 
 def _check_series(values, n, label, lo=None, hi=None):
@@ -354,17 +353,27 @@ class MechChpSpec:
 
 def build_mech_chp(model: Model, spec: MechChpSpec, grid: TimeGrid,
                    ledger: BalanceLedger) -> None:
+    """Mechanical CHP: thermal output in [p_th_min, p_th_max] while on and 0
+    while off, electric output in fixed ratio to it, and a peak boiler.
+
+    The output out[i] is one column in [0, p_th_max] between the two gate rows
+    ``p_th_min * x - out <= 0`` and ``out - p_th_max * x <= 0``.  These are the
+    gate rows of ``product_bin_bounded``; its set-point column and track rows
+    would appear in no other row, and without them the feasible set, LP
+    relaxation included, is the same.
+    """
     n = grid.n_units
     dt = grid.hours_per_unit
     price = _check_series(spec.primary_price, n, f"{spec.name}.primary_price")
     chain = _switched_chain(model, spec, grid)
     heat, boiler_heat = [], []
     for i in range(1, n + 1):
-        u = model.continuous(f"{spec.name}.uth[{i}]", spec.p_th_min, spec.p_th_max)
-        heat.append(product_bin_bounded(
-            model, chain.x[i - 1], u, spec.p_th_min, spec.p_th_max,
-            f"{spec.name}.out[{i}]", f"{spec.name}.modulation.i={i}",
-        ))
+        x = chain.x[i - 1]
+        out = model.continuous(f"{spec.name}.out[{i}]", 0.0, spec.p_th_max)
+        tag = f"{spec.name}.modulation.i={i}"
+        model.add_constraint(x * spec.p_th_min - out, LE, 0.0, f"{tag}.lo_gate")
+        model.add_constraint(out - x * spec.p_th_max, LE, 0.0, f"{tag}.hi_gate")
+        heat.append(out)
         boiler_heat.append(model.continuous(f"{spec.name}.boiler[{i}]", 0.0, spec.boiler_p_max))
 
     ledger.add_source(HEAT, spec.name, [heat[i] + boiler_heat[i] for i in range(n)])

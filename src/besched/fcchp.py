@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .assembly import ELECTRIC, HEAT, BalanceLedger, TimeGrid
@@ -316,12 +317,29 @@ def build_onoff_chain(model: Model, n: int, x_0: int, hist_start: dict | None = 
 
 def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: int,
                         name: str = "unit") -> None:
-    """Minimum run and downtime rows over sliding windows of past events."""
+    """Minimum run and downtime rows over sliding windows of past events.
+
+    Row minrun.i reads x_i >= sum of the starts in the on_min - 1 units before
+    i, row mindown.i reads x_i + sum of the stops in the off_min - 1 units
+    before i <= 1.  With a window of one unit (on_min or off_min of 1) the sum
+    is empty and the row is the column's own bound, so it is not emitted.
+    Before unit 1 a window sums only the recorded events, as every other unit
+    there adds the constant 0: a row costs the recorded events and at most
+    the horizon, however long the minimum time.
+    """
+    starts = sorted(j for j in chain.hist_start if j < 1)
+    stops = sorted(j for j in chain.hist_stop if j < 1)
     for i in range(1, len(chain.x) + 1):
-        run = sum(map(chain.start_at, range(i - on_min + 1, i)), LinExpr())
-        model.add_constraint(chain.x[i - 1] - run, GE, 0.0, f"{name}.minrun.i={i}")
-        down = sum(map(chain.stop_at, range(i - off_min + 1, i)), LinExpr())
-        model.add_constraint(chain.x[i - 1] + down, LE, 1.0, f"{name}.mindown.i={i}")
+        if on_min > 1:
+            lo = i - on_min + 1
+            units = [*starts[bisect_left(starts, lo):], *range(max(lo, 1), i)]
+            run = sum(map(chain.start_at, units), LinExpr())
+            model.add_constraint(chain.x[i - 1] - run, GE, 0.0, f"{name}.minrun.i={i}")
+        if off_min > 1:
+            lo = i - off_min + 1
+            units = [*stops[bisect_left(stops, lo):], *range(max(lo, 1), i)]
+            down = sum(map(chain.stop_at, units), LinExpr())
+            model.add_constraint(chain.x[i - 1] + down, LE, 1.0, f"{name}.mindown.i={i}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,11 @@ def product_bin_bounded(model: Model, alpha, u, u_min: float, u_max: float, name
 
     alpha may be a binary variable or any expression that is 0/1 in every
     feasible solution (e.g. start_i + stop_i under compatibility rows).
+    The gate rows hold V between alpha * u_min and alpha * u_max, the track
+    rows tie V to U where alpha = 1.  A U used in no other row needs only the
+    two gate rows: for alpha in [0, 1], some U in [u_min, u_max] meets the
+    track rows exactly when the gate rows hold (``build_mech_chp`` writes
+    them alone).
     """
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         raise ModelError(f"product {name!r}: bounds on U must be finite")

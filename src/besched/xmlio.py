@@ -11,6 +11,7 @@ element unit attributes, with the root element providing the defaults.
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -458,6 +459,17 @@ def parse_situation(text: str, config: BuildingConfiguration) -> BuildingSituati
                          root_path) from exc
     if n_units < 1 or hours <= 0:
         raise InputError("horizon must have at least one unit of positive length", root_path)
+    if not math.isfinite(hours):
+        raise InputError(f"not a finite number: {root.get('hoursPerTimeUnit')!r}",
+                         f"{root_path}@hoursPerTimeUnit")
+    start = root.get("start")
+    if start:
+        # the schedule stamps every unit from start on; the last one must exist
+        try:
+            dt.datetime.fromisoformat(start) + (n_units - 1) * dt.timedelta(hours=hours)
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"no timestamp for every unit from {start!r}: {exc}",
+                             f"{root_path}@start") from exc
     extra = sorted(
         set(_local_attrs(root)) - set(_UNIT_ATTRS)
         - {"id", "nbsOfTimeUnits", "hoursPerTimeUnit", "start", "fileNameHDF5", "schemaLocation"}
@@ -502,7 +514,7 @@ def parse_situation(text: str, config: BuildingConfiguration) -> BuildingSituati
         id=sit_id,
         n_units=n_units,
         hours_per_unit=hours,
-        start=root.get("start"),
+        start=start,
         schedule_file=root.get("fileNameHDF5"),
         components=components,
     )

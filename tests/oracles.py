@@ -47,10 +47,17 @@ def brute_force_solve(model: Model):
             return "infeasible", math.nan, {}
         ranges.append(range(lo, hi + 1))
 
+    # rows over integer columns alone are checked before any LP is set up
+    integral = {v.id for v in int_vars}
+    int_rows = [(con.terms.items(), con.sense, con.rhs) for con in model.constraints
+                if con.terms.keys() <= integral]
     best_obj = math.inf
     best = None
     for combo in itertools.product(*ranges):
         fixed = {v.id: float(val) for v, val in zip(int_vars, combo)}
+        if not all(_row_ok(sum(c * fixed[vid] for vid, c in terms), sense, rhs)
+                   for terms, sense, rhs in int_rows):
+            continue
         if cont_vars:
             res = _lp_over_continuous(model, fixed, cont_vars)
             if res is None:
@@ -59,12 +66,6 @@ def brute_force_solve(model: Model):
             values = dict(fixed)
             values.update(cont_vals)
         else:
-            ok = all(
-                _row_ok(sum(c * fixed[vid] for vid, c in con.terms.items()), con.sense, con.rhs)
-                for con in model.constraints
-            )
-            if not ok:
-                continue
             values = fixed
             obj = model.objective.const + sum(
                 c * fixed[vid] for vid, c in model.objective.terms.items()

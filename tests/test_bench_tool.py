@@ -71,3 +71,17 @@ def test_a_faked_benchmark_stores_and_prints_both_verdicts(tmp_path, monkeypatch
     assert err.count("gain not met") == 3 * len(metrics) - 1
     # ten pairs and one traced run per side and workload
     assert len(calls) == 3 * (2 * 10 + 2)
+    assert "week_storage_lp census: vars/int_vars/rows/nnz 1/0/0/0 -> 1/0/0/0" in err
+    assert report["workloads"]["week_storage_lp"]["census_change"] == {
+        "milp.vars": 0, "milp.int_vars": 0, "milp.rows": 0, "milp.nnz": 0}
+
+
+def test_the_census_line_reads_before_and_after():
+    census = {
+        "baseline": {"milp.vars": 864.0, "milp.int_vars": 288.0, "milp.rows": 1056.0,
+                     "milp.nnz": 2587.0},
+        "change": {"milp.vars": 864.0, "milp.int_vars": 288.0, "milp.rows": 864.0,
+                   "milp.nnz": 2395.0},
+    }
+    assert bench.census_line("day", census) == (
+        "day census: vars/int_vars/rows/nnz 864/288/1056/2587 -> 864/288/864/2395")

@@ -224,6 +224,16 @@ def _write_every_element(tmp_path, config, situation):
     # FcCHP
     ("config", 'maxOnTimeInHours="10"', "inf", "plant.maxOnTimeInHours: a duration of inf h"),
     ("config", 'warmUpSupportingValues="1 2 2 3"', "", "non-empty warm-up duration table"),
+    # the horizon
+    ("situation", 'hoursPerTimeUnit="1.0"', "inf",
+     "BuildingSituation@hoursPerTimeUnit: not a finite number: 'inf'"),
+    ("situation", 'hoursPerTimeUnit="1.0"', "nan",
+     "BuildingSituation@hoursPerTimeUnit: not a finite number: 'nan'"),
+    ("situation", 'hoursPerTimeUnit="1.0"', '1.0" start="2016-13-45T00:00:00',
+     "BuildingSituation@start: no timestamp for every unit from '2016-13-45T00:00:00'"),
+    # the eighth unit would begin in the year 10000
+    ("situation", 'hoursPerTimeUnit="1.0"', '1.0" start="9999-12-31T18:00:00',
+     "BuildingSituation@start: no timestamp for every unit from '9999-12-31T18:00:00'"),
 ])
 def test_optimize_rejects_a_non_finite_or_empty_value_with_one_error_line(
         tmp_path, capsys, document, attr, value, message):

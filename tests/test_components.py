@@ -1,6 +1,7 @@
 """Time grid, balance ledger/assembly, and the standard component builders."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from besched.errors import ModelError, StructuralInfeasibility
 from besched.milp import EQ, Model, as_expr
 from besched.solver import solve_builtin
 
-from oracles import storage_replay
+from oracles import brute_force_solve, storage_replay
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +324,52 @@ def test_heat_pump_minimum_run_time_uses_switch_history():
         assert solve_builtin(m).feasible == feasible
 
 
+def test_a_minimum_time_beyond_the_history_builds_the_window_that_reaches_its_first_event():
+    # the pump started 0.5 h before the horizon, at unit -1 on a 0.25 h grid;
+    # the window of unit 4 reaches back to it with 6 units (1.5 h), and any
+    # longer window adds only constant zero terms
+    def rows(hours, dt=0.25):
+        m = Model()
+        grid = TimeGrid(4, dt)
+        spec = HeatPumpSpec("HP", 1.8, cop=(3.0,) * 4, min_run_time=hours, min_off_time=hours,
+                            is_on_at_begin=True, last_change_hours=0.5)
+        build_heat_pump(m, spec, grid, BalanceLedger(grid))
+        return [(c.tag, [(v, k.hex()) for v, k in c.terms.items()], c.sense, c.rhs.hex())
+                for c in m.constraints]
+
+    started = time.monotonic()
+    longest = rows(1e9)
+    rows(1.0, dt=1e-300)  # 1e300-unit windows, the start 5e299 units back
+    assert time.monotonic() - started < 1.0
+    assert longest == rows(1.5)
+    assert longest != rows(1.25)
+
+
+def test_heat_pump_with_one_unit_windows_has_no_duration_rows_and_matches_enumeration():
+    # minimum run and off times of one unit: every start/stop pattern is allowed
+    grid = TimeGrid(6, 0.5)
+    m = Model()
+    ledger = BalanceLedger(grid)
+    build_heat_pump(m, HeatPumpSpec("HP", 2.0, cop=(3.0, 2.5, 3.5, 3.0, 2.0, 3.0),
+                                    min_run_time=0.5, min_off_time=0.5, is_on_at_begin=True,
+                                    last_change_hours=1.0), grid, ledger)
+    build_storage(m, StorageSpec("buf", "heat", 0.0, 6.0, 1.0, 6.0, 6.0), grid, ledger)
+    build_usage(m, UsageSpec("U", electric_demand=(0.0,) * 6,
+                             hot_water_demand=(2.0, 0.0, 4.0, 1.0, 3.0, 2.0),
+                             heating_min=(0.0,) * 6, heating_max=(0.0,) * 6), grid, ledger)
+    build_grid(m, GridSpec("G", 10.0, 0.0, price=(30.0, 10.0, 25.0, 20.0, 35.0, 15.0),
+                           refund=(0.0,) * 6), grid, ledger)
+    build_balances(m, ledger)
+    build_objective(m, ledger)
+    assert not [c.tag for c in m.constraints if ".minrun." in c.tag or ".mindown." in c.tag]
+    sol = solve_builtin(m)
+    status, obj, _ = brute_force_solve(m)
+    assert sol.status == status == "optimal"
+    assert sol.objective == pytest.approx(obj, abs=1e-6)
+    # the optimum switches the pump on and off twice
+    assert [round(sol.values[f"HP.x[{i}]"]) for i in range(1, 7)] == [0, 1, 0, 1, 0, 0]
+
+
 def test_heat_pump_rejects_bad_cop_and_power():
     grid = _grid2()
     with pytest.raises(ModelError, match="positive"):
@@ -506,6 +553,25 @@ def test_mech_chp_off_state_forces_zero_output():
     sol = solve_builtin(m)
     heat = dict(ledger.states)["thermalOutputPower_CHP"]
     assert [m.evaluate(e, sol.values) for e in heat] == pytest.approx([0.0, 0.0])
+
+
+@pytest.mark.parametrize("sign, level", [(1.0, 1.0), (-1.0, 2.0)])
+def test_mech_chp_on_state_modulates_between_its_limits(sign, level):
+    # forced on, the output reaches P_th_min when it costs and P_th_max when it pays
+    grid = TimeGrid(2, 1.0)
+    m = Model()
+    ledger = BalanceLedger(grid)
+    spec = MechChpSpec("CHP", 0.6, 0.3, 2.0, 1.0, 0.9, 0.0, primary_price=(6.0, 6.0))
+    build_mech_chp(m, spec, grid, ledger)
+    assert not [v.name for v in m.vars if ".uth[" in v.name]
+    for i in (1, 2):
+        x = next(v for v in m.vars if v.name == f"CHP.x[{i}]")
+        m.add_constraint(x + 0.0, EQ, 1.0, f"fix.{i}")
+    heat = dict(ledger.states)["thermalOutputPower_CHP"]
+    m.set_objective(sum((e * sign for e in heat), as_expr(0.0)))
+    sol = solve_builtin(m)
+    assert sol.status == "optimal"
+    assert [m.evaluate(e, sol.values) for e in heat] == [level, level]
 
 
 def test_mech_chp_spec_validation():

@@ -1,5 +1,8 @@
 """Exactness of the reformulation toolkit, mostly by enumeration."""
 
+import math
+
+import numpy as np
 import pytest
 
 from besched.errors import ModelError
@@ -12,8 +15,10 @@ from besched.linearize import (
     select_interval_gated,
     select_value,
 )
-from besched.milp import EQ, Model
+from besched.milp import EQ, LE, Model
 from besched.solver import SolveOptions, solve_builtin
+
+from oracles import brute_force_solve
 
 OPTS = SolveOptions(lp_backend="dense")
 
@@ -47,6 +52,31 @@ def test_product_bin_bounded_enumeration(a, u):
     _pin(m, uu, u)
     sol = _solve(m)
     assert sol.values["v"] == pytest.approx(a * u, abs=1e-9)
+
+
+@pytest.mark.parametrize("free_u", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_a_product_whose_u_is_in_no_other_row_is_its_two_gate_rows(seed, free_u):
+    # alpha continuous in [0, 1]: over (alpha, V) the four rows on U and the
+    # two gate rows alone have the same LP minimum and maximum
+    rng = np.random.default_rng(seed)
+    # odd seeds: a positive minimum, as the MechCHP's output has
+    u_min, u_max = sorted(rng.uniform(0.0 if seed % 2 else -10.0, 10.0, 2))
+    full, gates = Model(), Model()
+    a = full.continuous("alpha", 0.0, 1.0)
+    u = full.continuous("u", *((-math.inf, math.inf) if free_u else (u_min, u_max)))
+    v = product_bin_bounded(full, a, u, u_min, u_max, "v", "prod")
+    ga = gates.continuous("alpha", 0.0, 1.0)
+    gv = gates.continuous("v", min(0.0, u_min), max(0.0, u_max))
+    gates.add_constraint(ga * u_min - gv, LE, 0.0, "prod.lo_gate")
+    gates.add_constraint(gv - ga * u_max, LE, 0.0, "prod.hi_gate")
+    for c_a, c_v in rng.normal(size=(3, 2)):
+        for sense in (1.0, -1.0):
+            full.set_objective(a * (sense * c_a) + v * (sense * c_v))
+            gates.set_objective(ga * (sense * c_a) + gv * (sense * c_v))
+            (s_full, o_full, _), (s_gates, o_gates, _) = map(brute_force_solve, (full, gates))
+            assert s_full == s_gates == "optimal"
+            assert o_full == pytest.approx(o_gates, abs=1e-9)
 
 
 def test_product_rejects_unbounded():

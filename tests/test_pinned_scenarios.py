@@ -54,12 +54,12 @@ def _digests(write, tmp_path) -> dict:
 
 PINNED = {
     "day": (write_daily_scenario, {
-        "census": (864, 288, 1056, 2587),
-        "lp": "71edb8f99d2accdc114ab1d583d6c9a8e0efefe98e5c12590a35d227365e9559",
-        "tags": "3ca7ffe857ad9fb88f62ce5eea265e26ea7e6875e65defc8a6a1d2be842db83a",
+        "census": (864, 288, 864, 2395),
+        "lp": "e8b274f235ca9dda41821268bc29b84d5b2365080193bf69bea355ef43b52b45",
+        "tags": "75158e6344d9d80ba3bcf5171a3cf17b5086ad54146997dc90d831369ec7dabd",
         "states": "ea6b7f46967cacceeed7fee3b8570f560cdba66d99c63e53a62daf88e6149837",
-        "arrays": "06ffc129032e447a3f03cd370c1add0d0cd2dc16175e48fc88b4dd45e31392d2",
-        "schedule": "e405aa24a80745019493be394f0435b5ef6cbe177c56d4d5f6bdc39fc34f4100",
+        "arrays": "0813144e0f80f83cd8ffba334fbf4c6e85e44344b5a73310248ffe78169368d0",
+        "schedule": "e376756f65b6744577779575e463c7ab2d38046b78ec3c1ff29cc2efc75b4324",
     }),
     # 16 units at a negative price, 287 without refund, 140 without hot water
     "week": (lambda path: write_week_scenario(path, seed=12), {

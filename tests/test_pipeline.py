@@ -336,7 +336,7 @@ def test_every_element_matches_the_builders_called_by_hand(tmp_path):
 
 
 # sha256 of the scenario's LP text as the per-term export (oracles) writes it
-EVERY_ELEMENT_LP_SHA256 = "5d4ba2f3ee9b893d3f0e785e5ea6be66654cd328af5149bf207944f6c5e7c6b4"
+EVERY_ELEMENT_LP_SHA256 = "127f8dfe9dc6a99cb8d219a4eb18dbcf8277dde5ed016ba65a6fab5c508be414"
 
 
 def test_every_element_export_matches_the_reference_and_its_pinned_digest(tmp_path):
@@ -361,6 +361,8 @@ def test_extraction_equals_evaluate_on_the_every_element_scenario():
     model, ledger = _every_element_by_hand()
     solution = solve_builtin(model)
     assert solution.status == "optimal"
+    # the optimum, which a formulation with the same feasible set keeps
+    assert solution.objective == pytest.approx(78.36424855831443, abs=1e-6)
     _assert_extraction_equals_evaluate(model, ledger, solution)
 
 
@@ -371,6 +373,7 @@ def test_extraction_equals_evaluate_on_the_day_scenario(tmp_path):
                             base_dir=tmp_path)
     solution = solve_problem(problem, SolveOptions())
     assert solution.status == "optimal"
+    assert solution.objective == pytest.approx(201.0, abs=1e-6)
     _assert_extraction_equals_evaluate(problem.model, problem.ledger, solution)
 
 

@@ -125,6 +125,9 @@ def test_configuration_structure_errors(old, new, match):
     (' hoursPerTimeUnit="0.25"', "", "missing or malformed"),
     ('nbsOfTimeUnits="96"', 'nbsOfTimeUnits="0"', "at least one unit"),
     ('hoursPerTimeUnit="0.25"', 'hoursPerTimeUnit="0"', "at least one unit"),
+    # a unit too long for a time step
+    ('hoursPerTimeUnit="0.25"', 'hoursPerTimeUnit="1e300"',
+     "BuildingSituation@start: no timestamp for every unit from '2016-08-17T00:00:00'"),
     ('fileNameHDF5="UDKHeatPumpScenario.h5"',
      'fileNameHDF5="UDKHeatPumpScenario.h5" version="2"', "unknown attributes: version"),
     ('dataSetPath="/COP"', 'dataSetPath="/COP" color="red"', "unknown attributes: color"),

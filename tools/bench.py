@@ -19,7 +19,8 @@ median and quartiles, the pairs the change won, the traced layer times and
 the census; per workload and end-to-end metric, two verdicts (see
 ``compare``): whether the change meets the claim rule for a gain, and
 whether it is worse than the baseline by more than the metric's bound; per workload, the change minus the baseline of each traced
-layer metric (``per_layer_change``, printed as baseline -> change); the git
+layer metric (``per_layer_change``, printed as baseline -> change) and of
+each census count (``census_change``, printed by ``census_line``); the git
 revision of each checkout with the files under ``MEASURED_PATHS`` that
 differ from it or are untracked, the line count of each
 ``src/besched/*.py`` module in each checkout and their total
@@ -43,6 +44,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 # the paths whose contents change what a run measures; documents are not among them
 MEASURED_PATHS = ("src", "tests", "tools", "perfbench", "BENCHMARK.json", "pyproject.toml")
+# the model census of a traced run, per instance
+CENSUS = ("milp.vars", "milp.int_vars", "milp.rows", "milp.nnz")
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -114,6 +117,12 @@ def verdict_line(workload: str, metric: str, rec: dict, bound: float) -> str:
             f"change better in {rec['change_better_pairs']}/{len(change['values'])} pairs, "
             f"baseline IQR {base['iqr']:.4g}: gain {'met' if rec['gain'] else 'not met'}; "
             f"{'WORSE than' if rec['beyond_bound'] else 'within'} the {bound:g} bound")
+
+
+def census_line(workload: str, census: dict) -> str:
+    before, after = ("/".join(f"{census[side].get(k, 0):g}" for k in CENSUS)
+                     for side in ("baseline", "change"))
+    return f"{workload} census: vars/int_vars/rows/nnz {before} -> {after}"
 
 
 def bench_number(path: Path):
@@ -191,6 +200,10 @@ def main(argv=None) -> int:
                                         for m, rec in traced["summary"]["metrics"].items()}
             entry["census"][side] = traced["detail"]["census_per_instance"]
         if "baseline" in sides:
+            census = entry["census"]
+            entry["census_change"] = {k: census["change"].get(k, 0) - census["baseline"].get(k, 0)
+                                      for k in CENSUS}
+            print(census_line(name, census), file=sys.stderr, flush=True)
             layers = entry["per_layer"]
             entry["per_layer_change"] = {}
             for metric, after in layers["change"].items():
