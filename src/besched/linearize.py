@@ -99,32 +99,17 @@ def bool_and(model: Model, a, b, name: str, tag: str) -> Var:
     return g
 
 
-def select_value(model: Model, x, table, name: str, tag: str, domain=None):
+def select_value(model: Model, x, table, name: str, tag: str):
     """Table lookup value = F[x] for an integer expression x in {1..N}.
 
-    Adds selector binaries lambda_1..lambda_N with sum 1 and two-sided big-M
-    indicator rows linearizing lambda_i * (x - i) = 0 with M = N.  Returns
-    (value expression, list of selector vars).  x must never leave 1..N.
+    A ``select_interval_gated`` lookup that is always on, with one interval
+    [i, i] per table entry: selector binaries lambda_1..lambda_N with sum 1
+    pin x to their entry.  Returns (value expression, list of selector vars).
+    x must never leave 1..N.
     """
-    if not table:
-        raise ModelError(f"select_value {name!r}: table must be non-empty")
     n = len(table)
-    xe = as_expr(x)
-    if domain is None:
-        domain = range(1, n + 1)
-    lams = []
-    total = LinExpr()
-    value = LinExpr()
-    m_const = record_bigm(model, float(n), tag, float(n - 1) if n > 1 else 1.0)
-    for idx, i in enumerate(domain):
-        lam = model.binary(f"{name}_l{i}")
-        lams.append(lam)
-        total = total + lam
-        value = value + lam * float(table[idx])
-        model.add_constraint(xe - i + m_const * lam, LE, m_const, f"{tag}.ub.i={i}")
-        model.add_constraint(xe - i - m_const * lam, GE, -m_const, f"{tag}.lb.i={i}")
-    model.add_constraint(total, EQ, 1.0, f"{tag}.onehot")
-    return value, lams
+    return select_interval_gated(model, 1.0, x, [(i, i, table[i - 1]) for i in range(1, n + 1)],
+                                 1, n, name, tag)
 
 
 def select_interval_gated(model: Model, gate, x, intervals, x_min: float, x_max: float,

@@ -17,20 +17,18 @@ numpy arrays; ``Model.constraints`` is a read-only view that builds a
 ``Constraint`` record for each row it is asked for.
 
 Beside the row store a model keeps a column store, the one record of each
-column's name and box: the names in a list, and per column the index of its
-box in the model's list of distinct ``Domain``s.  ``Model.binary``,
-``integer`` and ``continuous`` give all variables of one box the same
-``Domain``: a model builds and checks each distinct box once (a week model's
-7392 columns have 846 boxes), in a dict that lives and dies with the model.
-``continuous_series`` appends a whole series to the store at once, its
-distinct boxes found by one ``np.unique``.  ``column_arrays`` hands the
-boxes to the solver as numpy arrays, and ``export_lp`` maps each distinct
-box's text through the box index.
+column's name and box: the names in a list and the box in three flat
+arrays, its bounds and its kind.  ``Model.binary``, ``integer`` and
+``continuous`` check the box through a ``Domain`` (every binary shares one)
+and append it; ``continuous_series`` checks a whole series in one array pass
+and appends it without a ``Domain``.  ``column_arrays`` hands the arrays to
+the solver as numpy copies, and ``export_lp`` finds the distinct boxes of
+its Bounds lines in them.
 
 A ``Var`` is a slotted handle (id, name, domain), equal only to itself.
 ``Model.vars`` is a read-only view of the columns: column k reads as its one
-handle, made on the first read and kept, so a series column that is never
-read never gets one.
+handle, made with its ``Domain`` on the first read and kept, so a series
+column that is never read never gets one.
 
 Expressions are ``LinExpr`` dicts from variable id to coefficient plus a
 constant.  ``+``, ``-`` and ``*`` build new expressions and never change an
@@ -89,10 +87,18 @@ class Domain:
             raise ModelError("binary domain must be {0, 1}")
         if math.isnan(self.lo) or math.isnan(self.hi):
             raise ModelError("NaN bound")
+        if self.lo == INF or self.hi == -INF:
+            raise ModelError(f"no finite value in the domain: lo={self.lo}, hi={self.hi}")
 
     @property
     def is_integral(self) -> bool:
         return self.kind in (INTEGER, BINARY)
+
+
+# a column's kind as stored: an index into _KINDS
+_KINDS = (CONTINUOUS, INTEGER, BINARY)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_BINARY = Domain(BINARY, 0.0, 1.0)
 
 
 class LinExpr:
@@ -361,23 +367,40 @@ class RowArrays(NamedTuple):
     tags: list
 
 
-class _RowView(Sequence):
-    """Read-only view of a model's rows: each row read is a new ``Constraint``
-    with the terms in stored order."""
+class _View(Sequence):
+    """Read-only view of one of a model's stores: an index reads one item
+    (``_item``), a slice a list of them, and the view equals a list or tuple
+    of the same items."""
 
     __slots__ = ("_model",)
 
     def __init__(self, model: "Model"):
         self._model = model
 
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._item(i) for i in range(*k.indices(len(self)))]
+        return self._item(range(len(self))[k])  # negative indices, and IndexError past the end
+
+    def __eq__(self, other):
+        if not isinstance(other, (type(self), list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
+class _RowView(_View):
+    """The rows: each row read is a new ``Constraint`` with the terms in
+    stored order."""
+
+    __slots__ = ()
+
     def __len__(self) -> int:
         return len(self._model._tags)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
+    def _item(self, k):
         m = self._model
-        k = range(len(m._tags))[k]  # negative indices, and IndexError past the end
         start = m._ends[k - 1] if k else 0
         end = m._ends[k]
         return Constraint(k, dict(zip(m._cols[start:end], m._coefs[start:end])),
@@ -391,13 +414,6 @@ class _RowView(Sequence):
                              rhs, tag)
             start = end
 
-    def __eq__(self, other):
-        if not isinstance(other, (_RowView, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
 
 class ColumnArrays(NamedTuple):
     """A model's column boxes as numpy arrays, by column id."""
@@ -407,43 +423,30 @@ class ColumnArrays(NamedTuple):
     integral: np.ndarray  # bool: an integer or binary column
 
 
-class _ColumnView(Sequence):
-    """Read-only view of a model's columns: column ``k`` reads as its one
-    ``Var`` handle, made on the first read and kept."""
+class _ColumnView(_View):
+    """The columns: column ``k`` reads as its one ``Var`` handle, made with
+    its ``Domain`` on the first read and kept."""
 
-    __slots__ = ("_model",)
-
-    def __init__(self, model: "Model"):
-        self._model = model
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self._model._names)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
+    def _item(self, k):
         m = self._model
-        handle = m._handles[k]  # negative indices, and IndexError past the end
+        handle = m._handles[k]
         if handle is None:
-            k = range(len(m._handles))[k]
-            handle = m._handles[k] = Var(k, m._names[k], m._boxes[m._box[k]])
+            handle = m._handles[k] = Var(k, m._names[k],
+                                         Domain(_KINDS[m._kind[k]], m._lo[k], m._hi[k]))
         return handle
 
     def __iter__(self):
         """The handles of the columns there are now, the missing ones made in
         one pass."""
-        m = self._model
-        handles, names, boxes, box = m._handles, m._names, m._boxes, m._box
+        handles = self._model._handles
         for k in [k for k, h in enumerate(handles) if h is None]:
-            handles[k] = Var(k, names[k], boxes[box[k]])
+            self._item(k)
         return iter(handles[:])
-
-    def __eq__(self, other):
-        if not isinstance(other, (_ColumnView, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
 
 
 class Model:
@@ -451,14 +454,15 @@ class Model:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        # the column store: column k is named _names[k] and has the box
-        # _boxes[_box[k]]; _handles[k] is its Var once one was asked for
+        # the column store: column k is named _names[k], has the bounds
+        # _lo[k], _hi[k] and the kind _KINDS[_kind[k]]; _handles[k] is its
+        # Var once one was asked for
         self._names: list[str] = []
-        self._box = array("q")
+        self._lo = array("d")
+        self._hi = array("d")
+        self._kind = array("b")
         self._handles: list = []
         self._by_name: dict[str, int] = {}  # column name -> column id
-        self._boxes: list[Domain] = []  # the distinct boxes, see _box_id
-        self._domains: dict = {}  # box key -> its index in _boxes
         # the CSR row store: row k's terms end at _ends[k] in _cols/_coefs
         self._cols = array("q")
         self._coefs = array("d")
@@ -485,84 +489,59 @@ class Model:
         return list(self._names)
 
     def column_arrays(self) -> ColumnArrays:
-        """The column boxes as numpy arrays, built from the distinct boxes."""
-        boxes = self._boxes
-        box = np.array(self._box, dtype=np.int64)
-        return ColumnArrays(np.array([d.lo for d in boxes], dtype=float)[box],
-                            np.array([d.hi for d in boxes], dtype=float)[box],
-                            np.array([d.is_integral for d in boxes], dtype=bool)[box])
+        """The column boxes as numpy arrays, copied."""
+        return ColumnArrays(np.array(self._lo), np.array(self._hi),
+                            np.array(self._kind, dtype=bool))
 
-    def _box_id(self, kind: str, lo: float, hi: float, domain: Domain | None = None) -> int:
-        """The index in ``_boxes`` of this model's one ``Domain`` of the box,
-        checked when first built (``domain``, when given, is that box).
-
-        A box that fails the checks is never stored, so it raises on every
-        call.  0.0 equals -0.0, so a zero bound also keys by its sign: each
-        variable keeps the bound it was given.
-        """
-        if lo and hi:
-            key = (kind, lo, hi)
-        else:
-            key = (kind, lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi))
-        box = self._domains.get(key)
-        if box is None:
-            self._boxes.append(Domain(kind, lo, hi) if domain is None else domain)
-            box = self._domains[key] = len(self._boxes) - 1
-        return box
-
-    def _add_column(self, name: str, box: int) -> Var:
+    def add_var(self, name: str, domain: Domain) -> Var:
         if name in self._by_name:
             raise DuplicateName(f"variable name already in use: {name!r}")
         k = len(self._names)
-        v = Var(k, name, self._boxes[box])
+        v = Var(k, name, domain)
         self._names.append(name)
-        self._box.append(box)
+        self._lo.append(domain.lo)
+        self._hi.append(domain.hi)
+        self._kind.append(_KIND_CODE[domain.kind])
         self._handles.append(v)
         self._by_name[name] = k
         return v
 
-    def add_var(self, name: str, domain: Domain) -> Var:
-        return self._add_column(name, self._box_id(domain.kind, domain.lo, domain.hi, domain))
-
     def binary(self, name: str) -> Var:
-        return self._add_column(name, self._box_id(BINARY, 0.0, 1.0))
+        return self.add_var(name, _BINARY)
 
     def integer(self, name: str, lo: float, hi: float) -> Var:
-        return self._add_column(name, self._box_id(INTEGER, float(lo), float(hi)))
+        return self.add_var(name, Domain(INTEGER, float(lo), float(hi)))
 
     def continuous(self, name: str, lo: float = -INF, hi: float = INF) -> Var:
-        return self._add_column(name, self._box_id(CONTINUOUS, float(lo), float(hi)))
+        return self.add_var(name, Domain(CONTINUOUS, float(lo), float(hi)))
 
     def continuous_series(self, name: str, n: int, lo=-INF, hi=INF) -> np.ndarray:
         """Continuous columns ``name[1]`` to ``name[n]``; returns their ids.
 
         ``lo`` and ``hi`` are each one bound for all columns or one per
         column.  The same columns as ``n`` calls of :meth:`continuous`, but
-        no ``Var`` is made: the distinct boxes are found in one ``np.unique``
-        over the bytes of the bounds (so 0.0 and -0.0 stay apart) and each is
-        checked once, in unit order.  A bad box raises naming its first column.
+        no ``Var`` or ``Domain`` is made: the bounds are checked in one
+        array pass and appended as they are.  A bad box raises the message
+        of :meth:`continuous`, naming its first column.
         """
         names = [f"{name}[{i}]" for i in range(1, n + 1)]
         if not self._by_name.keys().isdisjoint(names):
             taken = next(x for x in names if x in self._by_name)
             raise DuplicateName(f"variable name already in use: {taken!r}")
-        bounds = np.empty((n, 2))
-        bounds[:, 0], bounds[:, 1] = lo, hi
-        _, first, which = np.unique(bounds.view("V16").ravel(), return_index=True,
-                                    return_inverse=True)
-        order = np.argsort(first)
-        units = first[order].tolist()  # each box's first unit, in unit order
-        made, box_id = [], self._box_id
-        try:
-            for a, b in bounds[units].tolist():
-                made.append(box_id(CONTINUOUS, a, b))
-        except ModelError as exc:
-            raise ModelError(f"{names[units[len(made)]]}: {exc}") from None
-        ids = np.empty(len(units), dtype=np.int64)
-        ids[order] = made
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
+        bad = (lo > hi) | np.isnan(lo) | np.isnan(hi) | (lo == INF) | (hi == -INF)
+        if bad.any():
+            k = int(bad.argmax())
+            try:
+                Domain(CONTINUOUS, float(lo[k]), float(hi[k]))  # raises the message
+            except ModelError as exc:
+                raise ModelError(f"{names[k]}: {exc}") from None
         start = len(self._names)
         self._names.extend(names)
-        self._box.frombytes(ids[which].tobytes())
+        self._lo.frombytes(lo.tobytes())
+        self._hi.frombytes(hi.tobytes())
+        self._kind.frombytes(bytes(n))  # every column continuous
         self._handles.extend([None] * n)
         self._by_name.update(zip(names, range(start, start + n)))
         return np.arange(start, start + n)
@@ -830,10 +809,15 @@ def export_lp(model: Model) -> LpFile:
     names, renamed = _sanitize_names(model)
     rows = model.row_arrays()
     obj_coefs = np.fromiter(model.objective.terms.values(), dtype=float)
-    boxes = model._boxes
+    # the distinct boxes of the columns with a Bounds line, all but binaries,
+    # as lo + hi j: one np.unique over complex numbers (-0.0 equals 0.0)
+    kind = np.array(model._kind)
+    bounded = kind != _KIND_CODE[BINARY]
+    boxes = np.empty(int(bounded.sum()), dtype=complex)
+    boxes.real, boxes.imag = np.array(model._lo)[bounded], np.array(model._hi)[bounded]
+    boxes, box_of = np.unique(boxes, return_inverse=True)
     num = _num_texts(np.concatenate((
-        np.abs(rows.coefs), rows.rhs, np.abs(obj_coefs),
-        [x for d in boxes for x in (d.lo, d.hi)])), "%.17g")
+        np.abs(rows.coefs), rows.rhs, np.abs(obj_coefs), boxes.real, boxes.imag)), "%.17g")
     signed = {c: f"{'-' if c < 0 else '+'} {num[abs(c)]} "
               for c in set(model.objective.terms.values())}
 
@@ -854,17 +838,13 @@ def export_lp(model: Model) -> LpFile:
             raise ModelError("cannot export a constraint over an empty variable set")
         lines.append(_rows_text(rows, names, num))
 
-    # each distinct box's text before and after the name, () where a column
-    # has no line in Bounds: a binary or the default box
-    box_text = [() if d.kind == BINARY else _box_text(d.lo, d.hi, num) for d in boxes]
-    box_of = model._box
-    bounds = [text[0] + n + text[1]
-              for text, n in zip(map(box_text.__getitem__, box_of), names) if text]
-    kinds = [d.kind for d in boxes]
-    generals = ([n for b, n in zip(box_of, names) if kinds[b] == INTEGER]
-                if INTEGER in kinds else [])
-    binaries = ([n for b, n in zip(box_of, names) if kinds[b] == BINARY]
-                if BINARY in kinds else [])
+    # each distinct box's text before and after the name, () for the default box
+    box_text = [_box_text(box.real, box.imag, num) for box in boxes.tolist()]
+    bounds = [text[0] + n + text[1] for text, n in
+              zip(map(box_text.__getitem__, box_of.tolist()), compress(names, bounded.tolist()))
+              if text]
+    generals = list(compress(names, (kind == _KIND_CODE[INTEGER]).tolist()))
+    binaries = list(compress(names, (~bounded).tolist()))
     if bounds:
         lines.append("Bounds")
         lines.extend(bounds)

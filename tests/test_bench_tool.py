@@ -85,3 +85,56 @@ def test_the_census_line_reads_before_and_after():
     }
     assert bench.census_line("day", census) == (
         "day census: vars/int_vars/rows/nnz 864/288/1056/2587 -> 864/288/864/2395")
+
+
+def _checkout(root, modules):
+    package = root / "src" / "besched"
+    package.mkdir(parents=True)
+    for name, source in modules.items():
+        (package / name).write_text(source)
+    return root
+
+
+MODULE = '''"""A module docstring
+over two lines."""
+
+# a comment line
+X = 1  # a comment after code
+
+
+def f(a,
+      b):
+    """One line."""
+    return """not a
+docstring"""
+
+
+class C:
+    """A class docstring."""
+
+    y = 2
+'''
+
+
+def test_code_lines_leave_out_comments_docstrings_and_blank_lines():
+    assert bench.physical_lines(MODULE) == 18
+    # X = 1, def f(a, / b):, return """not a / docstring""", class C:, y = 2
+    assert bench.code_lines(MODULE) == 7
+
+
+def test_both_line_counts_of_two_checkouts_and_the_modules_that_differ(tmp_path):
+    base = _checkout(tmp_path / "base", {"a.py": MODULE, "same.py": "Z = 3\n"})
+    change = _checkout(tmp_path / "change", {
+        "a.py": MODULE.replace("# a comment line\n", ""),  # a physical line less only
+        "b.py": '"""New."""\nW = 4\n', "same.py": "Z = 3\n"})
+    sides = {"baseline": base, "change": change}
+    report = {"line_counts": {s: bench.line_counts(p) for s, p in sides.items()},
+              "code_line_counts": {s: bench.line_counts(p, bench.code_lines)
+                                   for s, p in sides.items()}}
+    assert report["line_counts"] == {"baseline": {"a.py": 18, "same.py": 1},
+                                     "change": {"a.py": 17, "b.py": 2, "same.py": 1}}
+    assert report["code_line_counts"] == {"baseline": {"a.py": 7, "same.py": 1},
+                                          "change": {"a.py": 7, "b.py": 1, "same.py": 1}}
+    assert bench.module_line_changes(report) == [
+        "src/besched/a.py: lines 18 -> 17, code lines 7 -> 7",
+        "src/besched/b.py: lines 0 -> 2, code lines 0 -> 1"]

@@ -322,7 +322,7 @@ def test_the_parser_is_built_once_and_each_call_parses_its_own_flags(tmp_path, m
 def test_optimize_makes_no_handle_for_a_series_column(tmp_path, monkeypatch):
     import besched.milp
 
-    made, series, problems = [], [], []
+    made, domains, series, problems = [], [], [], []
 
     class CountedVar(besched.milp.Var):
         __slots__ = ()
@@ -330,6 +330,11 @@ def test_optimize_makes_no_handle_for_a_series_column(tmp_path, monkeypatch):
         def __init__(self, id, name, domain):
             made.append(id)
             super().__init__(id, name, domain)
+
+    class CountedDomain(besched.milp.Domain):
+        def __post_init__(self):
+            domains.append(self)
+            super().__post_init__()
 
     def continuous_series(model, *args, **kwargs):
         ids = continuous_series.inner(model, *args, **kwargs)
@@ -343,6 +348,7 @@ def test_optimize_makes_no_handle_for_a_series_column(tmp_path, monkeypatch):
     continuous_series.inner = besched.milp.Model.continuous_series
     build_problem.inner = besched.cli.build_problem
     monkeypatch.setattr(besched.milp, "Var", CountedVar)
+    monkeypatch.setattr(besched.milp, "Domain", CountedDomain)
     monkeypatch.setattr(besched.milp.Model, "continuous_series", continuous_series)
     monkeypatch.setattr(besched.cli, "build_problem", build_problem)
     from helpers import write_week_scenario
@@ -352,7 +358,7 @@ def test_optimize_makes_no_handle_for_a_series_column(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out"), "--emit-lp", str(tmp_path / "week.lp")]) == 0
     (problem,) = problems
     assert len(series) == problem.model.n_columns == 7392
-    assert made == []
-    # the check itself sees a handle made afterwards
-    problem.model.vars[series[-1]]
-    assert made == [series[-1]]
+    assert made == [] and domains == []
+    # the check itself sees a handle and its Domain made afterwards
+    handle = problem.model.vars[series[-1]]
+    assert made == [series[-1]] and domains == [handle.domain]

@@ -46,23 +46,21 @@ def test_domain_invariants():
         Domain(CONTINUOUS, math.nan, 1.0)
 
 
-def test_equal_boxes_share_one_domain_within_a_model_only():
+def test_equal_boxes_give_equal_domains_and_keep_a_zero_sign():
     m, other = Model(), Model()
     a, b = m.continuous("a", 0, 5), m.continuous("b", 0.0, 5.0)
-    assert a.domain is b.domain and a.domain == Domain(CONTINUOUS, 0.0, 5.0)
-    assert m.binary("x").domain is m.binary("y").domain
-    assert m.integer("i", -2, 3).domain is m.integer("j", -2.0, 3.0).domain
-    assert m.continuous("f").domain is m.continuous("g").domain
+    assert a.domain == b.domain == Domain(CONTINUOUS, 0.0, 5.0)
+    # every binary of every model shares one Domain
+    assert m.binary("x").domain is m.binary("y").domain is other.binary("x").domain
+    assert m.integer("i", -2, 3).domain == m.integer("j", -2.0, 3.0).domain
+    assert m.continuous("f").domain == m.continuous("g").domain == Domain(CONTINUOUS, -INF, INF)
     # the same bounds of another kind are another box
-    assert m.integer("k", 0, 5).domain is not a.domain
-    assert m.binary("z").domain is not m.continuous("u", 0, 1).domain
+    assert m.integer("k", 0, 5).domain != a.domain
+    assert m.binary("z").domain != m.continuous("u", 0, 1).domain
     # a zero bound keeps the sign it was given
     neg = m.continuous("neg", -0.0, 5.0)
-    assert neg.domain is not a.domain
     assert math.copysign(1.0, neg.domain.lo) == -1.0 and math.copysign(1.0, a.domain.lo) == 1.0
-    assert m.continuous("neg2", -0.0, 5.0).domain is neg.domain
-    assert other.continuous("a", 0, 5).domain is not a.domain
-    assert other.binary("x").domain is not m.vars[2].domain
+    assert math.copysign(1.0, m.continuous("neg2", -0.0, 5.0).domain.lo) == -1.0
 
 
 def test_a_bad_box_raises_on_every_call():
@@ -79,6 +77,12 @@ def test_a_bad_box_raises_on_every_call():
                 m.integer(f"n{attempt}", lo, hi)
         with pytest.raises(ModelError, match="binary"):
             m.add_var(f"b{attempt}", Domain(BINARY, 0.0, 2.0))
+        for bound in (INF, -INF):  # a box without a finite value
+            message = f"^no finite value in the domain: lo={bound}, hi={bound}$"
+            with pytest.raises(ModelError, match=message):
+                m.continuous(f"f{attempt}", bound, bound)
+            with pytest.raises(ModelError, match=message):
+                m.integer(f"f{attempt}", bound, bound)
     assert m.vars == []
 
 
@@ -441,6 +445,38 @@ def _every_box_model():
     return m
 
 
+# per-unit boxes of a series, and the bounds of the scalar columns beside it
+MIXED_BOXES = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, INF), (-0.0, INF), (-INF, INF),
+               (-INF, -0.0), (1.5, 1.5), (-2.0, 3.0), (0.25, 7.0)]
+
+
+def _mixed_model(rng):
+    """Series columns with boxes that vary per unit, each series followed by
+    an integer, a binary and a continuous column on the bounds of its units."""
+    m = Model("mixed")
+    n = int(rng.integers(1, 9))
+    for s in range(int(rng.integers(1, 4))):
+        boxes = [MIXED_BOXES[j] for j in rng.integers(0, len(MIXED_BOXES), size=n).tolist()]
+        m.continuous_series(f"s{s}", n, [lo for lo, _ in boxes], [hi for _, hi in boxes])
+        for k, (lo, hi) in enumerate(boxes[:2]):
+            m.integer(f"i{s}.{k}", lo, hi)
+            m.binary(f"b{s}.{k}")
+            m.continuous(f"c{s}.{k}", lo, hi)
+    for r in range(int(rng.integers(0, 6))):
+        cols = rng.choice(m.n_columns, size=min(3, m.n_columns), replace=False).tolist()
+        terms = {c: float(rng.integers(-4, 5)) or 0.5 for c in cols}
+        m.add_constraint(LinExpr(terms), (LE, GE, EQ)[r % 3], float(rng.integers(-3, 4)), f"r{r}")
+    m.set_objective(LinExpr({c: 1.25 for c in range(0, m.n_columns, 3)}))
+    return m
+
+
+def test_export_lp_matches_the_reference_on_every_box_and_on_mixed_columns():
+    _assert_export_matches_reference(_every_box_model())
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        _assert_export_matches_reference(_mixed_model(rng))
+
+
 def test_column_arrays_equal_the_handle_readout(tmp_path):
     from test_pipeline import _every_element_by_hand
 
@@ -480,8 +516,8 @@ def test_the_column_view_makes_one_handle_per_column_on_first_read():
         m.vars[5]
     with pytest.raises(IndexError):
         m.vars[-6]
-    # a series column's handle shares the model's one Domain of its box
-    assert m.vars[1].domain is m.continuous("q", 0.0, 1.0).domain
+    # a series column's handle gets the Domain of its box on the first read
+    assert m.vars[1].domain == m.continuous("q", 0.0, 1.0).domain
     assert "p[3]" in m and "p[5]" not in m
 
 
@@ -491,6 +527,10 @@ def test_the_column_view_makes_one_handle_per_column_on_first_read():
     ([0.0, 2.0 + 4e-13, 3.0], [1.0, 2.0, 2.0],
      r"^Building\.heating\[2\]: empty domain: lo=2\.0000000000004 > hi=2\.0$"),
     (1.0, 0.0, r"^Building\.heating\[1\]: empty domain: lo=1\.0 > hi=0\.0$"),
+    ([0.0, INF, INF], INF,
+     r"^Building\.heating\[2\]: no finite value in the domain: lo=inf, hi=inf$"),
+    (-INF, [1.0, 1.0, -INF],
+     r"^Building\.heating\[3\]: no finite value in the domain: lo=-inf, hi=-inf$"),
 ])
 def test_a_bad_series_box_raises_naming_its_column(lo, hi, message):
     m = Model()

@@ -22,10 +22,12 @@ whether it is worse than the baseline by more than the metric's bound; per workl
 layer metric (``per_layer_change``, printed as baseline -> change) and of
 each census count (``census_change``, printed by ``census_line``); the git
 revision of each checkout with the files under ``MEASURED_PATHS`` that
-differ from it or are untracked, the line count of each
-``src/besched/*.py`` module in each checkout and their total
-(``line_totals``; the change's total minus the baseline's is printed), and
-the machine.  The deltas of the medians against the highest-numbered
+differ from it or are untracked, two line counts of each
+``src/besched/*.py`` module in each checkout and their totals: physical
+lines (``line_counts``, ``line_totals``) and code lines, the lines that hold
+a token other than a comment or a docstring (``code_line_counts``,
+``code_line_totals``; both totals and every module whose counts differ are
+printed as baseline -> change), and the machine.  The deltas of the medians against the highest-numbered
 ``BENCH_<m>.json`` with m lower than the number in --out are printed and
 stored.
 """
@@ -33,12 +35,15 @@ stored.
 from __future__ import annotations
 
 import argparse
+import ast
 import datetime
+import io
 import json
 import re
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -46,6 +51,9 @@ REPO = Path(__file__).resolve().parent.parent
 MEASURED_PATHS = ("src", "tests", "tools", "perfbench", "BENCHMARK.json", "pyproject.toml")
 # the model census of a traced run, per instance
 CENSUS = ("milp.vars", "milp.int_vars", "milp.rows", "milp.nnz")
+# the tokens that make no line a code line
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -73,9 +81,41 @@ def revision(checkout: Path) -> dict:
             "changed_paths": changed}
 
 
-def line_counts(checkout: Path) -> dict:
-    return {path.name: len(path.read_text().splitlines())
+def physical_lines(source: str) -> int:
+    return len(source.splitlines())
+
+
+def code_lines(source: str) -> int:
+    """The lines that hold a token other than a comment or a docstring."""
+    docstrings = [(doc.lineno, doc.end_lineno) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(doc := node.body[0], ast.Expr)
+                  and isinstance(doc.value, ast.Constant) and isinstance(doc.value.value, str)]
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in NOT_CODE or tok.type == tokenize.STRING and any(
+                a <= tok.start[0] and tok.end[0] <= b for a, b in docstrings):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def line_counts(checkout: Path, count=physical_lines) -> dict:
+    return {path.name: count(path.read_text())
             for path in sorted((checkout / "src" / "besched").glob("*.py"))}
+
+
+def module_line_changes(report: dict) -> list:
+    """baseline -> change of both counts, for each module whose counts differ."""
+    physical, code = report["line_counts"], report["code_line_counts"]
+    changes = []
+    for name in sorted(physical["baseline"].keys() | physical["change"].keys()):
+        (a, b), (c, d) = ((counts["baseline"].get(name, 0), counts["change"].get(name, 0))
+                          for counts in (physical, code))
+        if (a, c) != (b, d):
+            changes.append(f"src/besched/{name}: lines {a} -> {b}, code lines {c} -> {d}")
+    return changes
 
 
 def spread(values: list) -> dict:
@@ -161,15 +201,20 @@ def main(argv=None) -> int:
         "runs": args.runs, "seeds": [args.seed + i for i in range(args.runs)],
         "seconds": seconds,
         "sides": {side: revision(path) for side, path in sides.items()},
-        "line_counts": {side: line_counts(path) for side, path in sides.items()},
         "workloads": {},
     }
-    report["line_totals"] = {side: sum(counts.values())
-                             for side, counts in report["line_counts"].items()}
+    for kind, count in (("line", physical_lines), ("code_line", code_lines)):
+        counts = {side: line_counts(path, count) for side, path in sides.items()}
+        report[f"{kind}_counts"] = counts
+        report[f"{kind}_totals"] = {side: sum(c.values()) for side, c in counts.items()}
     if "baseline" in sides:
-        totals = report["line_totals"]
-        print(f"src/besched lines: {totals['baseline']} -> {totals['change']} "
-              f"({totals['change'] - totals['baseline']:+d})", file=sys.stderr, flush=True)
+        for kind in ("line", "code_line"):
+            totals = report[f"{kind}_totals"]
+            print(f"src/besched {kind.replace('_', ' ')}s: {totals['baseline']} -> "
+                  f"{totals['change']} ({totals['change'] - totals['baseline']:+d})",
+                  file=sys.stderr, flush=True)
+        for line in module_line_changes(report):
+            print(line, file=sys.stderr, flush=True)
     for name in (w["name"] for w in spec["workloads"]):
         values = {side: {} for side in sides}
         failed = {side: 0 for side in sides}
