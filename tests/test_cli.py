@@ -120,6 +120,32 @@ def test_optimize_infeasible_exits_two_with_metadata_only(tmp_path):
     assert not (out / "schedule.csv").exists()
 
 
+def test_optimize_a_pure_lp_with_an_empty_box_exits_two_with_metadata_only(
+        tmp_path, monkeypatch):
+    # the week plus x, y in [0, 4] with x + y >= 10: a pure LP whose box
+    # propagation would prove empty, proven infeasible by its one LP
+    from besched.milp import GE
+    from helpers import write_week_scenario
+
+    def with_an_empty_box(*args, **kwargs):
+        problem = build_problem(*args, **kwargs)
+        x, y = problem.model.continuous("x", 0, 4), problem.model.continuous("y", 0, 4)
+        problem.model.add_constraint(x + y, GE, 10.0, "cover")
+        return problem
+
+    build_problem = besched.cli.build_problem
+    monkeypatch.setattr(besched.cli, "build_problem", with_an_empty_box)
+    config, situation = write_week_scenario(tmp_path / "week", seed=12)
+    out = tmp_path / "out"
+    rc = cli_main(["optimize", "--config", str(config), "--situation", str(situation),
+                   "--out", str(out)])
+    assert rc == 2
+    meta = json.loads((out / "metadata.json").read_text(), parse_constant=_reject_constant)
+    assert meta["status"] == "infeasible"
+    assert meta["stats"]["lp_solves"] == 1 and meta["stats"]["nodes"] == 1
+    assert not (out / "schedule.csv").exists()
+
+
 def test_optimize_without_the_highs_binding_exits_one_with_an_error(
         tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
