@@ -753,19 +753,19 @@ def _empty_box():
     return m
 
 
-def _week_model(tmp_path, seed=12):
+def _week_model(tmp_path):
     from besched.pipeline import build_problem
     from besched.xmlio import parse_configuration, parse_situation
     from helpers import write_week_scenario
 
-    config, situation = write_week_scenario(tmp_path / "week", seed=seed)
+    config, situation = write_week_scenario(tmp_path / "week", seed=12)
     cfg = parse_configuration(config.read_text())
     return build_problem(cfg, parse_situation(situation.read_text(), cfg),
                          base_dir=config.parent).model
 
 
 def _on_the_propagated_box(m):
-    """The old path for a pure LP: propagate the box, then solve its LP."""
+    """The reference: propagate the box, then solve the LP on the tightened box."""
     arrays = ModelArrays(m)
     ok, lo, hi = arrays.tighten_bounds(arrays.lo, arrays.hi)
     if not ok:
