@@ -12,19 +12,14 @@ Exit codes of ``optimize``:
   2  proven infeasible: metadata.json only
   1  any error, or a time limit hit before any incumbent (metadata.json only)
 
-The first ``cli_main`` call of a process moves every object alive at that
-point, mostly the imported modules, into the collector's permanent
-generation (``gc.freeze``).  Those objects are never freed anyway, and
-without the freeze each full collection during a model build walks all of
-them again.  The argument parser is built once per process as well; each
-call parses its own arguments into a new namespace.
+The argument parser is built once per process; each call parses its own
+arguments into a new namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import math
 import sys
 from pathlib import Path
@@ -32,21 +27,10 @@ from pathlib import Path
 from .errors import BeschedError
 from .milp import export_lp
 from .pipeline import build_problem, solve_problem
-from .schedule import extract_schedule
+from .schedule import Schedule, extract_schedule
 from .solver import TIME_LIMIT, SolveOptions
 from .timeseries import write_schedule
 from .xmlio import parse_configuration, parse_situation
-
-
-@functools.cache
-def _freeze_import_heap() -> None:
-    # At the first call about 40,500 objects are tracked (52,000 when the
-    # caller has loaded scipy.optimize), and one full collection over them
-    # took 12-20 ms on a 2-core host.  A week instance triggers about half a
-    # full collection, nearly all of it spent on these import-time objects,
-    # which the program never frees; the models hold no reference cycles.
-    # Freezing them once per process takes them out of every collection.
-    gc.freeze()
 
 
 def _positive_seconds(text: str) -> float:
@@ -106,8 +90,6 @@ def _cmd_optimize(args) -> int:
     )
     solution = solve_problem(problem, options)
     if not solution.values:
-        from .schedule import Schedule
-
         empty = Schedule(problem.grid, solution.status, None, {}, dict(solution.stats))
         write_schedule(empty, args.out)
         print(f"no schedule: {solution.status}")
@@ -149,7 +131,6 @@ def _cmd_explain(args) -> int:
 
 
 def cli_main(argv=None) -> int:
-    _freeze_import_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -173,7 +173,6 @@ class FcchpUnitParams:
     start_up: int
     shut_down: int
     p_th_up: tuple  # thermal start-up step per unit, length start_up
-    p_el_up: tuple
     p_pr_up: tuple
     p_el_down: tuple  # electric shut-down step per unit, length shut_down
     f_values: tuple  # f(1..N) after clipping
@@ -225,8 +224,6 @@ def derive_unit_params(phys: FcchpPhysicalParams, grid: TimeGrid,
 
     dt = grid.hours_per_unit
     p_th_up = tuple(_profile_average(k * dt, (k + 1) * dt, phys) for k in range(start_up))
-    ratio = phys.eta_el / phys.eta_th
-    p_el_up = tuple(ratio * p for p in p_th_up)
     p_pr_up = tuple(p / phys.eta_th for p in p_th_up)
 
     p_el_down = []
@@ -250,7 +247,6 @@ def derive_unit_params(phys: FcchpPhysicalParams, grid: TimeGrid,
         start_up=start_up,
         shut_down=shut_down,
         p_th_up=p_th_up,
-        p_el_up=p_el_up,
         p_pr_up=p_pr_up,
         p_el_down=tuple(p_el_down),
         f_values=tuple(f_values),

@@ -1,4 +1,4 @@
-"""From parsed configuration + situation to a solved schedule.
+"""From parsed configuration + situation to a built and solved model.
 
 ``xmlio.ELEMENTS`` has one row per XML element.  For each configured
 component, :func:`build_problem` finds its situation entry, collects the spec
@@ -19,7 +19,6 @@ from .assembly import BalanceLedger, TimeGrid, build_balances, build_objective
 from .errors import InputError
 from .fcchp import FcchpCostParams, FcchpInitialState, FcchpPhysicalParams
 from .milp import Model
-from .schedule import extract_schedule
 from .solver import SolveOptions, Solution, solve_builtin
 from .timeseries import load_timeseries
 from .xmlio import (ELEMENTS, ZERO, BuildingConfiguration, BuildingSituation, ElementRow,
@@ -95,14 +94,3 @@ def solve_problem(problem: Problem, options: SolveOptions | None = None) -> Solu
         return solve_external(problem.model, options)
     return solve_builtin(problem.model, options)
 
-
-def optimize(config: BuildingConfiguration, situation: BuildingSituation,
-             base_dir=".", options: SolveOptions | None = None):
-    """Full pipeline; returns (problem, solution, schedule), the schedule None
-    when the solver returned no values."""
-    problem = build_problem(config, situation, base_dir)
-    solution = solve_problem(problem, options)
-    schedule = None
-    if solution.values:
-        schedule = extract_schedule(problem.model, problem.ledger, solution)
-    return problem, solution, schedule

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior on small generated scenarios."""
 
 import dataclasses
-import gc
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import time
 
@@ -203,14 +205,35 @@ def test_optimize_rejects_a_time_limit_that_is_not_positive_and_finite(
         assert not out.exists()
 
 
-def test_only_the_first_call_freezes_the_import_heap(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append(1))
-    besched.cli._freeze_import_heap.cache_clear()
+_COLLECTOR_PROBE = """
+import gc, json, sys
+from besched.cli import cli_main
+
+def collector():
+    return [gc.get_freeze_count(), gc.isenabled(), list(gc.get_threshold())]
+
+before = collector()
+args, out = sys.argv[1:-1], sys.argv[-1]
+codes = [cli_main(["validate", *args]), cli_main(["optimize", *args, "--out", out])]
+print(json.dumps({"before": before, "after": collector(), "codes": codes}))
+"""
+
+
+def test_cli_main_leaves_the_garbage_collector_as_it_found_it(tmp_path):
+    # a fresh interpreter, so that these are the first cli_main calls of the
+    # process and nothing else has touched its collector
     args = _write_scenario(tmp_path)
-    assert cli_main(["validate", *args]) == 0
-    assert cli_main(["validate", *args]) == 0
-    assert calls == [1]
+    src = str(Path(besched.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run(
+        [sys.executable, "-c", _COLLECTOR_PROBE, *args, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    probe = json.loads(run.stdout.splitlines()[-1])
+    assert probe["codes"] == [0, 0]
+    assert probe["before"][0] == 0
+    assert probe["after"] == probe["before"]
 
 
 def test_optimize_refuses_an_incumbent_that_breaks_a_row(tmp_path, monkeypatch, capsys):

@@ -117,9 +117,8 @@ def test_startup_steps_match_numeric_profile_integral():
             phys.d_init, phys.d_start_up,
         )
         assert step == pytest.approx(want, abs=1e-6)
-    # electric and primary steps are fixed ratios of the thermal steps
-    for pth, pel, ppr in zip(up.p_th_up, up.p_el_up, up.p_pr_up):
-        assert pel == pytest.approx(pth * phys.eta_el / phys.eta_th)
+    # primary steps are a fixed ratio of the thermal steps
+    for pth, ppr in zip(up.p_th_up, up.p_pr_up):
         assert ppr == pytest.approx(pth / phys.eta_th)
 
 

@@ -1,4 +1,4 @@
-"""Parsed documents through build_problem/optimize, covering every element."""
+"""Parsed documents through build_problem/solve_problem, covering every element."""
 
 import gc
 import hashlib
@@ -15,7 +15,7 @@ from besched.assembly import BalanceLedger, TimeGrid, build_balances, build_obje
 from besched.errors import InputError
 from besched.fcchp import FcchpCostParams, FcchpInitialState, FcchpPhysicalParams
 from besched.milp import Model, export_lp
-from besched.pipeline import FCCHP_PARAMS, build_problem, optimize, solve_problem
+from besched.pipeline import FCCHP_PARAMS, build_problem, solve_problem
 from besched.schedule import extract_schedule
 from besched.solver import Solution, SolveOptions, solve_builtin
 from besched.xmlio import ELEMENTS, parse_configuration, parse_situation
@@ -102,10 +102,10 @@ def test_every_element_builds_and_registers_series(tmp_path):
 
 def test_optimize_solves_and_balances_hold(tmp_path):
     config, situation = _plant_inputs(tmp_path)
-    problem, solution, schedule = optimize(config, situation, base_dir=tmp_path,
-                                           options=SolveOptions())
+    problem = build_problem(config, situation, base_dir=tmp_path)
+    solution = solve_problem(problem, SolveOptions())
     assert solution.status == "optimal"
-    assert schedule is not None
+    schedule = extract_schedule(problem.model, problem.ledger, solution)
     values = solution.values
     for con in problem.model.constraints:
         if not con.tag.startswith("balance."):
