@@ -93,4 +93,3 @@ def solve_problem(problem: Problem, options: SolveOptions | None = None) -> Solu
 
         return solve_external(problem.model, options)
     return solve_builtin(problem.model, options)
-

@@ -2,10 +2,8 @@
 
 import dataclasses
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import time
 
@@ -223,12 +221,9 @@ def test_cli_main_leaves_the_garbage_collector_as_it_found_it(tmp_path):
     # a fresh interpreter, so that these are the first cli_main calls of the
     # process and nothing else has touched its collector
     args = _write_scenario(tmp_path)
-    src = str(Path(besched.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     run = subprocess.run(
         [sys.executable, "-c", _COLLECTOR_PROBE, *args, str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True,
     )
     probe = json.loads(run.stdout.splitlines()[-1])
     assert probe["codes"] == [0, 0]
