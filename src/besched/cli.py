@@ -89,7 +89,7 @@ def _cmd_optimize(args) -> int:
         backend=args.solver, command=args.solver_cmd, time_limit=args.time_limit
     )
     solution = solve_problem(problem, options)
-    if not solution.values:
+    if solution.x is None:
         empty = Schedule(problem.grid, solution.status, None, {}, dict(solution.stats))
         write_schedule(empty, args.out)
         print(f"no schedule: {solution.status}")

@@ -30,9 +30,8 @@ from .errors import (
     SpawnError,
 )
 from .milp import Model, export_lp
-from .solver import FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, ModelArrays, Solution, SolveOptions
-
-_EXTERNAL_ROW_TOL = 1e-5
+from .solver import (FEASIBLE, INFEASIBLE, OPTIMAL, UNBOUNDED, VERIFY_TOL, ModelArrays,
+                     Solution, SolveOptions)
 
 
 def glpk_command() -> str:
@@ -124,33 +123,34 @@ def solve_external(model: Model, options: SolveOptions | None = None) -> Solutio
     if status in (INFEASIBLE, UNBOUNDED):
         return Solution(status, stats=stats)
 
-    # map sanitized LP names back to model names
-    values = {}
+    # map sanitized LP names back to model names, and those to column ids
+    names = model.column_names()
+    column = {name: j for j, name in enumerate(names)}
+    x = np.zeros(len(names))
+    given = np.zeros(len(names), dtype=bool)
     unknown = []
     for lp_name, val in by_lp_name.items():
-        original = lp.name_map.get(lp_name, lp_name)
-        if original in model:
-            values[original] = val
-        else:
+        j = column.get(lp.name_map.get(lp_name, lp_name))
+        if j is None:
             unknown.append(lp_name)
+        else:
+            x[j], given[j] = val, True
     if unknown:
         raise SolutionParseError(f"solution contains unknown variables: {sorted(unknown)}")
-    names = model.column_names()
-    absent = [name for name in names if name not in values]
+    absent = [names[j] for j in np.flatnonzero(~given)]
     if absent:
         raise SolutionParseError(f"solution is missing variables: {absent[:5]}")
 
     arrays = ModelArrays(model)
-    x = np.array([values[name] for name in names], dtype=float)
     drift = np.abs(x - np.round(x))
     drift[~arrays.integral] = 0.0
-    if np.any(drift > _EXTERNAL_ROW_TOL):
+    if np.any(drift > VERIFY_TOL):
         bad = names[int(np.argmax(drift))]
         raise SolverInconsistency(f"integer variable {bad!r} is fractional in external solution")
     x[arrays.integral] = np.round(x[arrays.integral])
     violation = arrays.max_violation(x)
-    if violation > _EXTERNAL_ROW_TOL:
+    if violation > VERIFY_TOL:
         raise SolverInconsistency(
             f"external solution violates a constraint by {violation:.3e}"
         )
-    return Solution(status, dict(zip(names, x.tolist())), arrays.objective_value(x), stats, x)
+    return Solution(status, arrays.objective_value(x), stats, x)

@@ -638,19 +638,19 @@ class Model:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, expr, values) -> float:
-        """Evaluate an expression against values indexed by var id or by name.
+    def evaluate(self, expr, x) -> float:
+        """Evaluate an expression against values indexed by column id, such
+        as a solution's ``x``; the result is a Python float.
 
         The products are added one by one in term order, then the constant,
         as the sparse product in ``schedule.extract_schedule`` adds them
         (``sum`` adds floats with compensation from Python 3.12 on).
         """
         e = as_expr(expr)
-        named = isinstance(values, dict) and values and isinstance(next(iter(values)), str)
         total = 0.0
         for v, c in e.terms.items():
-            total += c * values[self._names[v] if named else v]
-        return total + e.const
+            total += c * x[v]
+        return float(total + e.const)
 
     # -- validation ----------------------------------------------------------
 

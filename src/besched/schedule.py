@@ -29,7 +29,8 @@ class Schedule:
 
 
 def extract_schedule(model: Model, ledger: BalanceLedger, solution: Solution) -> Schedule:
-    """Evaluate every ledger-registered state series against the solution.
+    """Evaluate every ledger-registered state series against the solution's
+    point ``solution.x``; a solution with no point raises :class:`SolverError`.
 
     The state blocks are stacked into one CSR matrix, one row per unit of
     each series with its terms in insertion order.  The products are formed
@@ -40,12 +41,12 @@ def extract_schedule(model: Model, ledger: BalanceLedger, solution: Solution) ->
     are rounded by Python's ``round(v, 12)``, which rounds the decimal
     value; ``np.round`` scales by 1e12 and can change the last digit.
     """
-    if not solution.values:
+    x = solution.x
+    if x is None:
         raise SolverError(
             f"cannot extract a schedule from a {solution.status!r} solution without values"
         )
     states = ExprBlock.stack([block for _, block in ledger.blocks])
-    x = solution.vector(model)
     products = csr_matrix((states.coefs * x[states.cols], states.cols, states.ptr),
                           shape=(len(states), len(x)))
     total = products @ np.ones(len(x)) + states.const

@@ -132,8 +132,13 @@ def series(model, builder, key, sol):
     """Evaluate one per-unit series (vars or expressions) from a solution."""
     out = []
     for item in builder.vars[key]:
-        out.append(round(model.evaluate(item + 0.0, sol.values), 9))
+        out.append(round(model.evaluate(item + 0.0, sol.x), 9))
     return out
+
+
+def column_id(model, name):
+    """The id of the column called ``name``, to read it from a solution's ``x``."""
+    return model.column_names().index(name)
 
 
 WEEK_CONFIG = """<BuildingConfiguration xmlns="http://www.fokus.fraunhofer.de/WaveSave"

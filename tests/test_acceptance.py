@@ -21,6 +21,7 @@ from besched.solver import INFEASIBLE, OPTIMAL, SolveOptions, solve_builtin
 
 from helpers import (
     build_plant,
+    column_id,
     day_night_flags,
     make_phys,
     series,
@@ -161,7 +162,7 @@ def test_criterion_4_linearizations_exact_by_enumeration():
             v = product_bin_bounded(m, alpha, uu, -6, 6, "v", "p")
             pin(m, alpha, a), pin(m, uu, u)
             sol = solve_builtin(m, DENSE)
-            assert abs(sol.values["v"] - a * u) <= 1e-9
+            assert abs(sol.x[v.id] - a * u) <= 1e-9
 
     for x, yv in ((3, 3), (1, 5), (5, 1), (-4, 2)):
         m = Model()
@@ -169,7 +170,7 @@ def test_criterion_4_linearizations_exact_by_enumeration():
         d = abs_diff(m, va, vb, 12, "d", "a")
         pin(m, va, x), pin(m, vb, yv)
         sol = solve_builtin(m, DENSE)
-        assert abs(sol.values["d"] - abs(x - yv)) <= 1e-9
+        assert abs(sol.x[d.id] - abs(x - yv)) <= 1e-9
 
     for a in (0, 1):
         for bv in (0, 1):
@@ -178,7 +179,7 @@ def test_criterion_4_linearizations_exact_by_enumeration():
             g = bool_and(m, va, vb, "g", "and")
             pin(m, va, a), pin(m, vb, bv)
             sol = solve_builtin(m, DENSE)
-            assert sol.values["g"] == float(a and bv)  # exact on binaries
+            assert sol.x[g.id] == float(a and bv)  # exact on binaries
 
     table = (1, 1, 2, 4, 4, 7)
     for d in range(1, 7):
@@ -187,7 +188,7 @@ def test_criterion_4_linearizations_exact_by_enumeration():
         value, _ = select_value(m, x, table, "sel", "sel")
         pin(m, x, d)
         sol = solve_builtin(m, DENSE)
-        assert m.evaluate(value, sol.values) == float(table[d - 1])
+        assert m.evaluate(value, sol.x) == float(table[d - 1])
     _elapsed_under(t0, 10.0, "criterion 4")
 
 
@@ -294,15 +295,14 @@ def test_criterion_7_daily_scenario_beats_greedy_baseline(tmp_path):
     problem = build_problem(cfg, sit, base_dir=tmp_path / "scen")
     sol = solve_builtin(problem.model)
     assert sol.status == OPTIMAL
-    values = sol.values
+    x = sol.x
 
     # (a) every balance row holds to 1e-6
     checked = 0
     for con in problem.model.constraints:
         if not con.tag.startswith("balance."):
             continue
-        act = sum(c * values[problem.model.vars[vid].name]
-                  for vid, c in con.terms.items())
+        act = sum(c * x[vid] for vid, c in con.terms.items())
         assert abs(act - con.rhs) <= 1e-6, con.tag
         checked += 1
     assert checked == 192  # electric and heat, 96 units each
@@ -311,7 +311,8 @@ def test_criterion_7_daily_scenario_beats_greedy_baseline(tmp_path):
     dt, night = 0.25, day_night_flags()
     demand = [1.44] * 96
     cop = [1.6 if nf else 3.2 for nf in night]
-    supply = [values[f"GridConnection.supply[{i + 1}]"] for i in range(96)]
+    supply = [x[column_id(problem.model, f"GridConnection.supply[{i + 1}]")]
+              for i in range(96)]
     optimized = sum(supply) * dt
     baseline = greedy_heatpump_energy(demand, cop, 1.8, dt, level0=10.08,
                                       max_level=20.82, night=night)

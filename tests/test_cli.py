@@ -187,6 +187,24 @@ def test_optimize_time_limit_incumbent_exits_three_with_schedule(tmp_path, monke
     assert not (out / "schedule.csv").exists()
 
 
+def test_optimize_a_building_with_no_component_is_optimal_and_writes_no_schedule(tmp_path,
+                                                                                 capsys):
+    ns = 'xmlns="http://www.fokus.fraunhofer.de/WaveSave" id="E"'
+    (tmp_path / "config.xml").write_text(f"<BuildingConfiguration {ns}/>\n")
+    (tmp_path / "situation.xml").write_text(
+        f'<BuildingSituation {ns} nbsOfTimeUnits="4" hoursPerTimeUnit="1.0"'
+        f' start="2016-08-17T00:00:00"/>\n')
+    out = tmp_path / "out"
+    assert cli_main(["optimize", "--config", str(tmp_path / "config.xml"),
+                     "--situation", str(tmp_path / "situation.xml"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("optimal: objective 0.000000 ct")
+    meta = json.loads((out / "metadata.json").read_text())
+    assert (meta["status"], meta["objective"]) == ("optimal", 0.0)
+    assert meta["stats"].keys() == BUILTIN_STATS
+    assert (meta["stats"]["nodes"], meta["stats"]["lp_solves"]) == (0, 0)
+    assert not (out / "schedule.csv").exists()
+
+
 def test_optimize_rejects_a_time_limit_that_is_not_positive_and_finite(
         tmp_path, monkeypatch, capsys):
     def no_solve(problem, options):

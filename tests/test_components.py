@@ -36,6 +36,7 @@ from besched.errors import ModelError, StructuralInfeasibility
 from besched.milp import EQ, Model, as_expr
 from besched.solver import solve_builtin
 
+from helpers import column_id
 from oracles import brute_force_solve, storage_replay
 
 
@@ -255,7 +256,7 @@ def test_grid_connection_costs_and_feed_in_bound():
     assert sol.status == "optimal"
     # 1 kW * 0.5 h * 20 + 2 kW * 0.5 h * 10
     assert sol.objective == pytest.approx(20.0)
-    assert sol.values["Grid.feedIn[1]"] == 0.0  # bound, not just optimal
+    assert sol.x[column_id(m, "Grid.feedIn[1]")] == 0.0  # bound, not just optimal
 
 
 def test_grid_rejects_negative_limits():
@@ -279,7 +280,7 @@ def test_no_simultaneous_supply_and_feed_in_when_buying_costs_more():
     sol = solve_builtin(m)
     assert sol.status == "optimal"
     for i in (1, 2):
-        s, f = sol.values[f"Grid.supply[{i}]"], sol.values[f"Grid.feedIn[{i}]"]
+        s, f = sol.x[column_id(m, f"Grid.supply[{i}]")], sol.x[column_id(m, f"Grid.feedIn[{i}]")]
         assert min(s, f) <= 1e-9
 
 
@@ -300,10 +301,10 @@ def test_heat_pump_output_follows_cop_and_switch_state():
     sol = solve_builtin(m)
     assert sol.feasible
     heat = dict(ledger.states)["thermalOutputPower_HeatPump"]
-    got = [m.evaluate(e, sol.values) for e in heat]
+    got = [m.evaluate(e, sol.x) for e in heat]
     assert got == pytest.approx([5.4, 2.7])
     elec = dict(ledger.states)["electricInputPower_HeatPump"]
-    assert [m.evaluate(e, sol.values) for e in elec] == pytest.approx([1.8, 1.8])
+    assert [m.evaluate(e, sol.x) for e in elec] == pytest.approx([1.8, 1.8])
 
 
 def test_heat_pump_minimum_run_time_uses_switch_history():
@@ -367,7 +368,7 @@ def test_heat_pump_with_one_unit_windows_has_no_duration_rows_and_matches_enumer
     assert sol.status == status == "optimal"
     assert sol.objective == pytest.approx(obj, abs=1e-6)
     # the optimum switches the pump on and off twice
-    assert [round(sol.values[f"HP.x[{i}]"]) for i in range(1, 7)] == [0, 1, 0, 1, 0, 0]
+    assert [round(sol.x[column_id(m, f"HP.x[{i}]")]) for i in range(1, 7)] == [0, 1, 0, 1, 0, 0]
 
 
 def test_heat_pump_rejects_bad_cop_and_power():
@@ -411,7 +412,7 @@ def test_storage_levels_match_sequential_replay():
     assert sol.feasible
     want = storage_replay(4.0, charge, discharge, 0.5, loss_per_hour=0.1,
                           eta_charge=0.9, eta_discharge=0.8)
-    got = [sol.values[f"Buffer.level[{i + 1}]"] for i in range(4)]
+    got = [sol.x[column_id(m, f"Buffer.level[{i + 1}]")] for i in range(4)]
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -466,7 +467,7 @@ def test_electric_heater_is_an_identity_at_full_efficiency():
     inp = next(v for v in m.vars if v.name == "Rod.input[1]")
     m.add_constraint(inp + 0.0, EQ, 2.0, "fi")
     sol = solve_builtin(m)
-    assert m.evaluate(heat[0], sol.values) == pytest.approx(2.0)
+    assert m.evaluate(heat[0], sol.x) == pytest.approx(2.0)
 
 
 def test_absorption_chiller_converts_heat_to_cold():
@@ -478,7 +479,7 @@ def test_absorption_chiller_converts_heat_to_cold():
     inp = next(v for v in m.vars if v.name == "Chiller.input[1]")
     m.add_constraint(inp + 0.0, EQ, 2.0, "fi")
     sol = solve_builtin(m)
-    assert m.evaluate(cold[0], sol.values) == pytest.approx(1.4)
+    assert m.evaluate(cold[0], sol.x) == pytest.approx(1.4)
     assert any(n == "thermalInputPower_Chiller" for n, _ in ledger.states)
 
 
@@ -532,12 +533,12 @@ def test_mech_chp_boiler_covers_demand_spike():
     sol = solve_builtin(m)
     assert sol.status == "optimal"
     # CHP tops out at 2 kW thermal; the spike needs the boiler
-    assert sol.values["CHP.boiler[3]"] >= 3.0 - 1e-6
+    assert sol.x[column_id(m, "CHP.boiler[3]")] >= 3.0 - 1e-6
     heat = dict(ledger.states)["thermalOutputPower_CHP"]
     el = dict(ledger.states)["electricOutputPower_CHP"]
     for i in range(4):
-        h = m.evaluate(heat[i], sol.values) - sol.values[f"CHP.boiler[{i + 1}]"]
-        e = m.evaluate(el[i], sol.values)
+        h = m.evaluate(heat[i], sol.x) - sol.x[column_id(m, f"CHP.boiler[{i + 1}]")]
+        e = m.evaluate(el[i], sol.x)
         assert e == pytest.approx(h * 0.5, abs=1e-9)  # eta_el / eta_th
 
 
@@ -552,7 +553,7 @@ def test_mech_chp_off_state_forces_zero_output():
         m.add_constraint(x + 0.0, EQ, 0.0, f"fix.{i}")
     sol = solve_builtin(m)
     heat = dict(ledger.states)["thermalOutputPower_CHP"]
-    assert [m.evaluate(e, sol.values) for e in heat] == pytest.approx([0.0, 0.0])
+    assert [m.evaluate(e, sol.x) for e in heat] == pytest.approx([0.0, 0.0])
 
 
 @pytest.mark.parametrize("sign, level", [(1.0, 1.0), (-1.0, 2.0)])
@@ -571,7 +572,7 @@ def test_mech_chp_on_state_modulates_between_its_limits(sign, level):
     m.set_objective(sum((e * sign for e in heat), as_expr(0.0)))
     sol = solve_builtin(m)
     assert sol.status == "optimal"
-    assert [m.evaluate(e, sol.values) for e in heat] == [level, level]
+    assert [m.evaluate(e, sol.x) for e in heat] == [level, level]
 
 
 def test_mech_chp_spec_validation():

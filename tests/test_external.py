@@ -140,7 +140,7 @@ def test_sanitized_names_map_back():
     m.set_objective(-1 * x)
     sol = solve_external(m, _external_opts())
     assert sol.status == OPTIMAL
-    assert sol.values["plant.x[1]"] == 1.0
+    assert sol.x[x.id] == 1.0
 
 
 def test_an_external_solution_holds_its_values_by_column_id(tmp_path):
@@ -161,8 +161,9 @@ def test_an_external_solution_holds_its_values_by_column_id(tmp_path):
     sol = solve_external(m, SolveOptions(backend="external", command=cmd))
     assert sol.status == OPTIMAL and sol.objective == -1.0
     assert sol.x.tolist() == [1.0, 0.5, 1.5]
-    assert sol.values == {"plant.x[1]": 1.0, "p[1]": 0.5, "p[2]": 1.5}
-    assert sol.vector(m) is sol.x
     (tmp_path / "given.sol").write_text("c column 1 plant_x_1_\ns mip 1 3 o -1\nj 1 1\n")
     with pytest.raises(SolutionParseError, match=r"missing variables: \['p\[1\]', 'p\[2\]'\]"):
+        solve_external(m, SolveOptions(backend="external", command=cmd))
+    (tmp_path / "given.sol").write_text(text + "c column 4 q_1_\nj 4 2\n")
+    with pytest.raises(SolutionParseError, match=r"unknown variables: \['q_1_'\]"):
         solve_external(m, SolveOptions(backend="external", command=cmd))

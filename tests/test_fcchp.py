@@ -239,8 +239,8 @@ def test_chain_events_match_pattern_exhaustively(x_0):
         sol = solve_builtin(m, SolveOptions(lp_backend="dense"))
         assert sol.feasible
         start, stop = derive_events(list(bits), x_0)
-        assert [sol.values[v.name] for v in chain.start] == [float(v) for v in start]
-        assert [sol.values[v.name] for v in chain.stop] == [float(v) for v in stop]
+        assert [sol.x[v.id] for v in chain.start] == [float(v) for v in start]
+        assert [sol.x[v.id] for v in chain.stop] == [float(v) for v in stop]
 
 
 def test_historical_start_pins_unit_on():
@@ -437,7 +437,7 @@ def test_production_ramp_limit_binds():
     m.set_objective(obj + sum(v + 0.0 for v in b.vars["y"]) + sum(v + 0.0 for v in b.vars["k"]))
     sol = solve_builtin(m, SolveOptions())
     assert sol.feasible
-    levels = [sol.values[v.name] for v in u]
+    levels = [sol.x[v.id] for v in u]
     for a, bb in zip(levels, levels[1:]):
         assert abs(bb - a) <= 0.3 + 1e-6
     assert levels[-1] == pytest.approx(phys.p_th_min + 3 * 0.3, abs=1e-6)

@@ -6,6 +6,7 @@ rows, the objective and the extracted schedule must equal, bit for bit, the
 sums of ``oracles.RefLinExpr`` that add one expression at a time.
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -113,7 +114,7 @@ def test_balances_objective_and_schedule_match_the_linexpr_sums(case):
     assert _hex_terms(model.objective.terms) == _hex_terms(obj.terms)
     assert model.objective.const.hex() == obj.const.hex()
 
-    solution = Solution("optimal", {f"x{j}": v for j, v in enumerate(values)}, 0.0)
+    solution = Solution("optimal", 0.0, x=np.array(values, dtype=float))
     got = extract_schedule(model, ledger, solution).series
     assert list(got) == [name for name, _ in states]
     for name, ref in states:

@@ -51,7 +51,7 @@ def test_product_bin_bounded_enumeration(a, u):
     _pin(m, alpha, a)
     _pin(m, uu, u)
     sol = _solve(m)
-    assert sol.values["v"] == pytest.approx(a * u, abs=1e-9)
+    assert sol.x[v.id] == pytest.approx(a * u, abs=1e-9)
 
 
 @pytest.mark.parametrize("free_u", [False, True])
@@ -96,7 +96,7 @@ def test_abs_diff(a, b):
     _pin(m, va, a)
     _pin(m, vb, b)
     sol = _solve(m)
-    assert sol.values["x"] == pytest.approx(abs(b - a), abs=1e-9)
+    assert sol.x[x.id] == pytest.approx(abs(b - a), abs=1e-9)
 
 
 def test_binary_abs_diff_matches_under_compatibility_rows():
@@ -109,7 +109,7 @@ def test_binary_abs_diff_matches_under_compatibility_rows():
             _pin(m, chain.x[0], x1)
             expr = binary_abs_diff(chain.start[0], chain.stop[0])
             sol = _solve(m)
-            assert m.evaluate(expr, sol.values) == pytest.approx(abs(x1 - x0))
+            assert m.evaluate(expr, sol.x) == pytest.approx(abs(x1 - x0))
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -121,7 +121,7 @@ def test_bool_and_truth_table(a, b):
     _pin(m, vb, b)
     # no objective pressure needed: the three rows pin gamma exactly
     sol = _solve(m)
-    assert sol.values["g"] == pytest.approx(a and b)
+    assert sol.x[g.id] == pytest.approx(a and b)
 
 
 def test_select_value_direct_lookup():
@@ -130,8 +130,8 @@ def test_select_value_direct_lookup():
     value, lams = select_value(m, x, (1, 1, 2, 4), "sel", "sel")
     _pin(m, x, 3)
     sol = _solve(m)
-    assert m.evaluate(value, sol.values) == pytest.approx(2.0)
-    assert sum(sol.values[lam.name] for lam in lams) == pytest.approx(1.0)
+    assert m.evaluate(value, sol.x) == pytest.approx(2.0)
+    assert sum(sol.x[lam.id] for lam in lams) == pytest.approx(1.0)
 
 
 def test_select_value_boundary_and_sweep():
@@ -142,7 +142,7 @@ def test_select_value_boundary_and_sweep():
         value, _ = select_value(m, x, table, "sel", "sel")
         _pin(m, x, target)
         sol = _solve(m)
-        assert m.evaluate(value, sol.values) == pytest.approx(table[target - 1])
+        assert m.evaluate(value, sol.x) == pytest.approx(table[target - 1])
 
 
 def test_select_value_rejects_empty_table():
@@ -164,7 +164,7 @@ def test_select_interval_gated_lookup():
         _pin(m, x, d)
         sol = _solve(m)
         expected = {1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 4}[d]
-        assert m.evaluate(value, sol.values) == pytest.approx(expected)
+        assert m.evaluate(value, sol.x) == pytest.approx(expected)
 
 
 def test_select_interval_gated_closed_gate_yields_zero():
@@ -175,7 +175,7 @@ def test_select_interval_gated_closed_gate_yields_zero():
     _pin(m, gate, 0)
     _pin(m, x, 4)
     sol = _solve(m)
-    assert m.evaluate(value, sol.values) == pytest.approx(0.0)
+    assert m.evaluate(value, sol.x) == pytest.approx(0.0)
 
 
 def test_reformulations_only_append():

@@ -274,12 +274,12 @@ def test_exported_model_agrees_with_builtin():
     assert sol.objective == pytest.approx(obj, abs=1e-9)
 
 
-def test_evaluate_accepts_name_and_id_keys():
+def test_evaluate_reads_values_by_column_id():
     m = Model()
     x = m.binary("x")
     e = 2 * x + 1.0
-    assert m.evaluate(e, {"x": 1.0}) == 3.0
     assert m.evaluate(e, {x.id: 1.0}) == 3.0
+    assert type(m.evaluate(e, np.array([1.0]))) is float
 
 
 # -- arithmetic against the copy-per-operation reference ----------------------

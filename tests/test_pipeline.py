@@ -106,12 +106,11 @@ def test_optimize_solves_and_balances_hold(tmp_path):
     solution = solve_problem(problem, SolveOptions())
     assert solution.status == "optimal"
     schedule = extract_schedule(problem.model, problem.ledger, solution)
-    values = solution.values
+    x = solution.x
     for con in problem.model.constraints:
         if not con.tag.startswith("balance."):
             continue
-        act = sum(c * values[problem.model.vars[vid].name]
-                  for vid, c in con.terms.items())
+        act = sum(c * x[vid] for vid, c in con.terms.items())
         assert abs(act - con.rhs) <= 1e-6, con.tag
     assert len(schedule.series["on_plant"]) == 8
 
@@ -350,7 +349,7 @@ def test_every_element_export_matches_the_reference_and_its_pinned_digest(tmp_pa
 def _assert_extraction_equals_evaluate(model, ledger, solution):
     """extract_schedule against Model.evaluate rounded by Python, bit for bit."""
     got = extract_schedule(model, ledger, solution).series
-    want = {name: [round(model.evaluate(e, solution.values), 12) for e in exprs]
+    want = {name: [round(model.evaluate(e, solution.x), 12) for e in exprs]
             for name, exprs in ledger.states}
     assert list(got) == list(want)
     for name in want:
@@ -383,8 +382,7 @@ def test_extraction_sums_in_term_order_and_rounds_like_python():
     ledger = BalanceLedger(TimeGrid(2, 1.0))
     # inserted x2, x0, x1: (1e16 + 1) + 1 is 1e16, in column order 1e16 + 2
     ledger.add_state("s", [x[2] + x[0] + x[1], x[3] * 1.0])
-    values = {"x0": 1.0, "x1": 1.0, "x2": 1e16, "x3": 1.0000000000005}
-    solution = Solution("optimal", values, 0.0)
+    solution = Solution("optimal", 0.0, x=np.array([1.0, 1.0, 1e16, 1.0000000000005]))
     series = extract_schedule(model, ledger, solution).series["s"]
     assert series[0] == (1e16 + 1.0) + 1.0 == 1e16 != (1.0 + 1.0) + 1e16
     # np.round scales by 1e12 and lands on 1.0; round rounds the decimal value

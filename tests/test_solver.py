@@ -10,20 +10,20 @@ import scipy.optimize
 
 import besched.solver
 from besched.errors import NumericalFailure, SolverError
-from besched.milp import EQ, GE, LE, ExprBlock, Model
+from besched.milp import EQ, GE, LE, ExprBlock, Model, as_expr
 from besched.solver import (
     INFEASIBLE,
     OPTIMAL,
     TIME_LIMIT,
     UNBOUNDED,
     ModelArrays,
-    Solution,
     SolveOptions,
     _WarmLP,
     solve_builtin,
 )
 
 from oracles import brute_force_solve, propagate_bounds, random_milp
+from test_cli import BUILTIN_STATS
 from test_pipeline import _every_element_by_hand
 
 
@@ -34,7 +34,7 @@ def test_rounding_forced():
     m.set_objective(x + 0.0)
     sol = solve_builtin(m)
     assert sol.status == OPTIMAL
-    assert sol.values["x"] == 1.0
+    assert sol.x[x.id] == 1.0
     assert sol.objective == pytest.approx(1.0)
 
 
@@ -81,7 +81,7 @@ def test_integral_solution_within_tolerance():
     sol = solve_builtin(m)
     assert sol.status == OPTIMAL
     for x in xs:
-        v = sol.values[x.name]
+        v = sol.x[x.id]
         assert abs(v - round(v)) <= 1e-6
 
 
@@ -91,7 +91,8 @@ def test_deterministic_resolve():
     a = solve_builtin(m)
     b = solve_builtin(m)
     assert a.status == b.status
-    assert a.values == b.values
+    assert (a.x is None) == (b.x is None)
+    assert a.x is None or np.array_equal(a.x, b.x)
 
 
 def test_time_limit_status():
@@ -209,11 +210,11 @@ def test_solution_vector_and_verification():
     m.set_objective(u + 0.0)
     sol = solve_builtin(m)
     arrays = ModelArrays(m)
-    assert arrays.max_violation(sol.vector(m)) <= 1e-6
-    assert arrays.objective_value(sol.vector(m)) == pytest.approx(sol.objective)
+    assert arrays.max_violation(sol.x) <= 1e-6
+    assert arrays.objective_value(sol.x) == pytest.approx(sol.objective)
 
 
-def test_solution_vector_with_and_without_values_by_column_id():
+def test_solution_x_holds_the_values_by_column_id():
     m = Model()
     m.continuous("a", 0.0, 2.0)
     ids = m.continuous_series("p", 3, 0.0, [1.0, 2.0, 3.0])
@@ -221,14 +222,59 @@ def test_solution_vector_with_and_without_values_by_column_id():
     m.set_objective(ExprBlock.columns(ids).exprs()[0] + m.vars[0] * 2.0)
     sol = solve_builtin(m)
     assert sol.status == OPTIMAL and sol.x is not None
-    assert sol.vector(m) is sol.x
-    assert sol.values == dict(zip(m.column_names(), sol.x.tolist()))
-    # a solution given only as a dict reads its values by name
-    by_name = Solution(sol.status, dict(reversed(sol.values.items())), sol.objective)
-    assert by_name.x is None
-    assert by_name.vector(m).tobytes() == sol.x.tobytes()
-    with pytest.raises(KeyError):
-        Solution(OPTIMAL, {"a": 0.0}).vector(m)
+    assert sol.x[0] == 0.0 and sol.x[ids[0]] == pytest.approx(0.5)
+
+
+def test_x_is_the_point_by_column_id_on_a_feasible_ending_and_none_on_the_others(
+        monkeypatch):
+    def mixed():
+        m = Model()
+        x = m.binary("x")
+        u = m.continuous("u", 0, 3)
+        m.add_constraint(x + u, EQ, 2.5, "mix")
+        m.set_objective(u - x)
+        return m
+
+    m = mixed()
+    sol = solve_builtin(m)
+    assert sol.status == OPTIMAL and len(sol.x) == m.n_columns == 2
+    assert sol.x.tolist() == [1.0, 1.5]
+
+    by_presolve = Model()
+    b = by_presolve.binary("b")
+    by_presolve.add_constraint(b + 0.0, GE, 2.0, "above")
+    by_lp = Model()
+    y = by_lp.continuous("y", -10, 10)
+    by_lp.add_constraint(y + 0.0, LE, 0.0, "low")
+    by_lp.add_constraint(y + 0.0, GE, 1.0, "high")
+    unbounded = Model()
+    z = unbounded.continuous("z")
+    unbounded.add_constraint(z + 0.0, LE, 5.0, "cap")
+    unbounded.set_objective(z + 0.0)
+    endings = [solve_builtin(by_presolve), solve_builtin(by_lp), solve_builtin(unbounded)]
+    # a deadline reached in the root LP, before any incumbent
+    monkeypatch.setattr(ModelArrays, "solve_lp",
+                        lambda self, lo, hi, backend, deadline=None: (TIME_LIMIT, None, None))
+    endings.append(solve_builtin(mixed()))
+    assert [s.status for s in endings] == [INFEASIBLE, INFEASIBLE, UNBOUNDED, TIME_LIMIT]
+    assert [s.x for s in endings] == [None] * 4
+    assert all(s.stats.keys() == BUILTIN_STATS for s in endings)
+
+
+def test_a_model_with_no_column_is_decided_at_zero_activity_without_an_lp():
+    bare = Model()
+    holds = Model()
+    holds.add_constraint(as_expr(0.0), EQ, 0.0, "zero")
+    holds.set_objective(as_expr(2.5))
+    broken = Model()
+    broken.add_constraint(as_expr(0.0), EQ, 1.0, "one")
+    sols = [solve_builtin(m) for m in (bare, holds, broken)]
+    assert [s.status for s in sols] == [OPTIMAL, OPTIMAL, INFEASIBLE]
+    assert [s.objective for s in sols[:2]] == [0.0, 2.5]
+    assert [s.x.shape for s in sols[:2]] == [(0,), (0,)] and sols[2].x is None
+    for sol in sols:
+        assert sol.stats.keys() == BUILTIN_STATS
+        assert sol.stats["nodes"] == 0 and sol.stats["lp_solves"] == 0
 
 
 def _agree_models():
@@ -334,8 +380,8 @@ def test_time_limit_inside_an_lp_keeps_the_incumbent(monkeypatch):
     sol = solve_builtin(m, SolveOptions(lp_backend="highs"))
     assert sol.status == TIME_LIMIT
     assert sol.stats["lp_solves"] == 10
-    assert sol.values and sol.objective >= full.objective
-    assert ModelArrays(m).max_violation(sol.vector(m)) <= 1e-6
+    assert sol.x is not None and sol.objective >= full.objective
+    assert ModelArrays(m).max_violation(sol.x) <= 1e-6
 
 
 def test_an_incumbent_that_breaks_a_row_is_refused(monkeypatch):
@@ -499,7 +545,7 @@ def test_a_numerical_failure_inside_the_dive_leaves_the_tree_to_prove(tmp_path, 
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(full.objective, abs=1e-9)
     assert sol.stats["nodes"] > 1
-    assert ModelArrays(model).max_violation(sol.vector(model)) <= 1e-6
+    assert ModelArrays(model).max_violation(sol.x) <= 1e-6
 
 
 def test_warm_lp_passes_only_the_column_bounds_that_moved():
