@@ -20,6 +20,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .assembly import ELECTRIC, HEAT, BalanceLedger, TimeGrid
 from .errors import InconsistentHistory, ModelError
@@ -30,7 +31,7 @@ from .linearize import (
     record_bigm,
     select_interval_gated,
 )
-from .milp import EQ, GE, LE, LinExpr, Model
+from .milp import EQ, GE, LE, LinExpr, Model, Var, _adopt
 
 log = logging.getLogger(__name__)
 
@@ -281,23 +282,57 @@ def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, t
     unit 1) to the events that begin and end it.
 
     begin_at and end_at map a unit to a variable or, before the horizon, a
-    constant.  Rows .a-.c set begin_i = 1 exactly when the state rises from
+    float.  Rows .a-.c set begin_i = 1 exactly when the state rises from
     unit i-1 to i, rows .d-.f set end_i = 1 exactly when it falls; with on,
     the .on row keeps the state inside on_i = 1.
+
+    This is a hot builder: each row is formed by ``_event_sum`` as one term
+    dict, bit for bit the expression of its ``LinExpr`` operator chain
+    (``begin - now + prev`` for .a, and so on), without the chain's copies.
     """
+    add = model.add_constraint
     for i in range(1, len(state) + 1):
         now = state[i - 1]
         prev = state[i - 2] if i > 1 else float(state_0)
         begin, end = begin_at(i), end_at(i)
         t = f"{tag}.i={i}"
-        model.add_constraint(begin - now + prev, GE, 0.0, f"{t}.a")
-        model.add_constraint(begin - now, LE, 0.0, f"{t}.b")
-        model.add_constraint(begin + prev, LE, 1.0, f"{t}.c")
-        model.add_constraint(end - prev + now, GE, 0.0, f"{t}.d")
-        model.add_constraint(end - prev, LE, 0.0, f"{t}.e")
-        model.add_constraint(end + now, LE, 1.0, f"{t}.f")
+        add(_event_sum(begin, -1.0, now, 1.0, prev), GE, 0.0, f"{t}.a")
+        add(_event_sum(begin, -1.0, now), LE, 0.0, f"{t}.b")
+        add(_event_sum(begin, 1.0, prev), LE, 1.0, f"{t}.c")
+        add(_event_sum(end, -1.0, prev, 1.0, now), GE, 0.0, f"{t}.d")
+        add(_event_sum(end, -1.0, prev), LE, 0.0, f"{t}.e")
+        add(_event_sum(end, 1.0, now), LE, 1.0, f"{t}.f")
         if on is not None:
-            model.add_constraint(on[i - 1] - now, GE, 0.0, f"{t}.on")
+            add(_event_sum(on[i - 1], -1.0, now), GE, 0.0, f"{t}.on")
+
+
+def _event_sum(first, *rest) -> LinExpr:
+    """``first`` plus ``sign * operand`` for each (sign, operand) pair of
+    ``rest``, with a sign of 1.0 or -1.0 and each operand a ``Var`` or a
+    float, as the ``LinExpr`` operators form it left to right: the same
+    terms in the same order, and the same constant, down to the sign of a
+    zero."""
+    terms = {first.id: 1.0} if type(first) is Var else None
+    const = first if terms is None else 0.0
+    for k in range(0, len(rest), 2):
+        sign, x = rest[k], rest[k + 1]
+        if type(x) is Var:
+            if terms is None:
+                # number + Var adds the number to the Var's constant 0.0
+                # (a -0.0 becomes 0.0); number - Var adds it to -0.0, which
+                # leaves it as it is
+                terms = {}
+                if sign > 0:
+                    const = 0.0 + const
+            vid = x.id
+            nc = terms.get(vid, 0.0) + sign
+            if nc == 0.0:
+                terms.pop(vid, None)
+            else:
+                terms[vid] = nc
+        else:
+            const = const + x if sign > 0 else const - x
+    return _adopt({} if terms is None else terms, float(const))
 
 
 def build_onoff_chain(model: Model, n: int, x_0: int, hist_start: dict | None = None,
@@ -329,12 +364,12 @@ def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: i
         if on_min > 1:
             lo = i - on_min + 1
             units = [*starts[bisect_left(starts, lo):], *range(max(lo, 1), i)]
-            run = sum(map(chain.start_at, units), LinExpr())
+            run = reduce(LinExpr.accumulate, map(chain.start_at, units), LinExpr())
             model.add_constraint(chain.x[i - 1] - run, GE, 0.0, f"{name}.minrun.i={i}")
         if off_min > 1:
             lo = i - off_min + 1
             units = [*stops[bisect_left(stops, lo):], *range(max(lo, 1), i)]
-            down = sum(map(chain.stop_at, units), LinExpr())
+            down = reduce(LinExpr.accumulate, map(chain.stop_at, units), LinExpr())
             model.add_constraint(chain.x[i - 1] + down, LE, 1.0, f"{name}.mindown.i={i}")
 
 
@@ -576,7 +611,8 @@ class FcchpBuilder:
 
         for i in range(1, self.n + 1):
             for j in range(f_lo, f_hi + 1):
-                recent = sum(map(chain.start_at, range(i - j + 1, i)), LinExpr())
+                recent = reduce(LinExpr.accumulate, map(chain.start_at, range(i - j + 1, i)),
+                                LinExpr())
                 if not recent.terms and recent.const == 0.0:
                     continue  # no start can fall into this window; sigma = 0
                 tag = f"{name}.minwarm.i={i}.j={j}"
@@ -619,7 +655,8 @@ class FcchpBuilder:
         m, name = self.model, self.name
         s = [m.binary(f"{name}.s[{i}]") for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
-            jump = sum(map(self.sw_at, range(i, i - self.up.lower_init, -1)), LinExpr())
+            jump = reduce(LinExpr.accumulate, map(self.sw_at, range(i, i - self.up.lower_init, -1)),
+                          LinExpr())
             m.add_constraint(s[i - 1] - jump, EQ, 0.0, f"{name}.jump.i={i}")
         self.vars["s"] = s
         return s
@@ -661,7 +698,8 @@ class FcchpBuilder:
                 m, z[i - 1], u_th[i - 1], phys.p_th_min, phys.p_th_max,
                 f"{name}.zu[{i}]", f"{name}.prodlevel.i={i}",
             )
-            th = sum((self.sw_at(i - j) * p for j, p in enumerate(up.p_th_up)), LinExpr())
+            th = reduce(LinExpr.accumulate,
+                        (self.sw_at(i - j) * p for j, p in enumerate(up.p_th_up)), LinExpr())
             th = th + prod_level
             thermal.append(th)
             electric_out.append(th * (phys.eta_el / phys.eta_th))
@@ -670,13 +708,15 @@ class FcchpBuilder:
                 m, y[i - 1], k[i - 1], f"{name}.gamma[{i}]", f"{name}.coldwarm.i={i}"
             )
             gammas.append(gamma)
-            ein = sum((chain.stop_at(i - j) * p for j, p in enumerate(up.p_el_down)),
-                      y[i - 1] * phys.p_el_warm_up + gamma * phys.p_el_cold_start)
+            ein = reduce(LinExpr.accumulate,
+                         (chain.stop_at(i - j) * p for j, p in enumerate(up.p_el_down)),
+                         y[i - 1] * phys.p_el_warm_up + gamma * phys.p_el_cold_start)
             ein = ein + (1 - chain.x[i - 1]) * phys.p_el_stand_by
             electric_in.append(ein)
 
-            pin = sum((self.sw_at(i - j) * p for j, p in enumerate(up.p_pr_up)),
-                      y[i - 1] * phys.p_pr_warm_up + gamma * phys.p_pr_cold_start)
+            pin = reduce(LinExpr.accumulate,
+                         (self.sw_at(i - j) * p for j, p in enumerate(up.p_pr_up)),
+                         y[i - 1] * phys.p_pr_warm_up + gamma * phys.p_pr_cold_start)
             pin = pin + prod_level * (1.0 / phys.eta_th)
             primary_in.append(pin)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .milp import EQ, GE, LE, LinExpr, Model, Var, as_expr
+from .milp import EQ, GE, LE, LinExpr, Model, Var, _adopt, as_expr
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,14 @@ def product_bin_bounded(model: Model, alpha, u, u_min: float, u_max: float, name
     two gate rows: for alpha in [0, 1], some U in [u_min, u_max] meets the
     track rows exactly when the gate rows hold (``build_mech_chp`` writes
     them alone).
+
+    With ``a`` and ``u`` the operands as ``LinExpr``, the rows are
+    ``a * u_min - v``, ``v - a * u_max``, ``u - (1 - a) * u_max - v`` and
+    ``v - u + (1 - a) * u_min``.  This is a hot builder, so each row's term
+    dict is written directly from the operands' terms and constants, with
+    the float operation the ``LinExpr`` operators do per coefficient and
+    constant: the rows are bit for bit those of the operator chains, without
+    their temporary copies.
     """
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         raise ModelError(f"product {name!r}: bounds on U must be finite")
@@ -53,13 +61,51 @@ def product_bin_bounded(model: Model, alpha, u, u_min: float, u_max: float, name
         raise ModelError(f"product {name!r}: u_min {u_min} > u_max {u_max}")
     a = as_expr(alpha)
     ue = as_expr(u)
+    at, ak, ut, uk = a.terms, a.const, ue.terms, ue.const
     v = model.continuous(name, min(0.0, u_min), max(0.0, u_max))
-    model.add_constraint(a * u_min - v, LE, 0.0, f"{tag}.lo_gate")
-    model.add_constraint(v - a * u_max, LE, 0.0, f"{tag}.hi_gate")
-    model.add_constraint(ue - (1 - a) * u_max - v, LE, 0.0, f"{tag}.lo_track")
-    model.add_constraint(v - ue + (1 - a) * u_min, LE, 0.0, f"{tag}.hi_track")
-    record_bigm(model, max(abs(u_min), abs(u_max), 1e-12), tag, max(abs(u_min), abs(u_max), 1e-12))
+    vid = v.id
+    add = model.add_constraint
+    # v is a new column, so no term of a or u holds it; a product by a zero
+    # bound is the empty expression, of constant 0.0
+    # a * u_min - v
+    terms = {} if u_min == 0 else {c_id: c * u_min for c_id, c in at.items()}
+    terms[vid] = -1.0
+    add(_adopt(terms, 0.0 if u_min == 0 else ak * u_min), LE, 0.0, f"{tag}.lo_gate")
+    # v - a * u_max
+    terms = {vid: 1.0}
+    if u_max != 0:
+        _accumulate(terms, [(c_id, -(c * u_max)) for c_id, c in at.items()])
+    add(_adopt(terms, 0.0 + -(ak * u_max if u_max != 0 else 0.0)), LE, 0.0, f"{tag}.hi_gate")
+    # u - (1 - a) * u_max - v
+    terms = ut.copy()
+    if u_max != 0:
+        _accumulate(terms, [(c_id, -((-c) * u_max)) for c_id, c in at.items()])
+    terms[vid] = -1.0
+    add(_adopt(terms, uk + -((-ak + 1) * u_max if u_max != 0 else 0.0)), LE, 0.0,
+        f"{tag}.lo_track")
+    # v - u + (1 - a) * u_min
+    terms = _accumulate({vid: 1.0}, [(c_id, -c) for c_id, c in ut.items()])
+    if u_min != 0:
+        _accumulate(terms, [(c_id, (-c) * u_min) for c_id, c in at.items()])
+    add(_adopt(terms, (0.0 + -uk) + ((-ak + 1) * u_min if u_min != 0 else 0.0)), LE, 0.0,
+        f"{tag}.hi_track")
+    bound = max(abs(u_min), abs(u_max), 1e-12)
+    record_bigm(model, bound, tag, bound)
     return v
+
+
+def _accumulate(terms: dict, pairs) -> dict:
+    """Add each (column, coefficient) pair to ``terms`` in place as
+    ``LinExpr.accumulate`` adds a term: a sum that cancels to 0.0 drops it.
+    Returns ``terms``."""
+    get = terms.get
+    for vid, c in pairs:
+        nc = get(vid, 0.0) + c
+        if nc == 0.0:
+            terms.pop(vid, None)
+        else:
+            terms[vid] = nc
+    return terms
 
 
 def abs_diff(model: Model, a, b, bound: float, name: str, tag: str) -> Var:
@@ -141,8 +187,8 @@ def select_interval_gated(model: Model, gate, x, intervals, x_min: float, x_max:
     for a, b, v in intervals:
         lam = model.binary(f"{name}_l{a}_{b}")
         lams.append(lam)
-        total = total + lam
-        value = value + lam * float(v)
+        total.accumulate(lam)
+        value.accumulate(lam * float(v))
         # lam = 1 pins x into [a, b]; lam = 0 leaves x anywhere in [x_min, x_max]
         m_up = max(x_max - b, 1.0)
         m_dn = max(a - x_min, 1.0)

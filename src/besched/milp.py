@@ -109,6 +109,12 @@ class LinExpr:
     expressions costs the size of its terms rather than a copy per step.
     The terms keep insertion order, and a coefficient that cancels to
     0.0 is dropped.
+
+    The operators serve cold paths, tests and oracles.  The hot row
+    builders (``linearize.product_bin_bounded``, ``fcchp.transition_rows``)
+    form each row's term dict themselves, with the float operations these
+    operators would do, and hand it to ``Model.add_constraint`` as one
+    expression.
     """
 
     __slots__ = ("terms", "const")
@@ -546,9 +552,6 @@ class Model:
         self._by_name.update(zip(names, range(start, start + n)))
         return np.arange(start, start + n)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     # -- constraints and objective ------------------------------------------
 
     def _check_declared(self, terms):
@@ -570,17 +573,21 @@ class Model:
         return _RowView(self)
 
     def add_constraint(self, lhs, sense: str, rhs: float = 0.0, tag: str = "") -> int:
-        self._check_row(sense, tag)
-        e = as_expr(lhs)
+        # the checks run in full only where their inline test fails
+        code = _SENSE_CODE.get(sense)
+        if code is None or not tag:
+            self._check_row(sense, tag)
+        e = lhs if type(lhs) is LinExpr else as_expr(lhs)
         terms = e.terms
-        self._check_declared(terms)
+        if terms and (min(terms) < 0 or max(terms) >= len(self._names)):
+            self._check_declared(terms)
         rhs = float(rhs) - e.const
         if not math.isfinite(rhs):
             raise ModelError(f"non-finite rhs in constraint {tag!r}")
         self._cols.extend(terms)
         self._coefs.extend(terms.values())
         self._ends.append(len(self._cols))
-        self._senses.append(_SENSE_CODE[sense])
+        self._senses.append(code)
         self._rhs.append(rhs)
         self._tags.append(tag)
         return len(self._tags) - 1

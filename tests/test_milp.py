@@ -20,7 +20,7 @@ def test_add_var_registers_handle():
     h = m.binary("x_1")
     assert len(m.vars) == 1
     assert m.vars[0] is h
-    assert "x_1" in m
+    assert "x_1" in m.column_names()
 
 
 def test_add_var_bounded_continuous():
@@ -518,7 +518,7 @@ def test_the_column_view_makes_one_handle_per_column_on_first_read():
         m.vars[-6]
     # a series column's handle gets the Domain of its box on the first read
     assert m.vars[1].domain == m.continuous("q", 0.0, 1.0).domain
-    assert "p[3]" in m and "p[5]" not in m
+    assert "p[3]" in m.column_names() and "p[5]" not in m.column_names()
 
 
 @pytest.mark.parametrize("lo, hi, message", [
@@ -538,7 +538,7 @@ def test_a_bad_series_box_raises_naming_its_column(lo, hi, message):
     for _ in range(2):  # a bad box is never stored, so it raises again
         with pytest.raises(ModelError, match=message):
             m.continuous_series("Building.heating", 3, lo, hi)
-    assert m.n_columns == 1 and "Building.heating[1]" not in m
+    assert m.n_columns == 1 and "Building.heating[1]" not in m.column_names()
     m.continuous_series("Building.heating", 3, 0.0, 1.0)  # the names stay free
     assert m.n_columns == 4
 
