@@ -94,7 +94,7 @@ def _cmd_optimize(args) -> int:
         write_schedule(empty, args.out)
         print(f"no schedule: {solution.status}")
         return 2 if solution.status == "infeasible" else 1
-    schedule = extract_schedule(problem.model, problem.ledger, solution)
+    schedule = extract_schedule(problem.ledger, solution)
     written = write_schedule(schedule, args.out)
     print(f"{solution.status}: objective {solution.objective:.6f} ct")
     for label, path in sorted(written.items()):

@@ -26,7 +26,8 @@ from .assembly import CARRIERS, COLD, ELECTRIC, HEAT, BalanceLedger, TimeGrid
 from .errors import ModelError
 # FcchpBuilder is here as the FcCHP row's builder in the element table (xmlio.ELEMENTS)
 from .fcchp import FcchpBuilder, OnOffChain, build_min_durations, build_onoff_chain
-from .milp import EQ, LE, ExprBlock, Model
+from .linearize import gated_column
+from .milp import EQ, ExprBlock, Model
 
 
 def _check_series(values, n, label, lo=None, hi=None):
@@ -356,11 +357,11 @@ def build_mech_chp(model: Model, spec: MechChpSpec, grid: TimeGrid,
     """Mechanical CHP: thermal output in [p_th_min, p_th_max] while on and 0
     while off, electric output in fixed ratio to it, and a peak boiler.
 
-    The output out[i] is one column in [0, p_th_max] between the two gate rows
-    ``p_th_min * x - out <= 0`` and ``out - p_th_max * x <= 0``.  These are the
-    gate rows of ``product_bin_bounded``; its set-point column and track rows
-    would appear in no other row, and without them the feasible set, LP
-    relaxation included, is the same.
+    The output out[i] is one ``linearize.gated_column`` in [0, p_th_max] between
+    the gate rows ``p_th_min * x - out <= 0`` and ``out - p_th_max * x <= 0``.
+    A ``product_bin_bounded`` would add a set-point column and track rows that
+    appear in no other row; without them the feasible set, LP relaxation
+    included, is the same.
     """
     n = grid.n_units
     dt = grid.hours_per_unit
@@ -369,11 +370,8 @@ def build_mech_chp(model: Model, spec: MechChpSpec, grid: TimeGrid,
     heat, boiler_heat = [], []
     for i in range(1, n + 1):
         x = chain.x[i - 1]
-        out = model.continuous(f"{spec.name}.out[{i}]", 0.0, spec.p_th_max)
-        tag = f"{spec.name}.modulation.i={i}"
-        model.add_constraint(x * spec.p_th_min - out, LE, 0.0, f"{tag}.lo_gate")
-        model.add_constraint(out - x * spec.p_th_max, LE, 0.0, f"{tag}.hi_gate")
-        heat.append(out)
+        heat.append(gated_column(model, x, spec.p_th_min, spec.p_th_max,
+                                 f"{spec.name}.out[{i}]", f"{spec.name}.modulation.i={i}"))
         boiler_heat.append(model.continuous(f"{spec.name}.boiler[{i}]", 0.0, spec.boiler_p_max))
 
     ledger.add_source(HEAT, spec.name, [heat[i] + boiler_heat[i] for i in range(n)])

@@ -27,6 +27,7 @@ from .errors import InconsistentHistory, ModelError
 from .linearize import (
     binary_abs_diff,
     bool_and,
+    gated_column,
     product_bin_bounded,
     record_bigm,
     select_interval_gated,
@@ -170,7 +171,6 @@ class FcchpUnitParams:
     on_max: int
     off_min: int
     lower_init: int
-    upper_init: int
     start_up: int
     shut_down: int
     p_th_up: tuple  # thermal start-up step per unit, length start_up
@@ -219,7 +219,6 @@ def derive_unit_params(phys: FcchpPhysicalParams, grid: TimeGrid,
     if on_max < on_min:
         raise ModelError("maximum operating time is below the minimum operating time")
     lower_init = grid.units_floor(phys.d_init, f"{name}.initDurationInHours")
-    upper_init = grid.units_ceil(phys.d_init, f"{name}.initDurationInHours")
     start_up = max(grid.units_ceil(phys.d_start_up, f"{name}.startUpDurationInHours"), 1)
     shut_down = max(grid.units_ceil(phys.d_down, f"{name}.shutDownDurationInHours"), 1)
 
@@ -244,7 +243,6 @@ def derive_unit_params(phys: FcchpPhysicalParams, grid: TimeGrid,
         on_max=on_max,
         off_min=off_min,
         lower_init=lower_init,
-        upper_init=upper_init,
         start_up=start_up,
         shut_down=shut_down,
         p_th_up=p_th_up,
@@ -514,10 +512,22 @@ class FcchpBuilder:
         return l
 
     def build_max_runtime(self) -> None:
+        """A run that ends at a stop in unit i lasts runtime_i = stop_i *
+        (l_i - l_{i-1}) units, at most on_max (row ``maxrun.i=i``).
+
+        The product is over l_i - l_{i-1} in [-span, span], span = n - l_0.
+        When span <= on_max no run ending inside the horizon can break the
+        limit, and eliminating runtime_i from its product rows and the maxrun
+        row leaves only the boxes of l and stop: no column and no row is
+        written then, and the feasible set, LP relaxation included, is the
+        same.
+        """
         m, name = self.model, self.name
         chain = self.vars["chain"]
         l = self.vars["l"]
         span = self.n - self.l_lo
+        if span <= self.up.on_max:
+            return
         for i in range(1, self.n + 1):
             prev = float(self.init.l_0) if i == 1 else l[i - 2]
             runtime = product_bin_bounded(
@@ -673,6 +683,16 @@ class FcchpBuilder:
     # -- power and cost --------------------------------------------------------
 
     def build_power_equations(self):
+        """Per-unit thermal, electric and primary power as expressions.
+
+        The production level zu_i = z_i * u_th_i is a product over the
+        set-point u_th_i in [p_th_min, p_th_max] only when the ramp rows
+        (``ramplim``) tie consecutive set-points.  Without them u_th_i sits in
+        no other row, and zu_i is one ``gated_column`` between the gate rows
+        (``prodlevel.i=k.lo_gate`` and ``.hi_gate``): the projection that
+        ``build_mech_chp`` writes, with the same feasible set and LP
+        relaxation.  ``vars["u_th"]`` exists only with the ramp rows.
+        """
         m, name, phys, up = self.model, self.name, self.phys, self.up
         chain = self.vars["chain"]
         y = self.vars["y"]
@@ -680,12 +700,13 @@ class FcchpBuilder:
         k = self.vars["k"]
         n = self.n
 
-        u_th = [
-            m.continuous(f"{name}.uth[{i}]", phys.p_th_min, phys.p_th_max)
-            for i in range(1, n + 1)
-        ]
+        u_th = None
         ramp = phys.delta_p_th_prod * self.grid.hours_per_unit
         if math.isfinite(ramp) and ramp < phys.p_th_max - phys.p_th_min:
+            u_th = self.vars["u_th"] = [
+                m.continuous(f"{name}.uth[{i}]", phys.p_th_min, phys.p_th_max)
+                for i in range(1, n + 1)
+            ]
             for i in range(2, n + 1):
                 step = u_th[i - 1] - u_th[i - 2]
                 m.add_constraint(step, LE, ramp, f"{name}.ramplim.i={i}.up")
@@ -694,10 +715,9 @@ class FcchpBuilder:
         thermal, electric_out, electric_in, primary_in = [], [], [], []
         gammas = []
         for i in range(1, n + 1):
-            prod_level = product_bin_bounded(
-                m, z[i - 1], u_th[i - 1], phys.p_th_min, phys.p_th_max,
-                f"{name}.zu[{i}]", f"{name}.prodlevel.i={i}",
-            )
+            level = (phys.p_th_min, phys.p_th_max, f"{name}.zu[{i}]", f"{name}.prodlevel.i={i}")
+            prod_level = (gated_column(m, z[i - 1], *level) if u_th is None
+                          else product_bin_bounded(m, z[i - 1], u_th[i - 1], *level))
             th = reduce(LinExpr.accumulate,
                         (self.sw_at(i - j) * p for j, p in enumerate(up.p_th_up)), LinExpr())
             th = th + prod_level
@@ -720,7 +740,6 @@ class FcchpBuilder:
             pin = pin + prod_level * (1.0 / phys.eta_th)
             primary_in.append(pin)
 
-        self.vars["u_th"] = u_th
         self.vars["gamma"] = gammas
         self.vars["thermalOutputPower"] = thermal
         self.vars["electricOutputPower"] = electric_out

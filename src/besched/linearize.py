@@ -36,24 +36,54 @@ def record_bigm(model: Model, value: float, tag: str, required: float) -> float:
     return value
 
 
+def gated_column(model: Model, alpha, u_min: float, u_max: float, name: str, tag: str) -> Var:
+    """Column V in [min(0, u_min), max(0, u_max)] held between alpha * u_min
+    and alpha * u_max by the gate rows ``a * u_min - v <= 0`` (``.lo_gate``)
+    and ``v - a * u_max <= 0`` (``.hi_gate``): V is 0 where alpha = 0 and in
+    [u_min, u_max] where alpha = 1.
+
+    These are the first two rows of ``product_bin_bounded``.  Alone they are
+    its projection onto alpha and V when the set-point U sits in no other row:
+    eliminating U in [u_min, u_max] from the track rows leaves rows weaker than
+    the gates, so the feasible set, LP relaxation included, is the same.  The
+    gate coefficients are the bounds themselves, so no big-M is recorded.
+    Each row's term dict is written directly, as the operator chain would
+    form it bit for bit (a product by a zero bound is empty).
+    """
+    a = as_expr(alpha)
+    at, ak = a.terms, a.const
+    v = model.continuous(name, min(0.0, u_min), max(0.0, u_max))
+    vid = v.id
+    # v is a new column, so no term of a holds it
+    terms = {} if u_min == 0 else {c_id: c * u_min for c_id, c in at.items()}
+    terms[vid] = -1.0
+    model.add_constraint(_adopt(terms, 0.0 if u_min == 0 else ak * u_min), LE, 0.0,
+                         f"{tag}.lo_gate")
+    terms = {vid: 1.0}
+    if u_max != 0:
+        _accumulate(terms, [(c_id, -(c * u_max)) for c_id, c in at.items()])
+    model.add_constraint(_adopt(terms, 0.0 + -(ak * u_max if u_max != 0 else 0.0)), LE, 0.0,
+                         f"{tag}.hi_gate")
+    return v
+
+
 def product_bin_bounded(model: Model, alpha, u, u_min: float, u_max: float, name: str, tag: str) -> Var:
     """Auxiliary V = alpha * U for binary-valued alpha and U in [u_min, u_max].
 
     alpha may be a binary variable or any expression that is 0/1 in every
     feasible solution (e.g. start_i + stop_i under compatibility rows).
-    The gate rows hold V between alpha * u_min and alpha * u_max, the track
-    rows tie V to U where alpha = 1.  A U used in no other row needs only the
-    two gate rows: for alpha in [0, 1], some U in [u_min, u_max] meets the
-    track rows exactly when the gate rows hold (``build_mech_chp`` writes
-    them alone).
+    The gate rows (``gated_column``) hold V between alpha * u_min and
+    alpha * u_max, the track rows tie V to U where alpha = 1.  A U used in no
+    other row needs only the gate rows, so callers without such a U
+    (``build_mech_chp``, the fcCHP production level without ramp rows) call
+    ``gated_column`` alone.
 
-    With ``a`` and ``u`` the operands as ``LinExpr``, the rows are
-    ``a * u_min - v``, ``v - a * u_max``, ``u - (1 - a) * u_max - v`` and
-    ``v - u + (1 - a) * u_min``.  This is a hot builder, so each row's term
-    dict is written directly from the operands' terms and constants, with
-    the float operation the ``LinExpr`` operators do per coefficient and
-    constant: the rows are bit for bit those of the operator chains, without
-    their temporary copies.
+    With ``a`` and ``u`` the operands as ``LinExpr``, the track rows are
+    ``u - (1 - a) * u_max - v`` and ``v - u + (1 - a) * u_min``.  This is a
+    hot builder, so each row's term dict is written directly from the
+    operands' terms and constants, with the float operation the ``LinExpr``
+    operators do per coefficient and constant: the rows are bit for bit those
+    of the operator chains, without their temporary copies.
     """
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         raise ModelError(f"product {name!r}: bounds on U must be finite")
@@ -62,20 +92,10 @@ def product_bin_bounded(model: Model, alpha, u, u_min: float, u_max: float, name
     a = as_expr(alpha)
     ue = as_expr(u)
     at, ak, ut, uk = a.terms, a.const, ue.terms, ue.const
-    v = model.continuous(name, min(0.0, u_min), max(0.0, u_max))
+    v = gated_column(model, a, u_min, u_max, name, tag)
     vid = v.id
     add = model.add_constraint
-    # v is a new column, so no term of a or u holds it; a product by a zero
-    # bound is the empty expression, of constant 0.0
-    # a * u_min - v
-    terms = {} if u_min == 0 else {c_id: c * u_min for c_id, c in at.items()}
-    terms[vid] = -1.0
-    add(_adopt(terms, 0.0 if u_min == 0 else ak * u_min), LE, 0.0, f"{tag}.lo_gate")
-    # v - a * u_max
-    terms = {vid: 1.0}
-    if u_max != 0:
-        _accumulate(terms, [(c_id, -(c * u_max)) for c_id, c in at.items()])
-    add(_adopt(terms, 0.0 + -(ak * u_max if u_max != 0 else 0.0)), LE, 0.0, f"{tag}.hi_gate")
+    # v is a new column, so no term of u holds it
     # u - (1 - a) * u_max - v
     terms = ut.copy()
     if u_max != 0:

@@ -13,7 +13,7 @@ from scipy.sparse import csr_matrix
 
 from .assembly import BalanceLedger, TimeGrid
 from .errors import SolverError
-from .milp import ExprBlock, Model
+from .milp import ExprBlock
 from .solver import Solution
 
 
@@ -28,7 +28,7 @@ class Schedule:
     stats: dict = field(default_factory=dict)
 
 
-def extract_schedule(model: Model, ledger: BalanceLedger, solution: Solution) -> Schedule:
+def extract_schedule(ledger: BalanceLedger, solution: Solution) -> Schedule:
     """Evaluate every ledger-registered state series against the solution's
     point ``solution.x``; a solution with no point raises :class:`SolverError`.
 

@@ -5,7 +5,9 @@ sequential simulator in oracles.py."""
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
+import scipy.optimize
 
 from besched.assembly import BalanceLedger, TimeGrid
 from besched.errors import InconsistentHistory, ModelError
@@ -18,8 +20,8 @@ from besched.fcchp import (
     derive_unit_params,
     replay_history,
 )
-from besched.milp import EQ, Model, export_lp
-from besched.solver import SolveOptions, solve_builtin
+from besched.milp import EQ, LinExpr, Model, export_lp
+from besched.solver import ModelArrays, SolveOptions, solve_builtin
 
 from helpers import build_plant, make_costs, make_phys, series, solve_pattern
 from oracles import (
@@ -94,9 +96,9 @@ def test_durations_convert_to_units_by_ceiling():
 
 def test_init_duration_floor_and_ceiling():
     up = derive_unit_params(make_phys(d_init=0.5, d_start_up=2.0), TimeGrid(96, 0.25))
-    assert up.lower_init == 2 and up.upper_init == 2
+    assert up.lower_init == 2
     up = derive_unit_params(make_phys(d_init=0.6, d_start_up=2.0), TimeGrid(96, 0.25))
-    assert up.lower_init == 2 and up.upper_init == 3
+    assert up.lower_init == 2
 
 
 def test_on_min_longer_than_horizon_rejected():
@@ -444,6 +446,90 @@ def test_production_ramp_limit_binds():
 
 
 # ---------------------------------------------------------------------------
+# rows the boxes already imply are not written
+
+
+def _tags(model):
+    return [c.tag for c in model.constraints]
+
+
+def test_no_maxrun_rows_when_no_run_inside_the_horizon_can_exceed_on_max():
+    # span = n - l_0 = 6 <= on_max = 10: no runtime column and no maxrun row
+    m, b = build_plant(6, init=INITIAL_STATES[0])
+    assert not any(".maxrun." in t for t in _tags(m))
+    assert not any("runtime[" in name for name in m.column_names())
+    # INITIAL_STATES[9]: span = 6 + 8 = 14 > on_max = 10, one maxrun row per unit
+    m, b = build_plant(6, init=INITIAL_STATES[9])
+    assert (b.n - b.l_lo, b.up.on_max) == (14, 10)
+    assert [_tags(m).count(f"fcCHP.maxrun.i={i}") for i in range(1, 7)] == [1] * 6
+    assert sum("runtime[" in name for name in m.column_names()) == 6
+
+
+def test_the_set_point_column_and_its_track_rows_come_only_with_the_ramp_rows():
+    for phys, uth, rows in ((make_phys(), 0, ("lo_gate", "hi_gate")),
+                            (make_phys(delta_p_th_prod=0.3), 6,
+                             ("lo_gate", "hi_gate", "lo_track", "hi_track"))):
+        m, b = build_plant(6, phys=phys)
+        assert sum("uth[" in name for name in m.column_names()) == uth
+        assert ("u_th" in b.vars) == bool(uth)
+        assert any(".ramplim." in t for t in _tags(m)) == bool(uth)
+        for i in range(1, 7):
+            tag = f"fcCHP.prodlevel.i={i}."
+            assert [t[len(tag):] for t in _tags(m) if t.startswith(tag)] == list(rows)
+
+
+def _free_running(init, **phys):
+    """A free-running 12-unit plant paid per kWh of heat and electricity it
+    makes, at a value that changes over the day, so it starts, stops and
+    modulates by itself."""
+    value = (3.0, 8.0, 8.0, 4.0, 8.0, 8.0, 8.0, 2.0, 8.0, 8.0, 8.0, 1.0)
+    n = len(value)
+    m = Model("plant")
+    costs = FcchpCostParams(primary_price=(4.0,) * n, k_on=1.0, k_off=0.5, k_warm_up=0.2,
+                            k_cold_start=0.3, k_prod=0.1)
+    v = FcchpBuilder(m, TimeGrid(n, 1.0), make_phys(**phys), costs, init).build()
+    obj = LinExpr()
+    for i in range(n):
+        obj = obj + v["financialInput"][i] + v["electricInputPower"][i] * 3.0
+        obj = obj - (v["thermalOutputPower"][i] + v["electricOutputPower"][i]) * value[i]
+    m.set_objective(obj)
+    return m
+
+
+def _milp_optimum_and_lp_bound(model):
+    """scipy's HiGHS MIP optimum and the LP-relaxation bound of the model."""
+    a = ModelArrays(model)
+    found = []
+    for integrality in (a.integral.astype(int), np.zeros(len(a.c))):
+        res = scipy.optimize.milp(
+            a.c, constraints=scipy.optimize.LinearConstraint(
+                a.a, np.where(a.ge, a.rhs, -np.inf), np.where(a.le, a.rhs, np.inf)),
+            bounds=scipy.optimize.Bounds(a.lo, a.hi), integrality=integrality,
+            options={"mip_rel_gap": 0})
+        assert res.status == 0
+        found.append(res.fun + a.obj_const)
+    return found
+
+
+# (initial state, plant overrides) -> (optimum, LP-relaxation bound) of the
+# paper's full model, which writes the maxrun product and the set-point column
+# on every plant
+FREE_RUNNING_OPTIMA = {
+    (0, ()): (-45.3, -49.6125),  # span 12 > on_max 10: maxrun binds
+    (9, ()): (-59.6, -62.975),  # span 20 > on_max 10
+    (0, (("delta_p_th_prod", 0.3),)): (-36.82, -45.1325),  # ramp rows keep u_th
+    (0, (("d_on_max", 12.0),)): (-49.8, -49.8),  # span 12 <= on_max 12: no maxrun
+}
+
+
+@pytest.mark.parametrize("case", FREE_RUNNING_OPTIMA)
+def test_free_running_optimum_and_lp_bound_are_those_of_the_full_model(case):
+    state, overrides = case
+    got = _milp_optimum_and_lp_bound(_free_running(INITIAL_STATES[state], **dict(overrides)))
+    assert got == pytest.approx(FREE_RUNNING_OPTIMA[case], abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
 # pinned models: the switched-state rows must build the very same model
 
 
@@ -494,7 +580,7 @@ def _chain_histories():
 PINNED_MODELS = {
     "criterion_5_states": (
         _criterion_5_states,
-        "ca97c657d520be4462e0744b3c7e923f3f4e8938111539591715d9d85112b0e4",
+        "38cffd806cb9193df232593098288aa2fe30713ae77c98ef58bfd29580b8499b",
     ),
     "criterion_3_ramp_plant": (
         _criterion_3_ramp_plant,

@@ -115,7 +115,7 @@ def test_balances_objective_and_schedule_match_the_linexpr_sums(case):
     assert model.objective.const.hex() == obj.const.hex()
 
     solution = Solution("optimal", 0.0, x=np.array(values, dtype=float))
-    got = extract_schedule(model, ledger, solution).series
+    got = extract_schedule(ledger, solution).series
     assert list(got) == [name for name, _ in states]
     for name, ref in states:
         assert [v.hex() for v in got[name]] == [extract_reference(r, values).hex() for r in ref]

@@ -105,7 +105,7 @@ def test_optimize_solves_and_balances_hold(tmp_path):
     problem = build_problem(config, situation, base_dir=tmp_path)
     solution = solve_problem(problem, SolveOptions())
     assert solution.status == "optimal"
-    schedule = extract_schedule(problem.model, problem.ledger, solution)
+    schedule = extract_schedule(problem.ledger, solution)
     x = solution.x
     for con in problem.model.constraints:
         if not con.tag.startswith("balance."):
@@ -335,7 +335,7 @@ def test_every_element_matches_the_builders_called_by_hand(tmp_path):
 
 
 # sha256 of the scenario's LP text as the per-term export (oracles) writes it
-EVERY_ELEMENT_LP_SHA256 = "127f8dfe9dc6a99cb8d219a4eb18dbcf8277dde5ed016ba65a6fab5c508be414"
+EVERY_ELEMENT_LP_SHA256 = "0f85a83c632dd211a4519f7d72f0bb2d40e219e23bf68107185464b30e55f235"
 
 
 def test_every_element_export_matches_the_reference_and_its_pinned_digest(tmp_path):
@@ -348,7 +348,7 @@ def test_every_element_export_matches_the_reference_and_its_pinned_digest(tmp_pa
 
 def _assert_extraction_equals_evaluate(model, ledger, solution):
     """extract_schedule against Model.evaluate rounded by Python, bit for bit."""
-    got = extract_schedule(model, ledger, solution).series
+    got = extract_schedule(ledger, solution).series
     want = {name: [round(model.evaluate(e, solution.x), 12) for e in exprs]
             for name, exprs in ledger.states}
     assert list(got) == list(want)
@@ -383,7 +383,7 @@ def test_extraction_sums_in_term_order_and_rounds_like_python():
     # inserted x2, x0, x1: (1e16 + 1) + 1 is 1e16, in column order 1e16 + 2
     ledger.add_state("s", [x[2] + x[0] + x[1], x[3] * 1.0])
     solution = Solution("optimal", 0.0, x=np.array([1.0, 1.0, 1e16, 1.0000000000005]))
-    series = extract_schedule(model, ledger, solution).series["s"]
+    series = extract_schedule(ledger, solution).series["s"]
     assert series[0] == (1e16 + 1.0) + 1.0 == 1e16 != (1.0 + 1.0) + 1e16
     # np.round scales by 1e12 and lands on 1.0; round rounds the decimal value
     assert series[1] == round(1.0000000000005, 12) == 1.000000000001
