@@ -519,6 +519,12 @@ FREE_RUNNING_OPTIMA = {
     (9, ()): (-59.6, -62.975),  # span 20 > on_max 10
     (0, (("delta_p_th_prod", 0.3),)): (-36.82, -45.1325),  # ramp rows keep u_th
     (0, (("d_on_max", 12.0),)): (-49.8, -49.8),  # span 12 <= on_max 12: no maxrun
+    # least table value 2 with w_0 = 2: the minwarm gate row sigma <= spread * y
+    (3, (("warmup_table", (2, 3, 3, 4)),)): (-9.1, -49.04953919860627),
+    (12, (("warmup_table", (2, 3, 3, 4)),)): (-56.6, -60.58076923076924),  # and y_0 = 1
+    (6, ()): (-35.8, -49.626923076923084),  # k_0 = 1: a pending cold start
+    (13, ()): (-46.3, -50.280769230769245),  # y_0 = 1: an ongoing warm-up
+    (19, (("cold_start_threshold", 3),)): (-35.8, -49.626923076923084),
 }
 
 
