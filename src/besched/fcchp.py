@@ -32,7 +32,7 @@ from .linearize import (
     record_bigm,
     select_interval_gated,
 )
-from .milp import EQ, GE, LE, LinExpr, Model, Var, _adopt
+from .milp import EQ, GE, LE, LinExpr, Model, Var, _add_terms, _adopt
 
 log = logging.getLogger(__name__)
 
@@ -312,6 +312,7 @@ def _event_sum(first, *rest) -> LinExpr:
     zero."""
     terms = {first.id: 1.0} if type(first) is Var else None
     const = first if terms is None else 0.0
+    pairs = []
     for k in range(0, len(rest), 2):
         sign, x = rest[k], rest[k + 1]
         if type(x) is Var:
@@ -322,15 +323,10 @@ def _event_sum(first, *rest) -> LinExpr:
                 terms = {}
                 if sign > 0:
                     const = 0.0 + const
-            vid = x.id
-            nc = terms.get(vid, 0.0) + sign
-            if nc == 0.0:
-                terms.pop(vid, None)
-            else:
-                terms[vid] = nc
+            pairs.append((x.id, sign))
         else:
             const = const + x if sign > 0 else const - x
-    return _adopt({} if terms is None else terms, float(const))
+    return _adopt({} if terms is None else _add_terms(terms, pairs), float(const))
 
 
 def build_onoff_chain(model: Model, n: int, x_0: int, hist_start: dict | None = None,

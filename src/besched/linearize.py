@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .milp import EQ, GE, LE, LinExpr, Model, Var, _adopt, as_expr
+from .milp import EQ, GE, LE, LinExpr, Model, Var, _add_terms, _adopt, as_expr
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def gated_column(model: Model, alpha, u_min: float, u_max: float, name: str, tag
                          f"{tag}.lo_gate")
     terms = {vid: 1.0}
     if u_max != 0:
-        _accumulate(terms, [(c_id, -(c * u_max)) for c_id, c in at.items()])
+        _add_terms(terms, [(c_id, -(c * u_max)) for c_id, c in at.items()])
     model.add_constraint(_adopt(terms, 0.0 + -(ak * u_max if u_max != 0 else 0.0)), LE, 0.0,
                          f"{tag}.hi_gate")
     return v
@@ -99,33 +99,19 @@ def product_bin_bounded(model: Model, alpha, u, u_min: float, u_max: float, name
     # u - (1 - a) * u_max - v
     terms = ut.copy()
     if u_max != 0:
-        _accumulate(terms, [(c_id, -((-c) * u_max)) for c_id, c in at.items()])
+        _add_terms(terms, [(c_id, -((-c) * u_max)) for c_id, c in at.items()])
     terms[vid] = -1.0
     add(_adopt(terms, uk + -((-ak + 1) * u_max if u_max != 0 else 0.0)), LE, 0.0,
         f"{tag}.lo_track")
     # v - u + (1 - a) * u_min
-    terms = _accumulate({vid: 1.0}, [(c_id, -c) for c_id, c in ut.items()])
+    terms = _add_terms({vid: 1.0}, [(c_id, -c) for c_id, c in ut.items()])
     if u_min != 0:
-        _accumulate(terms, [(c_id, (-c) * u_min) for c_id, c in at.items()])
+        _add_terms(terms, [(c_id, (-c) * u_min) for c_id, c in at.items()])
     add(_adopt(terms, (0.0 + -uk) + ((-ak + 1) * u_min if u_min != 0 else 0.0)), LE, 0.0,
         f"{tag}.hi_track")
     bound = max(abs(u_min), abs(u_max), 1e-12)
     record_bigm(model, bound, tag, bound)
     return v
-
-
-def _accumulate(terms: dict, pairs) -> dict:
-    """Add each (column, coefficient) pair to ``terms`` in place as
-    ``LinExpr.accumulate`` adds a term: a sum that cancels to 0.0 drops it.
-    Returns ``terms``."""
-    get = terms.get
-    for vid, c in pairs:
-        nc = get(vid, 0.0) + c
-        if nc == 0.0:
-            terms.pop(vid, None)
-        else:
-            terms[vid] = nc
-    return terms
 
 
 def abs_diff(model: Model, a, b, bound: float, name: str, tag: str) -> Var:

@@ -138,21 +138,10 @@ class LinExpr:
         # subtraction adds the negated operand: for floats that is x - y, but
         # an int 0 negates to int 0, which turns a -0.0 constant into 0.0
         if isinstance(other, LinExpr):
-            get = terms.get
-            for vid, c in other.terms.items():
-                nc = get(vid, 0.0) + (-c if subtract else c)
-                if nc == 0.0:
-                    terms.pop(vid, None)
-                else:
-                    terms[vid] = nc
+            _add_terms(terms, other.terms.items(), subtract)
             self.const += -other.const if subtract else other.const
         elif isinstance(other, Var):
-            vid = other.id
-            nc = terms.get(vid, 0.0) + (-1.0 if subtract else 1.0)
-            if nc == 0.0:
-                terms.pop(vid, None)
-            else:
-                terms[vid] = nc
+            _add_terms(terms, ((other.id, 1.0),), subtract)
         elif isinstance(other, (int, float)):
             self.const += -other if subtract else other
         else:
@@ -197,6 +186,20 @@ class LinExpr:
 
 
 _new_object = object.__new__
+
+
+def _add_terms(terms: dict, pairs, subtract: bool = False) -> dict:
+    """Add each (column, coefficient) pair to ``terms`` in place (subtract it
+    with ``subtract``), the one addition rule of every expression: a sum that
+    cancels to 0.0 drops the term.  Returns ``terms``."""
+    get = terms.get
+    for vid, c in pairs:
+        nc = get(vid, 0.0) + (-c if subtract else c)
+        if nc == 0.0:
+            terms.pop(vid, None)
+        else:
+            terms[vid] = nc
+    return terms
 
 
 def _adopt(terms: dict, const: float) -> LinExpr:
