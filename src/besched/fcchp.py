@@ -29,6 +29,7 @@ from .linearize import (
     bool_and,
     gated_column,
     product_bin_bounded,
+    product_inequality,
     record_bigm,
     select_interval_gated,
 )
@@ -461,14 +462,6 @@ class FcchpBuilder:
 
     # -- values at earlier units ---------------------------------------------
 
-    def _times_prev(self, i: int, gate, tracker: list, value_0: int, lo, hi, name: str,
-                    tag: str):
-        """gate * tracker_{i-1} for a 0/1 gate: at unit 1 the previous value is
-        the constant value_0, after it a variable, expanded as a product."""
-        if i == 1:
-            return gate * value_0
-        return product_bin_bounded(self.model, gate, tracker[i - 2], lo, hi, name, tag)
-
     def _kept(self, i: int, tracker: list, value_0: int, lo, hi, name: str, tag: str):
         """The tracker's previous value unless a start at unit i resets it:
         (1 - start_i) * tracker_{i-1}, expanded as a product after unit 1."""
@@ -495,44 +488,51 @@ class FcchpBuilder:
         return chain
 
     def build_change_tracker(self):
+        """l_i, the unit of the last start or stop: i at a change, else
+        l_{i-1}, through the product (1 - change_i) * l_{i-1} (``lkeep``), a
+        column because it feeds an equality."""
         m, name = self.model, self.name
         chain = self.vars["chain"]
         l = [m.integer(f"{name}.l[{i}]", self.l_lo, self.n) for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             change = binary_abs_diff(chain.start[i - 1], chain.stop[i - 1])
             tag = f"{name}.lastchange.i={i}"
-            kept = self._times_prev(i, 1 - change, l, self.init.l_0, self.l_lo, self.n,
-                                    f"{name}.lkeep[{i}]", f"{tag}.keep")
+            # (1 - change) * l_{i-1}: the constant l_0 before unit 1
+            kept = ((1 - change) * self.init.l_0 if i == 1 else product_bin_bounded(
+                m, 1 - change, l[i - 2], self.l_lo, self.n, f"{name}.lkeep[{i}]", f"{tag}.keep"))
             m.add_constraint(l[i - 1] - kept - change * i, EQ, 0.0, tag)
         self.vars["l"] = l
         return l
 
     def build_max_runtime(self) -> None:
-        """A run that ends at a stop in unit i lasts runtime_i = stop_i *
-        (l_i - l_{i-1}) units, at most on_max (row ``maxrun.i=i``).
+        """A run that ends at a stop in unit i lasts stop_i * (l_i - l_{i-1})
+        units, at most on_max.
 
-        The product is over l_i - l_{i-1} in [-span, span], span = n - l_0.
-        When span <= on_max no run ending inside the horizon can break the
-        limit, and eliminating runtime_i from its product rows and the maxrun
-        row leaves only the boxes of l and stop: no column and no row is
-        written then, and the feasible set, LP relaxation included, is the
-        same.
+        The product is over l_i - l_{i-1} in [-span, span], span = n - l_0, and
+        ``product_inequality`` writes its projection without a column: the row
+        ``maxrun.i=i``, l_i - l_{i-1} - (1 - stop_i) * span <= on_max.  When
+        span <= on_max no run ending inside the horizon can break the limit,
+        the row is implied by the boxes and none is written.
         """
         m, name = self.model, self.name
         chain = self.vars["chain"]
         l = self.vars["l"]
         span = self.n - self.l_lo
-        if span <= self.up.on_max:
-            return
         for i in range(1, self.n + 1):
             prev = float(self.init.l_0) if i == 1 else l[i - 2]
-            runtime = product_bin_bounded(
-                m, chain.stop[i - 1], l[i - 1] - prev, -span, span,
-                f"{name}.runtime[{i}]", f"{name}.maxrun.i={i}.p",
-            )
-            m.add_constraint(runtime, LE, float(self.up.on_max), f"{name}.maxrun.i={i}")
+            product_inequality(m, chain.stop[i - 1], l[i - 1] - prev, -span, span, LE,
+                               float(self.up.on_max), f"{name}.maxrun.i={i}")
 
     def build_cold_start_flags(self):
+        """k_i = 1 marks a start after a downtime beyond the cold-start
+        threshold L, and a pending cold start that an ongoing downtime carries.
+
+        Both rows read a product with the previous change l_{i-1}: the
+        ``onstart`` row start_i * (i - l_{i-1}) - M * k_i <= L and the
+        ``keep`` row k_{i-1} * (i - l_i) <= M * k_i.  After unit 1 each is
+        written by ``product_inequality``, without a product column; at
+        unit 1 l_0 is a constant and the ``onstart`` row is linear as it is.
+        """
         m, name = self.model, self.name
         chain = self.vars["chain"]
         l = self.vars["l"]
@@ -544,23 +544,23 @@ class FcchpBuilder:
         for i in range(1, self.n + 1):
             tag = f"{name}.coldstart.i={i}"
             # start after a downtime beyond L forces k_i = 1
-            q = self._times_prev(i, chain.start[i - 1], l, self.init.l_0, self.l_lo, self.n,
-                                 f"{name}.ksl[{i}]", f"{tag}.p1")
-            downtime_start = chain.start[i - 1] * float(i) - q
-            m.add_constraint(downtime_start - big_m * k[i - 1], LE, L, f"{tag}.onstart")
-            # pending cold start propagates through an ongoing downtime
+            start = chain.start[i - 1]
             if i == 1:
+                downtime_start = start * 1.0 - start * self.init.l_0
+                m.add_constraint(downtime_start - big_m * k[0], LE, L, f"{tag}.onstart")
+                # pending cold start propagates through an ongoing downtime
                 if self.init.k_0 == 1:
                     # 1 - l_1 <= M*k_1, linear because k_0 is a constant
                     m.add_constraint(
                         1.0 - l[0] - big_m * k[0], LE, 0.0, f"{tag}.keep"
                     )
                 continue
-            p = product_bin_bounded(
-                m, k[i - 2], l[i - 1], self.l_lo, self.n,
-                f"{name}.kll[{i}]", f"{tag}.p2",
-            )
-            m.add_constraint(k[i - 2] * float(i) - p - big_m * k[i - 1], LE, 0.0, f"{tag}.keep")
+            # start_i * l_{i-1} >= start_i * i - M * k_i - L
+            product_inequality(m, start, l[i - 2], self.l_lo, self.n, GE,
+                               start * float(i) - big_m * k[i - 1] - L, f"{tag}.onstart")
+            # k_{i-1} * l_i >= k_{i-1} * i - M * k_i
+            product_inequality(m, k[i - 2], l[i - 1], self.l_lo, self.n, GE,
+                               k[i - 2] * float(i) - big_m * k[i - 1], f"{tag}.keep")
         self.vars["k"] = k
         return k
 
@@ -606,6 +606,14 @@ class FcchpBuilder:
         return y, sw
 
     def build_warmup_bounds(self):
+        """The warm-up lasts at least and at most w_i units.
+
+        ``minwarm.i=i.j=j``: a start in the j - 1 units before i
+        (sigma_{i,j} = 1) keeps y_i on while w_i >= j, sigma * (w_i - j + 1)
+        <= spread * y_i.  ``maxwarm.i=i``: r_i tracks the last start, and while
+        warming up it lies at most w_i units back, y_i * r_i >= y_i * i - w_i.
+        ``product_inequality`` writes both without a product column.
+        """
         m, name = self.model, self.name
         chain = self.vars["chain"]
         y = self.vars["y"]
@@ -625,11 +633,9 @@ class FcchpBuilder:
                 sig = m.binary(f"{name}.sigma[{i},{j}]")
                 m.add_constraint(sig * sigma_m - recent, GE, 0.0, f"{tag}.ub")
                 m.add_constraint(sig - recent, LE, 0.0, f"{tag}.lb")
-                p = product_bin_bounded(
-                    m, sig, w[i - 1] - float(j - 1), self.w_lo - j + 1, self.w_hi - j + 1,
-                    f"{name}.sigp[{i},{j}]", f"{tag}.p",
-                )
-                m.add_constraint(spread * y[i - 1] - p, GE, 0.0, tag)
+                # sig * (w_i - j + 1) <= spread * y_i
+                product_inequality(m, sig, w[i - 1] - float(j - 1), self.w_lo - j + 1,
+                                   self.w_hi - j + 1, LE, spread * y[i - 1], tag)
 
         # an ongoing initial warm-up is pinned directly: its duration w_0 may
         # exceed every table value, putting it out of reach of the rows above
@@ -647,13 +653,10 @@ class FcchpBuilder:
             m.add_constraint(
                 r[i - 1] - chain.start[i - 1] * float(i) - kept, EQ, 0.0, f"{tag}.track"
             )
-            # while warming up, the last start is at most w_i units ago;
-            # gating r_i by y_i keeps the row vacuous outside warm-up
-            yr = product_bin_bounded(
-                m, y[i - 1], r[i - 1], self.r_lo, self.n,
-                f"{name}.yr[{i}]", f"{tag}.p",
-            )
-            m.add_constraint(y[i - 1] * float(i) - yr - w[i - 1], LE, 0.0, tag)
+            # while warming up, the last start is at most w_i units ago:
+            # y_i * r_i >= y_i * i - w_i, vacuous outside warm-up
+            product_inequality(m, y[i - 1], r[i - 1], self.r_lo, self.n, GE,
+                               y[i - 1] * float(i) - w[i - 1], tag)
         self.vars["r"] = r
         return r
 

@@ -2,6 +2,13 @@
 sub-models: binary*bounded products, absolute differences, Boolean
 conjunction, and table lookup at a variable integer index.
 
+A product V = alpha * U that feeds a single inequality gets no column:
+``product_inequality`` writes the inequality's projection onto alpha, U and
+its other columns.  A product that feeds several rows or an equality is a
+column held by four rows (``product_bin_bounded``), or by its two gate rows
+alone where U sits in no other row (``gated_column``).
+``product_inequality`` writes no row that the column boxes already imply.
+
 All builders only add variables and rows; existing rows are never touched.
 Every big-M constant is recorded on the model together with the bound that
 proves it valid.
@@ -112,6 +119,35 @@ def product_bin_bounded(model: Model, alpha, u, u_min: float, u_max: float, name
     bound = max(abs(u_min), abs(u_max), 1e-12)
     record_bigm(model, bound, tag, bound)
     return v
+
+
+def product_inequality(model: Model, alpha, u, u_min: float, u_max: float, sense: str, bound,
+                       tag: str) -> None:
+    """The row ``V <sense> bound`` for V = alpha * U (binary-valued alpha, U in
+    [u_min, u_max]), written without V: the Fourier-Motzkin projection of V
+    out of the four ``product_bin_bounded`` rows and this one.
+
+    V >= g leaves ``g <= alpha * u_max`` (``{tag}.gate``) and
+    ``g <= U - (1 - alpha) * u_min`` (``tag``); V <= h leaves
+    ``alpha * u_min <= h`` (``{tag}.gate``) and ``U - (1 - alpha) * u_max <= h``
+    (``tag``).  Every other pairing of V's bounds reduces to alpha in [0, 1]
+    and U in [u_min, u_max], which the callers' column boxes give, so the
+    feasible set and the LP relaxation are the same (McCormick 1976) with no
+    column and no big-M record.  A row whose maximum activity over its
+    columns' boxes cannot exceed its right-hand side is implied by the boxes
+    and is not written.
+    """
+    if not (math.isfinite(u_min) and math.isfinite(u_max) and u_min <= u_max):
+        raise ModelError(f"product row {tag!r}: bounds [{u_min}, {u_max}] on U must be finite")
+    a, ue, b = as_expr(alpha), as_expr(u), as_expr(bound)
+    if sense == GE:
+        rows = ((b - a * u_max, f"{tag}.gate"), (b - ue + (1 - a) * u_min, tag))
+    else:
+        rows = ((a * u_min - b, f"{tag}.gate"), (ue - (1 - a) * u_max - b, tag))
+    lo, hi = model._lo, model._hi
+    for e, row_tag in rows:
+        if e.const + sum(c * (hi[v] if c > 0 else lo[v]) for v, c in e.terms.items()) > 0:
+            model.add_constraint(e, LE, 0.0, row_tag)
 
 
 def abs_diff(model: Model, a, b, bound: float, name: str, tag: str) -> Var:

@@ -4,6 +4,7 @@ sequential simulator in oracles.py."""
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -458,11 +459,12 @@ def test_no_maxrun_rows_when_no_run_inside_the_horizon_can_exceed_on_max():
     m, b = build_plant(6, init=INITIAL_STATES[0])
     assert not any(".maxrun." in t for t in _tags(m))
     assert not any("runtime[" in name for name in m.column_names())
-    # INITIAL_STATES[9]: span = 6 + 8 = 14 > on_max = 10, one maxrun row per unit
+    # INITIAL_STATES[9]: span = 6 + 8 = 14 > on_max = 10, one maxrun row per
+    # unit, written without a runtime column
     m, b = build_plant(6, init=INITIAL_STATES[9])
     assert (b.n - b.l_lo, b.up.on_max) == (14, 10)
     assert [_tags(m).count(f"fcCHP.maxrun.i={i}") for i in range(1, 7)] == [1] * 6
-    assert sum("runtime[" in name for name in m.column_names()) == 6
+    assert sum("runtime[" in name for name in m.column_names()) == 0
 
 
 def test_the_set_point_column_and_its_track_rows_come_only_with_the_ramp_rows():
@@ -535,6 +537,34 @@ def test_free_running_optimum_and_lp_bound_are_those_of_the_full_model(case):
     assert got == pytest.approx(FREE_RUNNING_OPTIMA[case], abs=1e-6)
 
 
+# the rows product_inequality writes: maxrun, the cold-start rows after unit 1,
+# minwarm and maxwarm, each with its optional .gate row
+PROJECTED_ROW = re.compile(r"\.(maxrun\.i=\d+|coldstart\.i=(?!1\.)\d+\.(onstart|keep)"
+                           r"|minwarm\.i=\d+\.j=\d+|maxwarm\.i=\d+)(\.gate)?$")
+
+
+def test_no_single_use_product_column_and_no_projected_row_the_boxes_imply():
+    models = [m for m, _ in _criterion_5_states()]
+    models += [_free_running(INITIAL_STATES[state], **dict(overrides))
+               for state, overrides in FREE_RUNNING_OPTIMA]
+    written = []
+    for m in models:
+        assert not any(re.search(r"\.(runtime|ksl|kll|sigp|yr)\[", name)
+                       for name in m.column_names())
+        box = m.column_arrays()
+        for row in m.constraints:
+            if PROJECTED_ROW.search(row.tag):
+                assert row.sense == "<="
+                top = sum(c * (box.hi[v] if c > 0 else box.lo[v]) for v, c in row.terms.items())
+                assert top > row.rhs, row.tag
+                written.append(row.tag.split(".", 1)[1])
+    families = {re.sub(r"=\d+", "", t) for t in written}
+    # every family is written somewhere, the minwarm gate row only where the
+    # least warm-up table value is 2 or more
+    assert families == {"maxrun.i", "coldstart.i.onstart", "coldstart.i.keep", "minwarm.i.j",
+                        "minwarm.i.j.gate", "maxwarm.i"}
+
+
 # ---------------------------------------------------------------------------
 # pinned models: the switched-state rows must build the very same model
 
@@ -586,11 +616,11 @@ def _chain_histories():
 PINNED_MODELS = {
     "criterion_5_states": (
         _criterion_5_states,
-        "38cffd806cb9193df232593098288aa2fe30713ae77c98ef58bfd29580b8499b",
+        "219dea7e0135915c1ab4d6919dcf9ff50d42f8e2ff984f1762c8e464df934362",
     ),
     "criterion_3_ramp_plant": (
         _criterion_3_ramp_plant,
-        "34361d9d950e79ccb87941a0bbb00620736769b5bbd5acc6476bbb4fb728df78",
+        "4e7ec1fa6121a100ed9386bcc50d377a68bd7711a4e5a7bf6338d80296899c05",
     ),
     "chain_histories": (
         _chain_histories,

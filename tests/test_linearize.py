@@ -12,10 +12,11 @@ from besched.linearize import (
     binary_abs_diff,
     bool_and,
     product_bin_bounded,
+    product_inequality,
     select_interval_gated,
     select_value,
 )
-from besched.milp import EQ, LE, Model
+from besched.milp import EQ, GE, LE, Model
 from besched.solver import SolveOptions, solve_builtin
 
 from oracles import brute_force_solve
@@ -77,6 +78,54 @@ def test_a_product_whose_u_is_in_no_other_row_is_its_two_gate_rows(seed, free_u)
             (s_full, o_full, _), (s_gates, o_gates, _) = map(brute_force_solve, (full, gates))
             assert s_full == s_gates == "optimal"
             assert o_full == pytest.approx(o_gates, abs=1e-9)
+
+
+@pytest.mark.parametrize("sense", [GE, LE])
+@pytest.mark.parametrize("seed", range(10))
+def test_a_product_in_one_inequality_is_its_projection(seed, sense):
+    # alpha continuous in [0, 1]: over (alpha, U, W) the product column with
+    # its four rows and the row V <sense> c * W + d, and the rows that
+    # product_inequality writes without V, have the same LP minimum and
+    # maximum, or are both infeasible
+    rng = np.random.default_rng(seed)
+    u_min, u_max = sorted(rng.uniform(-10.0, 10.0, 2))
+    c, d = rng.normal(size=2) * 5
+    models = []
+    for project in (False, True):
+        m = Model()
+        a, u = m.continuous("alpha", 0.0, 1.0), m.continuous("u", u_min, u_max)
+        w = m.continuous("w", -1.0, 1.0)
+        if project:
+            product_inequality(m, a, u, u_min, u_max, sense, w * c + d, "prod")
+            assert m.bigms == []
+        else:
+            v = product_bin_bounded(m, a, u, u_min, u_max, "v", "prod.p")
+            m.add_constraint(v - w * c - d, sense, 0.0, "prod")
+        models.append((m, (a, u, w)))
+    for coefs in rng.normal(size=(3, 3)):
+        for sign in (1.0, -1.0):
+            found = []
+            for m, cols in models:
+                m.set_objective(sum(x * (sign * k) for x, k in zip(cols, coefs)))
+                found.append(brute_force_solve(m)[:2])
+            (s_full, o_full), (s_proj, o_proj) = found
+            assert s_full == s_proj
+            if s_full == "optimal":
+                assert o_full == pytest.approx(o_proj, abs=1e-9)
+
+
+def test_a_projected_row_the_boxes_imply_is_not_written():
+    m = Model()
+    a, u = m.binary("alpha"), m.continuous("u", -4.0, 6.0)
+    # V <= 6 and V >= -4 hold for every alpha * U in the box
+    product_inequality(m, a, u, -4.0, 6.0, LE, 6.0, "le")
+    product_inequality(m, a, u, -4.0, 6.0, GE, -4.0, "ge")
+    assert len(m.constraints) == 0
+    # V <= 5 cuts alpha = 1, U > 5 off: only the track row is written
+    product_inequality(m, a, u, -4.0, 6.0, LE, 5.0, "cut")
+    assert [c.tag for c in m.constraints] == ["cut"]
+    with pytest.raises(ModelError):
+        product_inequality(m, a, u, -math.inf, 6.0, LE, 5.0, "unbounded")
 
 
 def test_product_rejects_unbounded():

@@ -335,7 +335,7 @@ def test_every_element_matches_the_builders_called_by_hand(tmp_path):
 
 
 # sha256 of the scenario's LP text as the per-term export (oracles) writes it
-EVERY_ELEMENT_LP_SHA256 = "0f85a83c632dd211a4519f7d72f0bb2d40e219e23bf68107185464b30e55f235"
+EVERY_ELEMENT_LP_SHA256 = "94cea93ce1a47558f3063d74a39a73a7756daf68668894ccd8f980cb4bc89e8c"
 
 
 def test_every_element_export_matches_the_reference_and_its_pinned_digest(tmp_path):
