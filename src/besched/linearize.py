@@ -137,8 +137,11 @@ def product_inequality(model: Model, alpha, u, u_min: float, u_max: float, sense
     columns' boxes cannot exceed its right-hand side is implied by the boxes
     and is not written.
     """
+    if sense not in (GE, LE):
+        raise ModelError(f"product row {tag!r}: an equality needs the product column")
     if not (math.isfinite(u_min) and math.isfinite(u_max) and u_min <= u_max):
-        raise ModelError(f"product row {tag!r}: bounds [{u_min}, {u_max}] on U must be finite")
+        raise ModelError(f"product row {tag!r}: bounds [{u_min}, {u_max}] on U must be "
+                         "finite and ordered")
     a, ue, b = as_expr(alpha), as_expr(u), as_expr(bound)
     if sense == GE:
         rows = ((b - a * u_max, f"{tag}.gate"), (b - ue + (1 - a) * u_min, tag))

@@ -124,8 +124,10 @@ def test_a_projected_row_the_boxes_imply_is_not_written():
     # V <= 5 cuts alpha = 1, U > 5 off: only the track row is written
     product_inequality(m, a, u, -4.0, 6.0, LE, 5.0, "cut")
     assert [c.tag for c in m.constraints] == ["cut"]
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="finite and ordered"):
         product_inequality(m, a, u, -math.inf, 6.0, LE, 5.0, "unbounded")
+    with pytest.raises(ModelError, match="equality"):
+        product_inequality(m, a, u, -4.0, 6.0, EQ, 5.0, "equality")
 
 
 def test_product_rejects_unbounded():
