@@ -69,8 +69,8 @@ def test_a_faked_benchmark_stores_and_prints_both_verdicts(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert "week_storage_lp latency_p50_s: " in err and "gain met" in err
     assert err.count("gain not met") == 3 * len(metrics) - 1
-    # ten pairs and one traced run per side and workload
-    assert len(calls) == 3 * (2 * 10 + 2)
+    # ten pairs and three traced pairs per workload
+    assert len(calls) == 3 * (2 * 10 + 2 * 3)
     assert "week_storage_lp census: vars/int_vars/rows/nnz 1/0/0/0 -> 1/0/0/0" in err
     assert report["workloads"]["week_storage_lp"]["census_change"] == {
         "milp.vars": 0, "milp.int_vars": 0, "milp.rows": 0, "milp.nnz": 0}
@@ -138,3 +138,37 @@ def test_both_line_counts_of_two_checkouts_and_the_modules_that_differ(tmp_path)
     assert bench.module_line_changes(report) == [
         "src/besched/a.py: lines 18 -> 17, code lines 7 -> 7",
         "src/besched/b.py: lines 0 -> 2, code lines 0 -> 1"]
+
+
+def test_the_traced_layers_are_the_median_of_three_alternating_pairs(tmp_path, monkeypatch):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    traced = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = "change" if checkout == ROOT else "baseline"
+        metrics = {m["name"]: 1.0 for m in spec["end_to_end"]}
+        if trace:
+            traced.append((workload, side, seed))
+            # the k-th traced run of a side reads 1, 3, 8 (+ 10 on the change):
+            # the median is neither the first, the last nor the mean
+            k = sum(t[:2] == (workload, side) for t in traced)
+            metrics = {"fcchp.build_s": (1.0, 3.0, 8.0)[k - 1] + 10.0 * (side == "change")}
+        return {"summary": {"failed": 0, "metrics": {m: {"value": v} for m, v in metrics.items()}},
+                "detail": {"machine": {}, "census_per_instance": {"milp.vars": 1}}}
+
+    monkeypatch.setattr(bench, "run_perfbench", fake_run)
+    baseline = tmp_path / "parent"
+    baseline.mkdir()
+    out = tmp_path / "BENCH_9999.json"
+    assert bench.main(["--out", str(out), "--runs", "2", "--seed", "7",
+                       "--baseline", str(baseline)]) == 0
+    week = json.loads(out.read_text())["workloads"]["week_storage_lp"]
+    assert week["per_layer_runs"] == {"baseline": {"fcchp.build_s": [1.0, 3.0, 8.0]},
+                                      "change": {"fcchp.build_s": [11.0, 13.0, 18.0]}}
+    assert week["per_layer"] == {"baseline": {"fcchp.build_s": 3.0},
+                                 "change": {"fcchp.build_s": 13.0}}
+    assert week["per_layer_change"] == {"fcchp.build_s": 10.0}
+    # all at seed --seed, the baseline first in the first and third pair
+    assert [t[1:] for t in traced if t[0] == "week_storage_lp"] == [
+        ("baseline", 7), ("change", 7), ("change", 7), ("baseline", 7), ("baseline", 7),
+        ("change", 7)]

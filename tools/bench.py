@@ -11,15 +11,19 @@ BENCHMARK.json and seed S = --seed + i for run i.  With
 ``--baseline`` (another checkout, e.g. a ``git clone`` of the parent commit)
 every seed runs in both checkouts, as an alternating pair: the baseline goes
 first on even runs and second on odd ones, so slow drift of the host hits both
-sides alike.  One traced run (``--trace 1``, seed --seed) per workload and side
-gives the per-layer self times and the model census.
+sides alike.  Three alternating pairs of traced runs (``--trace 1``, all at
+seed --seed) per workload give each side's per-layer self times, as the median
+of its three runs, and the model census.
 
 The file records, per workload and side, every end-to-end value with its
 median and quartiles, the pairs the change won, the traced layer times and
 the census; per workload and end-to-end metric, two verdicts (see
 ``compare``): whether the change meets the claim rule for a gain, and
-whether it is worse than the baseline by more than the metric's bound; per workload, the change minus the baseline of each traced
-layer metric (``per_layer_change``, printed as baseline -> change) and of
+whether it is worse than the baseline by more than the metric's bound; per
+workload and side, the three values of each traced layer metric
+(``per_layer_runs``) beside their median (``per_layer``); per workload, the
+change minus the baseline of each traced layer median (``per_layer_change``,
+printed as baseline -> change) and of
 each census count (``census_change``, printed by ``census_line``); the git
 revision of each checkout with the files under ``MEASURED_PATHS`` that
 differ from it or are untracked, two line counts of each
@@ -49,6 +53,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 # the paths whose contents change what a run measures; documents are not among them
 MEASURED_PATHS = ("src", "tests", "tools", "perfbench", "BENCHMARK.json", "pyproject.toml")
+# alternating pairs of traced runs per workload, all at seed --seed
+TRACED_PAIRS = 3
 # the model census of a traced run, per instance
 CENSUS = ("milp.vars", "milp.int_vars", "milp.rows", "milp.nnz")
 # the tokens that make no line a code line
@@ -65,6 +71,11 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
     )
     lines = proc.stdout.strip().splitlines()
     return {"summary": json.loads(lines[-1]), "detail": json.loads(lines[-2])["detail"]}
+
+
+def alternating(sides: dict, i: int) -> list:
+    """The order of pair i: the baseline first on even pairs, second on odd."""
+    return list(sides) if i % 2 else list(reversed(sides))
 
 
 def revision(checkout: Path) -> dict:
@@ -219,8 +230,7 @@ def main(argv=None) -> int:
         values = {side: {} for side in sides}
         failed = {side: 0 for side in sides}
         for i, seed in enumerate(report["seeds"]):
-            order = list(sides) if i % 2 else list(reversed(sides))
-            for side in order:
+            for side in alternating(sides, i):
                 res = run_perfbench(sides[side], name, seed, seconds, 0)
                 report["machine"] = res["detail"]["machine"]
                 failed[side] += res["summary"]["failed"]
@@ -229,7 +239,7 @@ def main(argv=None) -> int:
                 print(f"{name} seed {seed} {side}: " + ", ".join(
                     f"{m}={rec['value']:.4g}" for m, rec in res["summary"]["metrics"].items()),
                     file=sys.stderr, flush=True)
-        entry = {"failed": failed, "end_to_end": {}, "per_layer": {}, "census": {}}
+        entry = {"failed": failed, "end_to_end": {}, "census": {}}
         for metric in values["change"]:
             if "baseline" in sides:
                 rec = compare(values["change"][metric], values["baseline"][metric],
@@ -239,11 +249,16 @@ def main(argv=None) -> int:
             else:
                 rec = {"change": spread(values["change"][metric])}
             entry["end_to_end"][metric] = rec
-        for side, path in sides.items():
-            traced = run_perfbench(path, name, args.seed, seconds, 1)
-            entry["per_layer"][side] = {m: rec["value"]
-                                        for m, rec in traced["summary"]["metrics"].items()}
-            entry["census"][side] = traced["detail"]["census_per_instance"]
+        traced = {side: {} for side in sides}
+        for i in range(TRACED_PAIRS):
+            for side in alternating(sides, i):
+                res = run_perfbench(sides[side], name, args.seed, seconds, 1)
+                for metric, rec in res["summary"]["metrics"].items():
+                    traced[side].setdefault(metric, []).append(rec["value"])
+                entry["census"][side] = res["detail"]["census_per_instance"]
+        entry["per_layer_runs"] = traced
+        entry["per_layer"] = {side: {m: statistics.median(v) for m, v in runs.items()}
+                              for side, runs in traced.items()}
         if "baseline" in sides:
             census = entry["census"]
             entry["census_change"] = {k: census["change"].get(k, 0) - census["baseline"].get(k, 0)
@@ -256,7 +271,7 @@ def main(argv=None) -> int:
                 if before is None:
                     continue
                 entry["per_layer_change"][metric] = after - before
-                print(f"{name} traced {metric}: {before:.4g} -> {after:.4g} "
+                print(f"{name} traced median {metric}: {before:.4g} -> {after:.4g} "
                       f"({after - before:+.4g})", file=sys.stderr, flush=True)
         report["workloads"][name] = entry
 
