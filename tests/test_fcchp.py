@@ -514,8 +514,8 @@ def _milp_optimum_and_lp_bound(model):
 
 
 # (initial state, plant overrides) -> (optimum, LP-relaxation bound) of the
-# paper's full model, which writes the maxrun product and the set-point column
-# on every plant
+# paper's full model, which writes every product as a column with its four
+# rows, the maxrun product and the set-point column on every plant
 FREE_RUNNING_OPTIMA = {
     (0, ()): (-45.3, -49.6125),  # span 12 > on_max 10: maxrun binds
     (9, ()): (-59.6, -62.975),  # span 20 > on_max 10
