@@ -78,6 +78,15 @@ class TimeGrid:
         return round(self._units(hours, label))
 
 
+def check_finite_powers(powers: dict, name: str = "") -> None:
+    """Refuse a non-finite power: ``powers`` maps each XML attribute to its
+    value in kW, and ``name``, the component's id, prefixes it in the error."""
+    for attr, value in powers.items():
+        if not math.isfinite(value):
+            where = f"{name}." if name else ""
+            raise ModelError(f"{where}{attr}: a power of {value} kW is not finite")
+
+
 class BalanceLedger:
     """Registry of every component's power and financial expressions.
 

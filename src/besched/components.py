@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CARRIERS, COLD, ELECTRIC, HEAT, BalanceLedger, TimeGrid
+from .assembly import (CARRIERS, COLD, ELECTRIC, HEAT, BalanceLedger, TimeGrid,
+                       check_finite_powers)
 from .errors import ModelError
 # FcchpBuilder is here as the FcCHP row's builder in the element table (xmlio.ELEMENTS)
 from .fcchp import FcchpBuilder, OnOffChain, build_min_durations, build_onoff_chain
@@ -171,6 +172,7 @@ class HeatPumpSpec:
     carrier: str = HEAT  # heat pump or cold pump
 
     def __post_init__(self):
+        check_finite_powers({"electricPower": self.electric_power}, self.name)
         if not (self.electric_power > 0):
             raise ModelError(f"{self.name}: electricPower must be positive")
         if self.carrier not in (HEAT, COLD):
@@ -342,6 +344,8 @@ class MechChpSpec:
             raise ModelError(f"{self.name}: efficiencies must lie strictly between 0 and 1")
         if self.eta_th + self.eta_el >= 1:
             raise ModelError(f"{self.name}: eta_th + eta_el must be below 1")
+        check_finite_powers({"maxThermalPower": self.p_th_max, "minThermalPower": self.p_th_min},
+                            self.name)
         if not (0 < self.p_th_min <= self.p_th_max):
             raise ModelError(f"{self.name}: need 0 < P_th_min <= P_th_max")
         if not (0 < self.boiler_eta <= 1):

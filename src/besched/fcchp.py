@@ -6,7 +6,9 @@ preceding downtime, longer after a cold start), a start-up ramp with known
 discrete power steps, a modulated production phase, and a shut-down phase
 with an electric power peak.  Everything is expressed as binaries plus
 bounded integer trackers; the nonlinear recursions are expanded through the
-reformulations in :mod:`besched.linearize`.
+reformulations in :mod:`besched.linearize`, whose McCormick rows of a binary
+times a tracker come from one writer there.  Every other row is formed here
+with the ``LinExpr`` operators.
 
 ``transition_rows`` ties a binary state to the events that begin and end it:
 the on/off chain (``build_onoff_chain``, shared with heat pumps and mechanical
@@ -22,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .assembly import ELECTRIC, HEAT, BalanceLedger, TimeGrid
+from .assembly import ELECTRIC, HEAT, BalanceLedger, TimeGrid, check_finite_powers
 from .errors import InconsistentHistory, ModelError
 from .linearize import (
     binary_abs_diff,
@@ -33,7 +35,7 @@ from .linearize import (
     record_bigm,
     select_interval_gated,
 )
-from .milp import EQ, GE, LE, LinExpr, Model, Var, _add_terms, _adopt
+from .milp import EQ, GE, LE, LinExpr, Model
 
 log = logging.getLogger(__name__)
 
@@ -75,6 +77,15 @@ class FcchpPhysicalParams:
             raise ModelError("efficiencies must lie strictly between 0 and 1")
         if self.eta_th + self.eta_el >= 1:
             raise ModelError("eta_th + eta_el must be below 1")
+        # the ramp limit delta_p_th_prod may be inf: no ramp rows
+        check_finite_powers({
+            "maxThermalPower": self.p_th_max, "minThermalPower": self.p_th_min,
+            "initThermalPower": self.p_th_init, "startUpThermalPower": self.p_th_start_up,
+            "standByElectricPower": self.p_el_stand_by, "warmUpElectricPower": self.p_el_warm_up,
+            "coldStartElectricPower": self.p_el_cold_start,
+            "addShutDownElectricPower": self.p_el_add_shut_down,
+            "warmUpPrimaryPower": self.p_pr_warm_up, "coldStartPrimaryPower": self.p_pr_cold_start,
+        })
         if not (self.p_th_init <= self.p_th_min < self.p_th_start_up <= self.p_th_max):
             raise ModelError(
                 "thermal levels must satisfy P_init <= P_min < P_startUp <= P_max, got "
@@ -285,9 +296,8 @@ def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, t
     unit i-1 to i, rows .d-.f set end_i = 1 exactly when it falls; with on,
     the .on row keeps the state inside on_i = 1.
 
-    This is a hot builder: each row is formed by ``_event_sum`` as one term
-    dict, bit for bit the expression of its ``LinExpr`` operator chain
-    (``begin - now + prev`` for .a, and so on), without the chain's copies.
+    The rows are formed by the ``LinExpr`` operators: on rows of two or three
+    terms a term-dict writer was no faster.
     """
     add = model.add_constraint
     for i in range(1, len(state) + 1):
@@ -295,39 +305,14 @@ def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, t
         prev = state[i - 2] if i > 1 else float(state_0)
         begin, end = begin_at(i), end_at(i)
         t = f"{tag}.i={i}"
-        add(_event_sum(begin, -1.0, now, 1.0, prev), GE, 0.0, f"{t}.a")
-        add(_event_sum(begin, -1.0, now), LE, 0.0, f"{t}.b")
-        add(_event_sum(begin, 1.0, prev), LE, 1.0, f"{t}.c")
-        add(_event_sum(end, -1.0, prev, 1.0, now), GE, 0.0, f"{t}.d")
-        add(_event_sum(end, -1.0, prev), LE, 0.0, f"{t}.e")
-        add(_event_sum(end, 1.0, now), LE, 1.0, f"{t}.f")
+        add(begin - now + prev, GE, 0.0, f"{t}.a")
+        add(begin - now, LE, 0.0, f"{t}.b")
+        add(begin + prev, LE, 1.0, f"{t}.c")
+        add(end - prev + now, GE, 0.0, f"{t}.d")
+        add(end - prev, LE, 0.0, f"{t}.e")
+        add(end + now, LE, 1.0, f"{t}.f")
         if on is not None:
-            add(_event_sum(on[i - 1], -1.0, now), GE, 0.0, f"{t}.on")
-
-
-def _event_sum(first, *rest) -> LinExpr:
-    """``first`` plus ``sign * operand`` for each (sign, operand) pair of
-    ``rest``, with a sign of 1.0 or -1.0 and each operand a ``Var`` or a
-    float, as the ``LinExpr`` operators form it left to right: the same
-    terms in the same order, and the same constant, down to the sign of a
-    zero."""
-    terms = {first.id: 1.0} if type(first) is Var else None
-    const = first if terms is None else 0.0
-    pairs = []
-    for k in range(0, len(rest), 2):
-        sign, x = rest[k], rest[k + 1]
-        if type(x) is Var:
-            if terms is None:
-                # number + Var adds the number to the Var's constant 0.0
-                # (a -0.0 becomes 0.0); number - Var adds it to -0.0, which
-                # leaves it as it is
-                terms = {}
-                if sign > 0:
-                    const = 0.0 + const
-            pairs.append((x.id, sign))
-        else:
-            const = const + x if sign > 0 else const - x
-    return _adopt({} if terms is None else _add_terms(terms, pairs), float(const))
+            add(on[i - 1] - now, GE, 0.0, f"{t}.on")
 
 
 def build_onoff_chain(model: Model, n: int, x_0: int, hist_start: dict | None = None,

@@ -9,6 +9,10 @@ column held by four rows (``product_bin_bounded``), or by its two gate rows
 alone where U sits in no other row (``gated_column``).
 ``product_inequality`` writes no row that the column boxes already imply.
 
+All three write their rows through ``_mccormick_row``, the one writer of
+the four McCormick (1976) rows, with V any expression: the new column, or
+the bound of ``product_inequality``.
+
 All builders only add variables and rows; existing rows are never touched.
 Every big-M constant is recorded on the model together with the bound that
 proves it valid.
@@ -43,34 +47,59 @@ def record_bigm(model: Model, value: float, tag: str, required: float) -> float:
     return value
 
 
+def _mccormick_row(row: str, a: LinExpr, u: LinExpr | None, v: LinExpr, u_min: float,
+                   u_max: float) -> LinExpr:
+    """Left side of one McCormick row ``<= 0`` of V = alpha * U, U in
+    [u_min, u_max]: ``lo_gate`` is ``a * u_min - v``, ``hi_gate``
+    ``v - a * u_max``, ``lo_track`` ``u - (1 - a) * u_max - v`` and
+    ``hi_track`` ``v - u + (1 - a) * u_min``; only the track rows read u.
+
+    The term dict is written directly, with the float operation of that
+    ``LinExpr`` operator chain per coefficient and constant: bit for bit its
+    row (term order, a cancelled term dropped, a product by a zero bound
+    empty, the sign of a zero constant), without its temporary copies.
+    """
+    at, ak = a.terms, a.const
+    if row == "lo_gate":
+        terms = {} if u_min == 0 else {c_id: c * u_min for c_id, c in at.items()}
+        _add_terms(terms, v.terms.items(), True)
+        return _adopt(terms, (0.0 if u_min == 0 else ak * u_min) + -v.const)
+    if row == "hi_gate":
+        terms = v.terms.copy()
+        if u_max != 0:
+            _add_terms(terms, [(c_id, c * u_max) for c_id, c in at.items()], True)
+        return _adopt(terms, v.const + -(0.0 if u_max == 0 else ak * u_max))
+    if row == "lo_track":
+        terms = u.terms.copy()
+        if u_max != 0:
+            _add_terms(terms, [(c_id, (-c) * u_max) for c_id, c in at.items()], True)
+        _add_terms(terms, v.terms.items(), True)
+        return _adopt(terms, (u.const + -(0.0 if u_max == 0 else (-ak + 1) * u_max)) + -v.const)
+    # hi_track
+    terms = _add_terms(v.terms.copy(), u.terms.items(), True)
+    if u_min != 0:
+        _add_terms(terms, [(c_id, (-c) * u_min) for c_id, c in at.items()])
+    return _adopt(terms, (v.const + -u.const) + (0.0 if u_min == 0 else (-ak + 1) * u_min))
+
+
 def gated_column(model: Model, alpha, u_min: float, u_max: float, name: str, tag: str) -> Var:
     """Column V in [min(0, u_min), max(0, u_max)] held between alpha * u_min
-    and alpha * u_max by the gate rows ``a * u_min - v <= 0`` (``.lo_gate``)
-    and ``v - a * u_max <= 0`` (``.hi_gate``): V is 0 where alpha = 0 and in
-    [u_min, u_max] where alpha = 1.
+    and alpha * u_max by its ``lo_gate`` and ``hi_gate`` rows
+    (``_mccormick_row``, tagged ``{tag}.lo_gate`` and ``{tag}.hi_gate``): V is
+    0 where alpha = 0 and in [u_min, u_max] where alpha = 1.
 
     These are the first two rows of ``product_bin_bounded``.  Alone they are
     its projection onto alpha and V when the set-point U sits in no other row:
     eliminating U in [u_min, u_max] from the track rows leaves rows weaker than
     the gates, so the feasible set, LP relaxation included, is the same.  The
     gate coefficients are the bounds themselves, so no big-M is recorded.
-    Each row's term dict is written directly, as the operator chain would
-    form it bit for bit (a product by a zero bound is empty).
     """
     a = as_expr(alpha)
-    at, ak = a.terms, a.const
     v = model.continuous(name, min(0.0, u_min), max(0.0, u_max))
-    vid = v.id
-    # v is a new column, so no term of a holds it
-    terms = {} if u_min == 0 else {c_id: c * u_min for c_id, c in at.items()}
-    terms[vid] = -1.0
-    model.add_constraint(_adopt(terms, 0.0 if u_min == 0 else ak * u_min), LE, 0.0,
-                         f"{tag}.lo_gate")
-    terms = {vid: 1.0}
-    if u_max != 0:
-        _add_terms(terms, [(c_id, -(c * u_max)) for c_id, c in at.items()])
-    model.add_constraint(_adopt(terms, 0.0 + -(ak * u_max if u_max != 0 else 0.0)), LE, 0.0,
-                         f"{tag}.hi_gate")
+    ve = v.expr()
+    for row in ("lo_gate", "hi_gate"):
+        model.add_constraint(_mccormick_row(row, a, None, ve, u_min, u_max), LE, 0.0,
+                             f"{tag}.{row}")
     return v
 
 
@@ -80,42 +109,21 @@ def product_bin_bounded(model: Model, alpha, u, u_min: float, u_max: float, name
     alpha may be a binary variable or any expression that is 0/1 in every
     feasible solution (e.g. start_i + stop_i under compatibility rows).
     The gate rows (``gated_column``) hold V between alpha * u_min and
-    alpha * u_max, the track rows tie V to U where alpha = 1.  A U used in no
-    other row needs only the gate rows, so callers without such a U
-    (``build_mech_chp``, the fcCHP production level without ramp rows) call
-    ``gated_column`` alone.
-
-    With ``a`` and ``u`` the operands as ``LinExpr``, the track rows are
-    ``u - (1 - a) * u_max - v`` and ``v - u + (1 - a) * u_min``.  This is a
-    hot builder, so each row's term dict is written directly from the
-    operands' terms and constants, with the float operation the ``LinExpr``
-    operators do per coefficient and constant: the rows are bit for bit those
-    of the operator chains, without their temporary copies.
+    alpha * u_max, the ``lo_track`` and ``hi_track`` rows (``_mccormick_row``)
+    tie V to U where alpha = 1.  A U used in no other row needs only the gate
+    rows, so callers without such a U (``build_mech_chp``, the fcCHP
+    production level without ramp rows) call ``gated_column`` alone.
     """
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         raise ModelError(f"product {name!r}: bounds on U must be finite")
     if u_min > u_max:
         raise ModelError(f"product {name!r}: u_min {u_min} > u_max {u_max}")
-    a = as_expr(alpha)
-    ue = as_expr(u)
-    at, ak, ut, uk = a.terms, a.const, ue.terms, ue.const
+    a, ue = as_expr(alpha), as_expr(u)
     v = gated_column(model, a, u_min, u_max, name, tag)
-    vid = v.id
-    add = model.add_constraint
-    # v is a new column, so no term of u holds it
-    # u - (1 - a) * u_max - v
-    terms = ut.copy()
-    if u_max != 0:
-        _add_terms(terms, [(c_id, -((-c) * u_max)) for c_id, c in at.items()])
-    terms[vid] = -1.0
-    add(_adopt(terms, uk + -((-ak + 1) * u_max if u_max != 0 else 0.0)), LE, 0.0,
-        f"{tag}.lo_track")
-    # v - u + (1 - a) * u_min
-    terms = _add_terms({vid: 1.0}, [(c_id, -c) for c_id, c in ut.items()])
-    if u_min != 0:
-        _add_terms(terms, [(c_id, (-c) * u_min) for c_id, c in at.items()])
-    add(_adopt(terms, (0.0 + -uk) + ((-ak + 1) * u_min if u_min != 0 else 0.0)), LE, 0.0,
-        f"{tag}.hi_track")
+    ve = v.expr()
+    for row in ("lo_track", "hi_track"):
+        model.add_constraint(_mccormick_row(row, a, ue, ve, u_min, u_max), LE, 0.0,
+                             f"{tag}.{row}")
     bound = max(abs(u_min), abs(u_max), 1e-12)
     record_bigm(model, bound, tag, bound)
     return v
@@ -128,14 +136,15 @@ def product_inequality(model: Model, alpha, u, u_min: float, u_max: float, sense
     out of the four ``product_bin_bounded`` rows and this one.
 
     V >= g leaves ``g <= alpha * u_max`` (``{tag}.gate``) and
-    ``g <= U - (1 - alpha) * u_min`` (``tag``); V <= h leaves
+    ``g <= U - (1 - alpha) * u_min`` (``tag``), the ``hi_gate`` and
+    ``hi_track`` rows of ``_mccormick_row`` with g for V; V <= h leaves
     ``alpha * u_min <= h`` (``{tag}.gate``) and ``U - (1 - alpha) * u_max <= h``
-    (``tag``).  Every other pairing of V's bounds reduces to alpha in [0, 1]
-    and U in [u_min, u_max], which the callers' column boxes give, so the
-    feasible set and the LP relaxation are the same (McCormick 1976) with no
-    column and no big-M record.  A row whose maximum activity over its
-    columns' boxes cannot exceed its right-hand side is implied by the boxes
-    and is not written.
+    (``tag``), its ``lo_gate`` and ``lo_track`` rows with h for V.  Every
+    other pairing of V's bounds reduces to alpha in [0, 1] and U in
+    [u_min, u_max], which the callers' column boxes give, so the feasible set
+    and the LP relaxation are the same (McCormick 1976) with no column and no
+    big-M record.  A row whose maximum activity over its columns' boxes cannot
+    exceed its right-hand side is implied by the boxes and is not written.
     """
     if sense not in (GE, LE):
         raise ModelError(f"product row {tag!r}: an equality needs the product column")
@@ -143,12 +152,11 @@ def product_inequality(model: Model, alpha, u, u_min: float, u_max: float, sense
         raise ModelError(f"product row {tag!r}: bounds [{u_min}, {u_max}] on U must be "
                          "finite and ordered")
     a, ue, b = as_expr(alpha), as_expr(u), as_expr(bound)
-    if sense == GE:
-        rows = ((b - a * u_max, f"{tag}.gate"), (b - ue + (1 - a) * u_min, tag))
-    else:
-        rows = ((a * u_min - b, f"{tag}.gate"), (ue - (1 - a) * u_max - b, tag))
+    rows = (("hi_gate", f"{tag}.gate"), ("hi_track", tag)) if sense == GE else \
+        (("lo_gate", f"{tag}.gate"), ("lo_track", tag))
     lo, hi = model._lo, model._hi
-    for e, row_tag in rows:
+    for row, row_tag in rows:
+        e = _mccormick_row(row, a, ue, b, u_min, u_max)
         if e.const + sum(c * (hi[v] if c > 0 else lo[v]) for v, c in e.terms.items()) > 0:
             model.add_constraint(e, LE, 0.0, row_tag)
 
@@ -227,8 +235,8 @@ def select_interval_gated(model: Model, gate, x, intervals, x_min: float, x_max:
     lams = []
     total = LinExpr()
     value = LinExpr()
-    record_bigm(model, max(x_max - intervals[0][0], intervals[-1][1] - x_min, 1.0), tag,
-                max(x_max - intervals[0][0], intervals[-1][1] - x_min, 1.0))
+    big_m = max(x_max - intervals[0][0], intervals[-1][1] - x_min, 1.0)
+    record_bigm(model, big_m, tag, big_m)
     for a, b, v in intervals:
         lam = model.binary(f"{name}_l{a}_{b}")
         lams.append(lam)

@@ -110,10 +110,10 @@ class LinExpr:
     The terms keep insertion order, and a coefficient that cancels to
     0.0 is dropped.
 
-    The operators serve cold paths, tests and oracles.  The hot row
-    builders (``linearize.product_bin_bounded``, ``fcchp.transition_rows``)
-    form each row's term dict themselves, with the float operations these
-    operators would do, and hand it to ``Model.add_constraint`` as one
+    The builders form their rows with these operators, except the
+    McCormick rows of ``linearize``: its one writer, ``_mccormick_row``,
+    forms each row's term dict itself, with the float operations these
+    operators would do, and hands it to ``Model.add_constraint`` as one
     expression.
     """
 

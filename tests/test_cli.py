@@ -276,7 +276,10 @@ def _write_every_element(tmp_path, config, situation):
     ("config", 'switchOnCost="2.0"', "nan", "not a number: 'nan'"),
     ("config", 'switchOnCost="2.0"', "inf", "switching costs must be finite"),
     ("config", 'switchOnCost="2.0"', "-inf", "switching costs must be finite"),
+    ("config", 'maxThermalPower="6.0"', "inf", "chp.maxThermalPower: a power of inf kW"),
+    ("config", 'minThermalPower="3.0"', "inf", "chp.minThermalPower: a power of inf kW"),
     # HeatPump
+    ("config", 'electricPower="1.8"', "inf", "pump.electricPower: a power of inf kW"),
     ("config", 'minRunTimeInHours="3"', "inf",
      "pump.minRunTimeInHours: a duration of inf h"),
     ("config", 'minRunTimeInHours="3"', "nan", "not a number: 'nan'"),
@@ -286,6 +289,10 @@ def _write_every_element(tmp_path, config, situation):
     # FcCHP
     ("config", 'maxOnTimeInHours="10"', "inf", "plant.maxOnTimeInHours: a duration of inf h"),
     ("config", 'warmUpSupportingValues="1 2 2 3"', "", "non-empty warm-up duration table"),
+    ("config", 'standByElectricPower="0.1"', "inf", "standByElectricPower: a power of inf kW"),
+    ("config", 'warmUpPrimaryPower="1.0"', "inf", "warmUpPrimaryPower: a power of inf kW"),
+    ("config", 'maxThermalPower="2.0"', "inf", "maxThermalPower: a power of inf kW"),
+    ("config", 'minThermalPower="1.0"', "-inf", "minThermalPower: a power of -inf kW"),
     # the horizon
     ("situation", 'hoursPerTimeUnit="1.0"', "inf",
      "BuildingSituation@hoursPerTimeUnit: not a finite number: 'inf'"),
@@ -314,6 +321,20 @@ def test_optimize_rejects_a_non_finite_or_empty_value_with_one_error_line(
     (line,) = captured.err.splitlines()
     assert line.startswith("error:") and message in line
     assert not out.exists() and not lp.exists()
+
+
+def test_an_infinite_fcchp_ramp_limit_means_no_ramp_rows(tmp_path, capsys):
+    attr = 'maxThermalPowerGradientPerHour="5.0"'
+    ramp_rows = {}
+    for value in ("0.5", "inf"):
+        config = ALL_CONFIG.replace(attr, f'maxThermalPowerGradientPerHour="{value}"')
+        args = _write_every_element(tmp_path, config, ALL_SITUATION)
+        assert cli_main(["explain", *args, "--tag", "plant.ramplim"]) == 0
+        ramp_rows[value] = capsys.readouterr().out.count("[plant.ramplim")
+    assert ramp_rows == {"0.5": 14, "inf": 0}
+    assert cli_main(["optimize", *args, "--out", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["status"] == "optimal"
 
 
 def test_validate_reports_model_size(tmp_path, capsys):

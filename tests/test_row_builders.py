@@ -1,17 +1,21 @@
-"""The hot row builders against the LinExpr operator chains they replace.
+"""The McCormick row builders against the LinExpr operator chains they replace.
 
-``product_bin_bounded`` and ``transition_rows`` write each row's term dict
-directly.  The reference builders below are the operator-chain versions,
-kept here as the oracle: both must hand ``add_constraint`` the same
-expressions (term order, ``float.hex`` of every coefficient and of the
-constant, -0.0 included) and leave the same rows, columns and big-M records.
+``gated_column``, ``product_bin_bounded`` and ``product_inequality`` write
+each row's term dict through ``linearize._mccormick_row``.  The reference
+builders below are the operator-chain versions, kept here as the oracle:
+both must hand ``add_constraint`` the same expressions (term order,
+``float.hex`` of every coefficient and of the constant, -0.0 included) and
+leave the same rows, columns and big-M records; ``product_inequality`` must
+also drop the same rows that the column boxes imply.  ``transition_rows``
+is on the operators itself, and its reference pins its rows all the same.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besched.fcchp import transition_rows
-from besched.linearize import product_bin_bounded, record_bigm
+from besched.linearize import (gated_column, product_bin_bounded, product_inequality,
+                               record_bigm)
 from besched.milp import GE, LE, LinExpr, Model, as_expr
 
 COEFS = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, 0.0, -0.0, 0.1, -0.3, 3.0, 1e-17])
@@ -43,6 +47,26 @@ def _product_reference(model, alpha, u, u_min, u_max, name, tag):
     model.add_constraint(v - ue + (1 - a) * u_min, LE, 0.0, f"{tag}.hi_track")
     record_bigm(model, max(abs(u_min), abs(u_max), 1e-12), tag, max(abs(u_min), abs(u_max), 1e-12))
     return v
+
+
+def _gated_reference(model, alpha, u_min, u_max, name, tag):
+    a = as_expr(alpha)
+    v = model.continuous(name, min(0.0, u_min), max(0.0, u_max))
+    model.add_constraint(a * u_min - v, LE, 0.0, f"{tag}.lo_gate")
+    model.add_constraint(v - a * u_max, LE, 0.0, f"{tag}.hi_gate")
+    return v
+
+
+def _inequality_reference(model, alpha, u, u_min, u_max, sense, bound, tag):
+    a, ue, b = as_expr(alpha), as_expr(u), as_expr(bound)
+    if sense == GE:
+        rows = ((b - a * u_max, f"{tag}.gate"), (b - ue + (1 - a) * u_min, tag))
+    else:
+        rows = ((a * u_min - b, f"{tag}.gate"), (ue - (1 - a) * u_max - b, tag))
+    lo, hi = model._lo, model._hi
+    for e, row_tag in rows:
+        if e.const + sum(c * (hi[v] if c > 0 else lo[v]) for v, c in e.terms.items()) > 0:
+            model.add_constraint(e, LE, 0.0, row_tag)
 
 
 def _transition_reference(model, state, state_0, begin_at, end_at, tag, on=None):
@@ -106,6 +130,49 @@ def _built(product, alpha, u, bounds):
 def test_product_rows_match_the_operator_chains(alpha, u, bounds):
     assert _built(product_bin_bounded, alpha, u, bounds) == \
         _built(_product_reference, alpha, u, bounds)
+
+
+def _gated(model, alpha, _u, u_min, u_max, name, tag):
+    return gated_column(model, alpha, u_min, u_max, name, tag)
+
+
+def _gated_ref(model, alpha, _u, u_min, u_max, name, tag):
+    return _gated_reference(model, alpha, u_min, u_max, name, tag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operand, BOUNDS)
+@example(("expr", {0: 1.0, 1: 2.0}, -0.0), [0.0, 2.0])
+@example(("expr", {0: -1.0, 1: 0.0}, 1.0), [-2.0, 2.0])
+@example(("num", -0.0), [-0.0, 0.0])
+@example(("var", 0), [1.0, 3])
+def test_gated_rows_match_the_operator_chains(alpha, bounds):
+    assert _built(_gated, alpha, ("num", 0.0), bounds) == \
+        _built(_gated_ref, alpha, ("num", 0.0), bounds)
+
+
+def _inequality_built(rows, alpha, u, bound, bounds, sense):
+    m = _Recording()
+    for k in range(POOL):
+        m.binary(f"b{k}")
+    rows(m, _make(m, alpha), _make(m, u), *bounds, sense, _make(m, bound), "p")
+    return _model_record(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operand, _operand, _operand, BOUNDS, st.sampled_from((GE, LE)))
+@example(("expr", {0: 1.0, 1: 2.0}, -0.0), ("expr", {1: 2.0, 2: 1.0}, 0.0), ("num", -0.0),
+         [0.0, 2.0], GE)
+@example(("expr", {0: -1.0}, 1.0), ("expr", {0: 2.0}, -0.0), ("num", 0.0), [-0.0, 0.0], LE)
+# a -0.0 bound constant over a u constant 0.0: the row keeps its -0.0
+@example(("var", 0), ("expr", {1: 2.0}, 0.0), ("expr", {3: 1.0}, -0.0), [0.0, 2.0], GE)
+@example(("num", -0.0), ("num", -0.0), ("num", -0.0), [-0.0, 0.0], GE)
+# the coldstart.onstart row: start * l >= start * i - M * k - L, alpha in the bound
+@example(("var", 0), ("var", 1), ("expr", {0: 3.0, 2: -3.0}, -2.0), [-2, 3], GE)
+@example(("var", 0), ("var", 1), ("expr", {0: 3.0, 2: -3.0}, -2.0), [-2, 3], LE)
+def test_inequality_rows_match_the_operator_chains(alpha, u, bound, bounds, sense):
+    assert _inequality_built(product_inequality, alpha, u, bound, bounds, sense) == \
+        _inequality_built(_inequality_reference, alpha, u, bound, bounds, sense)
 
 
 @st.composite
