@@ -297,7 +297,7 @@ def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, t
     the .on row keeps the state inside on_i = 1.
 
     The rows are formed by the ``LinExpr`` operators: on rows of two or three
-    terms a term-dict writer was no faster.
+    terms a hand-built term dict was within a few percent of them.
     """
     add = model.add_constraint
     for i in range(1, len(state) + 1):

@@ -110,8 +110,8 @@ class LinExpr:
     The terms keep insertion order, and a coefficient that cancels to
     0.0 is dropped.
 
-    The builders form their rows with these operators, except the
-    McCormick rows of ``linearize``: its one writer, ``_mccormick_row``,
+    Scalar rows are formed with these operators, except the McCormick
+    rows of ``linearize``: its one writer, ``_mccormick_row``,
     forms each row's term dict itself, with the float operations these
     operators would do, and hands it to ``Model.add_constraint`` as one
     expression.
