@@ -7,13 +7,18 @@ discrete power steps, a modulated production phase, and a shut-down phase
 with an electric power peak.  Everything is expressed as binaries plus
 bounded integer trackers; the nonlinear recursions are expanded through the
 reformulations in :mod:`besched.linearize`, whose McCormick rows of a binary
-times a tracker come from one writer there.  Every other row is formed here
-with the ``LinExpr`` operators.
+times a tracker come from one writer there.
 
 ``transition_rows`` ties a binary state to the events that begin and end it:
 the on/off chain (``build_onoff_chain``, shared with heat pumps and mechanical
 CHPs), the warm-up and the production phase.  Windows of past events read the
 replayed history before unit 1 (``OnOffChain.start_at``, ``FcchpBuilder.sw_at``).
+These rows and the minimum run and down times (``build_min_durations``)
+bypass the ``LinExpr`` operators: each call gathers its rows' columns from
+the ``Var`` ids, folds the float operands into the right-hand sides and
+hands all its rows to ``Model.append_rows`` at once, since the per-row
+expressions and ``add_constraint`` calls, not the operators' arithmetic,
+were their cost.  Every other row is formed with the operators.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import product
+from operator import add
 
 from .assembly import ELECTRIC, HEAT, BalanceLedger, TimeGrid, check_finite_powers
 from .errors import InconsistentHistory, ModelError
@@ -35,7 +42,7 @@ from .linearize import (
     record_bigm,
     select_interval_gated,
 )
-from .milp import EQ, GE, LE, LinExpr, Model
+from .milp import EQ, GE, LE, LinExpr, Model, Var, _SENSE_CODE
 
 log = logging.getLogger(__name__)
 
@@ -71,12 +78,13 @@ class FcchpPhysicalParams:
     p_pr_cold_start: float = 0.0
     delta_p_th_prod: float = math.inf  # kW per hour
     cold_start_threshold: int = 1  # downtime in units beyond which a start is cold
+    name: str = "fcCHP"  # the plant's id, which every error names
 
     def __post_init__(self):
         if not (0 < self.eta_th < 1 and 0 < self.eta_el < 1):
-            raise ModelError("efficiencies must lie strictly between 0 and 1")
+            raise self._error("efficiencies must lie strictly between 0 and 1")
         if self.eta_th + self.eta_el >= 1:
-            raise ModelError("eta_th + eta_el must be below 1")
+            raise self._error("eta_th + eta_el must be below 1")
         # the ramp limit delta_p_th_prod may be inf: no ramp rows
         check_finite_powers({
             "maxThermalPower": self.p_th_max, "minThermalPower": self.p_th_min,
@@ -85,23 +93,26 @@ class FcchpPhysicalParams:
             "coldStartElectricPower": self.p_el_cold_start,
             "addShutDownElectricPower": self.p_el_add_shut_down,
             "warmUpPrimaryPower": self.p_pr_warm_up, "coldStartPrimaryPower": self.p_pr_cold_start,
-        })
+        }, self.name)
         if not (self.p_th_init <= self.p_th_min < self.p_th_start_up <= self.p_th_max):
-            raise ModelError(
+            raise self._error(
                 "thermal levels must satisfy P_init <= P_min < P_startUp <= P_max, got "
                 f"{self.p_th_init}, {self.p_th_min}, {self.p_th_start_up}, {self.p_th_max}"
             )
         for label in ("d_on_min", "d_on_max", "d_off_min", "d_init", "d_start_up", "d_down"):
             if not (getattr(self, label) > 0):
-                raise ModelError(f"duration {label} must be positive")
+                raise self._error(f"duration {label} must be positive")
         if self.d_init > self.d_start_up:
-            raise ModelError("d_init must not exceed d_start_up")
+            raise self._error("d_init must not exceed d_start_up")
         if not self.warmup_table:
-            raise ModelError("a non-empty warm-up duration table is required")
+            raise self._error("a non-empty warm-up duration table is required")
         if not (self.cold_start_threshold > 0):
-            raise ModelError("cold-start downtime threshold must be positive")
+            raise self._error("cold-start downtime threshold must be positive")
         if not (self.delta_p_th_prod > 0):
-            raise ModelError("production ramp limit must be positive")
+            raise self._error("production ramp limit must be positive")
+
+    def _error(self, message: str) -> ModelError:
+        return ModelError(f"{self.name}: {message}")
 
     def warmup_units(self, downtime_units: int) -> int:
         """f(downtime), clipped to the last supporting value for long downtimes."""
@@ -109,7 +120,8 @@ class FcchpPhysicalParams:
         v = table[min(downtime_units, len(table)) - 1]
         iv = int(round(v))
         if iv < 1 or abs(iv - v) > 1e-9:
-            raise ModelError(f"warm-up duration f({downtime_units}) = {v} is not a positive integer")
+            raise self._error(
+                f"warm-up duration f({downtime_units}) = {v} is not a positive integer")
         return iv
 
 
@@ -286,6 +298,53 @@ class OnOffChain:
         return self.stop[i - 1] if i >= 1 else float(self.hist_stop.get(i, 0))
 
 
+# The rows of one unit of ``transition_rows``: (suffix, sense, terms).  The
+# operands are numbered begin 0, now 1, prev 2, end 3 and on 4; a term is an
+# (operand, coefficient) pair, in the order the LinExpr operators add them.
+_TRANSITION_ROWS = (
+    (".a", GE, ((0, 1.0), (1, -1.0), (2, 1.0))),  # begin - now + prev >= 0
+    (".b", LE, ((0, 1.0), (1, -1.0))),  # begin - now <= 0
+    (".c", LE, ((0, 1.0), (2, 1.0))),  # begin + prev <= 1
+    (".d", GE, ((3, 1.0), (2, -1.0), (1, 1.0))),  # end - prev + now >= 0
+    (".e", LE, ((3, 1.0), (2, -1.0))),  # end - prev <= 0
+    (".f", LE, ((3, 1.0), (1, 1.0))),  # end + now <= 1
+    (".on", GE, ((4, 1.0), (1, -1.0))),  # on - now >= 0
+)
+
+
+def _transition_layout(numbers: tuple, with_on: bool) -> tuple:
+    """The rows of one unit as ``Model.append_rows`` takes them, where
+    ``numbers`` flags the begin, prev and end operands that are numbers and
+    so write no term: (operand of each term, coefficients, term counts,
+    sense codes, tag suffixes)."""
+    rows = _TRANSITION_ROWS if with_on else _TRANSITION_ROWS[:-1]
+    skip = {k for k, number in zip((0, 2, 3), numbers) if number}
+    terms = [[(k, c) for k, c in row if k not in skip] for _, _, row in rows]
+    return (tuple(k for row in terms for k, _ in row), tuple(c for row in terms for _, c in row),
+            tuple(map(len, terms)), tuple(_SENSE_CODE[sense] for _, sense, _ in rows),
+            tuple(suffix for suffix, _, _ in rows))
+
+
+# by (begin a number, prev a number, end a number, with the .on row)
+_TRANSITION_LAYOUTS = {key: _transition_layout(key[:3], key[3])
+                       for key in product((False, True), repeat=4)}
+
+
+def _split(x) -> tuple:
+    """(column, 0.0) of a Var, (None, x) of a number."""
+    return (x.id, 0.0) if isinstance(x, Var) else (None, x)
+
+
+def _repeats(cols: list) -> bool:
+    """Whether a column other than None appears twice."""
+    present = [c for c in cols if c is not None]
+    return len(set(present)) < len(present)
+
+
+def _shared_column(tag: str) -> ModelError:
+    return ModelError(f"the operands of constraint {tag!r} share a column")
+
+
 def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, tag: str,
                     on: list | None = None) -> None:
     """Tie a binary state (one variable per unit, the constant state_0 before
@@ -296,23 +355,47 @@ def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, t
     unit i-1 to i, rows .d-.f set end_i = 1 exactly when it falls; with on,
     the .on row keeps the state inside on_i = 1.
 
-    The rows are formed by the ``LinExpr`` operators: on rows of two or three
-    terms a hand-built term dict was within a few percent of them.
+    The rows bypass the ``LinExpr`` operators: each row's columns and +-1.0
+    coefficients come straight from the ``Var`` ids (``_TRANSITION_ROWS``),
+    the float operands (history events, state_0) fold into the rhs, and all
+    rows go to ``Model.append_rows`` in one call.  The per-row objects and
+    ``add_constraint`` calls were the cost, not the operators' arithmetic;
+    the rows, tags, order and rhs bits are the operator chains' (pinned in
+    ``tests/test_row_builders.py``).  A row whose operands share a column,
+    which the operators would have merged into one term, is refused.
     """
-    add = model.add_constraint
+    cols, coefs, counts, senses, rhs, tags = [], [], [], [], [], []
+    with_on = on is not None
+    o = None
     for i in range(1, len(state) + 1):
-        now = state[i - 1]
-        prev = state[i - 2] if i > 1 else float(state_0)
-        begin, end = begin_at(i), end_at(i)
+        now = state[i - 1].id
+        p, P = (state[i - 2].id, 0.0) if i > 1 else (None, float(state_0))
+        b, B = _split(begin_at(i))
+        e, E = _split(end_at(i))
+        if with_on:
+            o = on[i - 1].id
+        ids = (b, now, p, e, o)
         t = f"{tag}.i={i}"
-        add(begin - now + prev, GE, 0.0, f"{t}.a")
-        add(begin - now, LE, 0.0, f"{t}.b")
-        add(begin + prev, LE, 1.0, f"{t}.c")
-        add(end - prev + now, GE, 0.0, f"{t}.d")
-        add(end - prev, LE, 0.0, f"{t}.e")
-        add(end + now, LE, 1.0, f"{t}.f")
-        if on is not None:
-            add(on[i - 1] - now, GE, 0.0, f"{t}.on")
+        # the operand pairs that meet in a row: begin, prev and end with now,
+        # begin and end with prev, on with now
+        if now in (b, p, e, o) or (p is not None and p in (b, e)):
+            raise _shared_column(t + next(suffix for suffix, _, row in _TRANSITION_ROWS
+                                          if _repeats([ids[k] for k, _ in row])))
+        idx, row_coefs, row_counts, codes, suffixes = _TRANSITION_LAYOUTS[
+            b is None, p is None, e is None, with_on]
+        cols.extend([ids[k] for k in idx])
+        coefs.extend(row_coefs)
+        counts.extend(row_counts)
+        senses.extend(codes)
+        # a number operand moves to the rhs, a Var adds 0.0 there: the same
+        # value as the operators' constant, up to the sign of a zero, which
+        # 0.0 - c and 1.0 - c do not keep
+        rhs.extend((0.0 - (B + P), 0.0 - B, 1.0 - (B + P), 0.0 - (E - P), 0.0 - (E - P),
+                    1.0 - E))
+        if with_on:
+            rhs.append(0.0)
+        tags.extend([t + suffix for suffix in suffixes])
+    model.append_rows(cols, coefs, counts, senses, rhs, tags)
 
 
 def build_onoff_chain(model: Model, n: int, x_0: int, hist_start: dict | None = None,
@@ -337,20 +420,45 @@ def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: i
     Before unit 1 a window sums only the recorded events, as every other unit
     there adds the constant 0: a row costs the recorded events and at most
     the horizon, however long the minimum time.
+
+    The rows bypass the ``LinExpr`` operators: x_i and the window's columns
+    come straight from the ``Var`` ids, the recorded events are summed from
+    0.0 in unit order into the rhs, as ``LinExpr.accumulate`` sums them, and
+    all rows go to ``Model.append_rows`` in one call.  The per-row objects
+    and ``add_constraint`` calls were the cost, not the operators'
+    arithmetic.  A row whose operands share a column is refused.
     """
-    starts = sorted(j for j in chain.hist_start if j < 1)
-    stops = sorted(j for j in chain.hist_stop if j < 1)
-    for i in range(1, len(chain.x) + 1):
-        if on_min > 1:
-            lo = i - on_min + 1
-            units = [*starts[bisect_left(starts, lo):], *range(max(lo, 1), i)]
-            run = reduce(LinExpr.accumulate, map(chain.start_at, units), LinExpr())
-            model.add_constraint(chain.x[i - 1] - run, GE, 0.0, f"{name}.minrun.i={i}")
-        if off_min > 1:
-            lo = i - off_min + 1
-            units = [*stops[bisect_left(stops, lo):], *range(max(lo, 1), i)]
-            down = reduce(LinExpr.accumulate, map(chain.stop_at, units), LinExpr())
-            model.add_constraint(chain.x[i - 1] + down, LE, 1.0, f"{name}.mindown.i={i}")
+    x = [v.id for v in chain.x]
+    # per family: the window span, the event columns, the recorded event
+    # units before unit 1, their values, the events' coefficient, the sense
+    # and the bound: x - run >= 0.0 and x + down <= 1.0
+    windows = []
+    if on_min > 1:
+        windows.append(("minrun", on_min, [v.id for v in chain.start],
+                        sorted(j for j in chain.hist_start if j < 1), chain.start_at,
+                        -1.0, _SENSE_CODE[GE], 0.0))
+    if off_min > 1:
+        windows.append(("mindown", off_min, [v.id for v in chain.stop],
+                        sorted(j for j in chain.hist_stop if j < 1), chain.stop_at,
+                        1.0, _SENSE_CODE[LE], 1.0))
+    cols, coefs, counts, senses, rhs, tags = [], [], [], [], [], []
+    for i in range(1, len(x) + 1):
+        for family, span, events, recorded, event_at, coef, code, bound in windows:
+            lo = i - span + 1
+            row = [x[i - 1], *events[max(lo, 1) - 1:i - 1]]
+            tag = f"{name}.{family}.i={i}"
+            if _repeats(row):
+                raise _shared_column(tag)
+            cols.extend(row)
+            coefs.append(1.0)
+            coefs.extend([coef] * (len(row) - 1))
+            counts.append(len(row))
+            senses.append(code)
+            # the window's constant, then the row's, as the operators form them
+            s = reduce(add, map(event_at, recorded[bisect_left(recorded, lo):]), 0.0)
+            rhs.append(bound - (0.0 + coef * s))
+            tags.append(tag)
+    model.append_rows(cols, coefs, counts, senses, rhs, tags)
 
 
 # ---------------------------------------------------------------------------

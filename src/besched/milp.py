@@ -11,6 +11,9 @@ row ends, senses, right-hand sides and tags.  ``add_constraint`` appends one
 row from an expression, ``add_rows`` a block of rows, one per time unit,
 from an ``ExprBlock``: a series of expressions held as arrays (term columns
 and coefficients in insertion order, row pointers and a constant vector).
+``append_rows`` appends rows given as plain lists (columns, coefficients,
+term counts, sense codes, right-hand sides and tags), with
+``add_constraint``'s checks run once per batch.
 ``Model.continuous_series`` makes the named columns of such a series in one
 call.  ``row_arrays`` hands the store to the solver and to ``export_lp`` as
 numpy arrays; ``Model.constraints`` is a read-only view that builds a
@@ -51,7 +54,7 @@ import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, islice
 from operator import ne
 from typing import NamedTuple
 
@@ -110,11 +113,16 @@ class LinExpr:
     The terms keep insertion order, and a coefficient that cancels to
     0.0 is dropped.
 
-    Scalar rows are formed with these operators, except the McCormick
-    rows of ``linearize``: its one writer, ``_mccormick_row``,
+    Scalar rows are formed with these operators, except two kinds.  The
+    McCormick rows of ``linearize``: its one writer, ``_mccormick_row``,
     forms each row's term dict itself, with the float operations these
     operators would do, and hands it to ``Model.add_constraint`` as one
-    expression.
+    expression.  The switched-state rows of ``fcchp.transition_rows`` and
+    ``fcchp.build_min_durations``: their columns and +-1.0 coefficients come
+    from the ``Var`` ids, their float operands fold into the rhs, and each
+    call hands all its rows to ``Model.append_rows`` at once.  Measured on
+    those rows, the per-row expressions and ``add_constraint`` calls were
+    the cost, not the operators' arithmetic.
     """
 
     __slots__ = ("terms", "const")
@@ -618,6 +626,53 @@ class Model:
         self._rhs.frombytes(rhs.tobytes())
         self._tags.extend([f"{tag}.i={i}" for i in range(1, n + 1)])
         return range(first, first + n)
+
+    def append_rows(self, cols: list, coefs: list, counts: list, senses: list, rhs: list,
+                    tags: list) -> range:
+        """Rows given as plain lists, stored in one append per list.
+
+        Row k has the next ``counts[k]`` entries of ``cols`` and ``coefs`` as
+        its terms, the sense code ``senses[k]`` (-1 for <=, 0 for =, 1 for
+        >=), the right-hand side ``rhs[k]`` and the tag ``tags[k]``: the row
+        ``add_constraint`` stores from the same terms, constant and tag.  The
+        columns of one row must be distinct, as the terms of one expression
+        are; the callers see to that.  ``add_constraint``'s checks run once
+        over the batch, and where one fails the error is that of the first
+        bad row, naming its tag, and nothing is stored.  Returns the row ids.
+        """
+        if not (len(counts) == len(senses) == len(rhs) == len(tags)
+                and len(cols) == len(coefs) == sum(counts)):
+            raise ModelError("row lists of unequal lengths")
+        # the checks run row by row only where their batch test fails;
+        # a sum of finite values may overflow, so that test can fail alone
+        if not (_SENSE_OF.keys() >= set(senses) and all(tags)
+                and (not cols or (min(cols) >= 0 and max(cols) < len(self._names)))
+                and math.isfinite(sum(rhs))):
+            self._check_rows(cols, counts, senses, rhs, tags)
+        first, base = len(self._tags), len(self._cols)
+        self._cols.extend(cols)
+        self._coefs.extend(coefs)
+        self._ends.extend(islice(accumulate(counts, initial=base), 1, None))
+        self._senses.extend(senses)
+        self._rhs.extend(rhs)
+        self._tags.extend(tags)
+        return range(first, first + len(tags))
+
+    def _check_rows(self, cols, counts, senses, rhs, tags):
+        """Raise the error of the first row of a batch that fails a check."""
+        n, end = len(self._names), 0
+        for count, code, r, tag in zip(counts, senses, rhs, tags):
+            start, end = end, end + count
+            if code not in _SENSE_OF:
+                raise ModelError(f"unknown constraint sense code {code!r} in constraint {tag!r}")
+            if not tag:
+                raise ModelError("constraint tag must be non-empty")
+            bad = next((vid for vid in cols[start:end] if vid < 0 or vid >= n), None)
+            if bad is not None:
+                raise UndeclaredVariable(
+                    f"variable handle {bad} not declared in this model, in constraint {tag!r}")
+            if not math.isfinite(r):
+                raise ModelError(f"non-finite rhs in constraint {tag!r}")
 
     def row_arrays(self) -> RowArrays:
         """The row store as numpy arrays, copied: the model stays writable.

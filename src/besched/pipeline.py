@@ -74,6 +74,7 @@ def build_problem(config: BuildingConfiguration, situation: BuildingSituation,
                                  for cls in FCCHP_PARAMS)
             init = {k: int(v) for k, v in init.items()}  # flags arrive as booleans
             init["start_history"] = {u: 1 for u in entry.historical_starts}
+            phys["name"] = c.id
             getattr(comp, row.builder)(
                 model, grid, FcchpPhysicalParams(**phys), FcchpCostParams(**costs),
                 FcchpInitialState(**init), name=c.id).build(ledger)

@@ -172,3 +172,45 @@ def test_the_traced_layers_are_the_median_of_three_alternating_pairs(tmp_path, m
     assert [t[1:] for t in traced if t[0] == "week_storage_lp"] == [
         ("baseline", 7), ("change", 7), ("change", 7), ("baseline", 7), ("baseline", 7),
         ("change", 7)]
+
+
+@pytest.mark.parametrize("change, baseline, apart", [
+    ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], True),  # every change run below every baseline run
+    ([7.0, 9.0, 8.0], [4.0, 6.0, 5.0], True),  # and above
+    ([1.0, 2.0, 5.0], [4.0, 5.5, 6.0], False),  # one change run among the baseline's
+    ([1.0, 2.0, 4.0], [4.0, 5.0, 6.0], False),  # a tie does not separate
+    ([5.0, 5.0, 5.0], [5.0, 5.0, 5.0], False),
+])
+def test_two_sides_separate_only_when_no_run_lies_among_the_other_sides(change, baseline,
+                                                                       apart):
+    assert bench.separated(change, baseline) is apart
+
+
+def test_a_traced_change_whose_runs_overlap_prints_unresolved(tmp_path, monkeypatch, capsys):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    traced = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = "change" if checkout == ROOT else "baseline"
+        metrics = {m["name"]: 1.0 for m in spec["end_to_end"]}
+        if trace:
+            traced.append((workload, side))
+            k = traced.count((workload, side))
+            # fcchp.build_s: 1, 3, 8 against 2, 4, 9 overlap; solver.lp_s: 1, 3, 8
+            # against 11, 13, 18 do not
+            metrics = {"fcchp.build_s": (1.0, 3.0, 8.0)[k - 1] + (side == "change"),
+                       "solver.lp_s": (1.0, 3.0, 8.0)[k - 1] + 10.0 * (side == "change")}
+        return {"summary": {"failed": 0, "metrics": {m: {"value": v} for m, v in metrics.items()}},
+                "detail": {"machine": {}, "census_per_instance": {"milp.vars": 1}}}
+
+    monkeypatch.setattr(bench, "run_perfbench", fake_run)
+    baseline = tmp_path / "parent"
+    baseline.mkdir()
+    out = tmp_path / "BENCH_9999.json"
+    assert bench.main(["--out", str(out), "--runs", "2", "--seed", "7",
+                       "--baseline", str(baseline)]) == 0
+    day = json.loads(out.read_text())["workloads"]["day_heatpump_tariff"]
+    assert day["per_layer_separated"] == {"fcchp.build_s": False, "solver.lp_s": True}
+    err = capsys.readouterr().err
+    assert "day_heatpump_tariff traced median fcchp.build_s: 3 -> 4 (+1) unresolved\n" in err
+    assert "day_heatpump_tariff traced median solver.lp_s: 3 -> 13 (+10)\n" in err

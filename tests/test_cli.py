@@ -293,6 +293,13 @@ def _write_every_element(tmp_path, config, situation):
     ("config", 'warmUpPrimaryPower="1.0"', "inf", "warmUpPrimaryPower: a power of inf kW"),
     ("config", 'maxThermalPower="2.0"', "inf", "maxThermalPower: a power of inf kW"),
     ("config", 'minThermalPower="1.0"', "-inf", "minThermalPower: a power of -inf kW"),
+    # the fcCHP's parameter errors name the plant
+    ("config", 'standByElectricPower="0.1"', "inf",
+     "plant.standByElectricPower: a power of inf kW is not finite"),
+    ("config", 'startUpThermalPower="1.5"', "0.8",
+     "plant: thermal levels must satisfy P_init <= P_min < P_startUp <= P_max"),
+    ("config", 'maxThermalPowerGradientPerHour="5.0"', "-inf",
+     "plant: production ramp limit must be positive"),
     # the horizon
     ("situation", 'hoursPerTimeUnit="1.0"', "inf",
      "BuildingSituation@hoursPerTimeUnit: not a finite number: 'inf'"),

@@ -23,7 +23,9 @@ whether it is worse than the baseline by more than the metric's bound; per
 workload and side, the three values of each traced layer metric
 (``per_layer_runs``) beside their median (``per_layer``); per workload, the
 change minus the baseline of each traced layer median (``per_layer_change``,
-printed as baseline -> change) and of
+printed as baseline -> change), whether the two sides' runs of it separate
+(``per_layer_separated``, see ``separated``; a change that does not is
+printed ``unresolved``) and the change minus the baseline of
 each census count (``census_change``, printed by ``census_line``); the git
 revision of each checkout with the files under ``MEASURED_PATHS`` that
 differ from it or are untracked, two line counts of each
@@ -162,6 +164,12 @@ def compare(change: list, baseline: list, better: str, bound: float) -> dict:
     return rec
 
 
+def separated(change: list, baseline: list) -> bool:
+    """Whether every change run lies on the same side of every baseline run:
+    only then can a few traced runs tell which side is higher."""
+    return max(change) < min(baseline) or min(change) > max(baseline)
+
+
 def verdict_line(workload: str, metric: str, rec: dict, bound: float) -> str:
     base, change = rec["baseline"], rec["change"]
     return (f"{workload} {metric}: {base['median']:.4g} -> {change['median']:.4g}, "
@@ -265,14 +273,17 @@ def main(argv=None) -> int:
                                       for k in CENSUS}
             print(census_line(name, census), file=sys.stderr, flush=True)
             layers = entry["per_layer"]
-            entry["per_layer_change"] = {}
+            entry["per_layer_change"], entry["per_layer_separated"] = {}, {}
             for metric, after in layers["change"].items():
                 before = layers["baseline"].get(metric)
                 if before is None:
                     continue
                 entry["per_layer_change"][metric] = after - before
+                apart = separated(traced["change"][metric], traced["baseline"][metric])
+                entry["per_layer_separated"][metric] = apart
                 print(f"{name} traced median {metric}: {before:.4g} -> {after:.4g} "
-                      f"({after - before:+.4g})", file=sys.stderr, flush=True)
+                      f"({after - before:+.4g}){'' if apart else ' unresolved'}",
+                      file=sys.stderr, flush=True)
         report["workloads"][name] = entry
 
     earlier = newest_earlier_bench(args.out)
