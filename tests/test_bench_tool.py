@@ -197,9 +197,10 @@ def test_a_traced_change_whose_runs_overlap_prints_unresolved(tmp_path, monkeypa
             traced.append((workload, side))
             k = traced.count((workload, side))
             # fcchp.build_s: 1, 3, 8 against 2, 4, 9 overlap; solver.lp_s: 1, 3, 8
-            # against 11, 13, 18 do not
+            # against 11, 13, 18 do not; solver.nodes reads 16 in every run
             metrics = {"fcchp.build_s": (1.0, 3.0, 8.0)[k - 1] + (side == "change"),
-                       "solver.lp_s": (1.0, 3.0, 8.0)[k - 1] + 10.0 * (side == "change")}
+                       "solver.lp_s": (1.0, 3.0, 8.0)[k - 1] + 10.0 * (side == "change"),
+                       "solver.nodes": 16.0}
         return {"summary": {"failed": 0, "metrics": {m: {"value": v} for m, v in metrics.items()}},
                 "detail": {"machine": {}, "census_per_instance": {"milp.vars": 1}}}
 
@@ -210,7 +211,10 @@ def test_a_traced_change_whose_runs_overlap_prints_unresolved(tmp_path, monkeypa
     assert bench.main(["--out", str(out), "--runs", "2", "--seed", "7",
                        "--baseline", str(baseline)]) == 0
     day = json.loads(out.read_text())["workloads"]["day_heatpump_tariff"]
-    assert day["per_layer_separated"] == {"fcchp.build_s": False, "solver.lp_s": True}
+    assert day["per_layer_separated"] == {"fcchp.build_s": False, "solver.lp_s": True,
+                                          "solver.nodes": False}
     err = capsys.readouterr().err
     assert "day_heatpump_tariff traced median fcchp.build_s: 3 -> 4 (+1) unresolved\n" in err
     assert "day_heatpump_tariff traced median solver.lp_s: 3 -> 13 (+10)\n" in err
+    # the same value in all six runs: not separated, but nothing to resolve
+    assert "day_heatpump_tariff traced median solver.nodes: 16 -> 16 (+0)\n" in err

@@ -215,7 +215,6 @@ def test_transition_rows_match_the_operator_chains(case):
         _transition_built(_transition_reference, *case)
 
 
-
 def _min_durations_reference(model, chain, on_min, off_min, name="unit"):
     starts = sorted(j for j in chain.hist_start if j < 1)
     stops = sorted(j for j in chain.hist_stop if j < 1)

@@ -24,8 +24,9 @@ workload and side, the three values of each traced layer metric
 (``per_layer_runs``) beside their median (``per_layer``); per workload, the
 change minus the baseline of each traced layer median (``per_layer_change``,
 printed as baseline -> change), whether the two sides' runs of it separate
-(``per_layer_separated``, see ``separated``; a change that does not is
-printed ``unresolved``) and the change minus the baseline of
+(``per_layer_separated``, see ``separated``; where they do not and not all
+six runs read the same value, the change is printed ``unresolved``) and the
+change minus the baseline of
 each census count (``census_change``, printed by ``census_line``); the git
 revision of each checkout with the files under ``MEASURED_PATHS`` that
 differ from it or are untracked, two line counts of each
@@ -279,10 +280,13 @@ def main(argv=None) -> int:
                 if before is None:
                     continue
                 entry["per_layer_change"][metric] = after - before
+                runs = traced["change"][metric] + traced["baseline"][metric]
                 apart = separated(traced["change"][metric], traced["baseline"][metric])
                 entry["per_layer_separated"][metric] = apart
+                # runs that all read one value (a count, an unused layer) differ in nothing
+                unresolved = not apart and min(runs) != max(runs)
                 print(f"{name} traced median {metric}: {before:.4g} -> {after:.4g} "
-                      f"({after - before:+.4g}){'' if apart else ' unresolved'}",
+                      f"({after - before:+.4g}){' unresolved' if unresolved else ''}",
                       file=sys.stderr, flush=True)
         report["workloads"][name] = entry
 
