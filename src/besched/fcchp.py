@@ -14,11 +14,11 @@ the on/off chain (``build_onoff_chain``, shared with heat pumps and mechanical
 CHPs), the warm-up and the production phase.  Windows of past events read the
 replayed history before unit 1 (``OnOffChain.start_at``, ``FcchpBuilder.sw_at``).
 These rows and the minimum run and down times (``build_min_durations``)
-bypass the ``LinExpr`` operators: each call gathers its rows' columns from
-the ``Var`` ids, folds the float operands into the right-hand sides and
-hands all its rows to ``Model.append_rows`` at once, since the per-row
-expressions and ``add_constraint`` calls, not the operators' arithmetic,
-were their cost.  Every other row is formed with the operators.
+are formed without the ``LinExpr`` operators: each call gathers its rows'
+columns from the ``Var`` ids, folds the float operands into the right-hand
+sides and hands all its rows to ``Model.append_rows`` at once, whose rule
+refuses a row that holds a column twice.  Every other row is formed with
+the operators.
 """
 
 from __future__ import annotations
@@ -200,7 +200,6 @@ class FcchpUnitParams:
     p_th_up: tuple  # thermal start-up step per unit, length start_up
     p_pr_up: tuple
     p_el_down: tuple  # electric shut-down step per unit, length shut_down
-    f_values: tuple  # f(1..N) after clipping
 
 
 def _profile_average(t0: float, t1: float, phys: FcchpPhysicalParams) -> float:
@@ -255,13 +254,6 @@ def derive_unit_params(phys: FcchpPhysicalParams, grid: TimeGrid,
         covered = min(phys.d_down, (k + 1) * dt) - k * dt
         p_el_down.append(phys.p_el_add_shut_down * max(covered, 0.0) / dt)
 
-    f_values = [phys.warmup_units(d) for d in range(1, grid.n_units + 1)]
-    if grid.n_units > len(phys.warmup_table):
-        log.info("warm-up table shorter than the horizon; long downtimes use the last value")
-    for a, b in zip(f_values, f_values[1:]):
-        if b < a:
-            raise ModelError("warm-up duration table must be monotone non-decreasing")
-
     return FcchpUnitParams(
         on_min=on_min,
         on_max=on_max,
@@ -272,7 +264,6 @@ def derive_unit_params(phys: FcchpPhysicalParams, grid: TimeGrid,
         p_th_up=p_th_up,
         p_pr_up=p_pr_up,
         p_el_down=tuple(p_el_down),
-        f_values=tuple(f_values),
     )
 
 
@@ -335,16 +326,6 @@ def _split(x) -> tuple:
     return (x.id, 0.0) if isinstance(x, Var) else (None, x)
 
 
-def _repeats(cols: list) -> bool:
-    """Whether a column other than None appears twice."""
-    present = [c for c in cols if c is not None]
-    return len(set(present)) < len(present)
-
-
-def _shared_column(tag: str) -> ModelError:
-    return ModelError(f"the operands of constraint {tag!r} share a column")
-
-
 def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, tag: str,
                     on: list | None = None) -> None:
     """Tie a binary state (one variable per unit, the constant state_0 before
@@ -355,14 +336,12 @@ def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, t
     unit i-1 to i, rows .d-.f set end_i = 1 exactly when it falls; with on,
     the .on row keeps the state inside on_i = 1.
 
-    The rows bypass the ``LinExpr`` operators: each row's columns and +-1.0
-    coefficients come straight from the ``Var`` ids (``_TRANSITION_ROWS``),
-    the float operands (history events, state_0) fold into the rhs, and all
-    rows go to ``Model.append_rows`` in one call.  The per-row objects and
-    ``add_constraint`` calls were the cost, not the operators' arithmetic;
-    the rows, tags, order and rhs bits are the operator chains' (pinned in
-    ``tests/test_row_builders.py``).  A row whose operands share a column,
-    which the operators would have merged into one term, is refused.
+    Each row's columns and +-1.0 coefficients come straight from the
+    ``Var`` ids (``_TRANSITION_ROWS``), the float operands (history events,
+    state_0) fold into the rhs, and all rows go to ``Model.append_rows`` in
+    one call.  The rows, tags, order and rhs bits are the operator chains'
+    (pinned in ``tests/test_row_builders.py``).  A row whose operands share
+    a column is refused by the store, naming the row.
     """
     cols, coefs, counts, senses, rhs, tags = [], [], [], [], [], []
     with_on = on is not None
@@ -376,11 +355,6 @@ def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, t
             o = on[i - 1].id
         ids = (b, now, p, e, o)
         t = f"{tag}.i={i}"
-        # the operand pairs that meet in a row: begin, prev and end with now,
-        # begin and end with prev, on with now
-        if now in (b, p, e, o) or (p is not None and p in (b, e)):
-            raise _shared_column(t + next(suffix for suffix, _, row in _TRANSITION_ROWS
-                                          if _repeats([ids[k] for k, _ in row])))
         idx, row_coefs, row_counts, codes, suffixes = _TRANSITION_LAYOUTS[
             b is None, p is None, e is None, with_on]
         cols.extend([ids[k] for k in idx])
@@ -421,12 +395,11 @@ def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: i
     there adds the constant 0: a row costs the recorded events and at most
     the horizon, however long the minimum time.
 
-    The rows bypass the ``LinExpr`` operators: x_i and the window's columns
-    come straight from the ``Var`` ids, the recorded events are summed from
-    0.0 in unit order into the rhs, as ``LinExpr.accumulate`` sums them, and
-    all rows go to ``Model.append_rows`` in one call.  The per-row objects
-    and ``add_constraint`` calls were the cost, not the operators'
-    arithmetic.  A row whose operands share a column is refused.
+    x_i and the window's columns come straight from the ``Var`` ids, the
+    recorded events are summed from 0.0 in unit order into the rhs, as
+    ``LinExpr.accumulate`` sums them, and all rows go to
+    ``Model.append_rows`` in one call.  A row whose operands share a column
+    is refused by the store, naming the row.
     """
     x = [v.id for v in chain.x]
     # per family: the window span, the event columns, the recorded event
@@ -446,9 +419,6 @@ def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: i
         for family, span, events, recorded, event_at, coef, code, bound in windows:
             lo = i - span + 1
             row = [x[i - 1], *events[max(lo, 1) - 1:i - 1]]
-            tag = f"{name}.{family}.i={i}"
-            if _repeats(row):
-                raise _shared_column(tag)
             cols.extend(row)
             coefs.append(1.0)
             coefs.extend([coef] * (len(row) - 1))
@@ -457,7 +427,7 @@ def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: i
             # the window's constant, then the row's, as the operators form them
             s = reduce(add, map(event_at, recorded[bisect_left(recorded, lo):]), 0.0)
             rhs.append(bound - (0.0 + coef * s))
-            tags.append(tag)
+            tags.append(f"{name}.{family}.i={i}")
     model.append_rows(cols, coefs, counts, senses, rhs, tags)
 
 
@@ -547,11 +517,18 @@ class FcchpBuilder:
         self.hist_stop, self.hist_sw = replay_history(init, self.up)
         self.n = grid.n_units
         self.vars: dict = {}
+        # f[d - 1] = f(d) at every downtime d that the horizon and the history
+        # allow, 1 .. n - l_0: a start at unit n can follow a change at l_0
+        self.f = [phys.warmup_units(d) for d in range(1, self.n - init.l_0 + 1)]
+        if self.n - init.l_0 > len(phys.warmup_table):
+            log.info("warm-up table shorter than the longest downtime; it uses the last value")
+        if any(b < a for a, b in zip(self.f, self.f[1:])):
+            raise phys._error("warm-up duration table must be monotone non-decreasing")
         # tracker bounds shared by every product expansion below
         self.l_lo = init.l_0
         self.r_lo = init.r_0
-        self.w_lo = min(init.w_0, min(self.up.f_values))
-        self.w_hi = max(init.w_0, max(self.up.f_values))
+        self.w_lo = min(init.w_0, self.f[0])
+        self.w_hi = max(init.w_0, self.f[-1])
 
     # -- values at earlier units ---------------------------------------------
 
@@ -661,17 +638,17 @@ class FcchpBuilder:
         m, name = self.model, self.name
         chain = self.vars["chain"]
         l = self.vars["l"]
-        f = self.phys.warmup_units
+        f = self.f
         w = [m.integer(f"{name}.w[{i}]", self.w_lo, self.w_hi) for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             tag = f"{name}.warmdur.i={i}"
             if i == 1:
-                looked_up = chain.start[0] * float(f(1 - self.init.l_0))
+                looked_up = chain.start[0] * float(f[-self.init.l_0])
             else:
                 # f(i - l_{i-1}) with equal-valued downtimes grouped into ranges
                 intervals = []
                 for d in range(1, i - self.l_lo + 1):
-                    v = f(d)
+                    v = f[d - 1]
                     if intervals and intervals[-1][2] == v:
                         intervals[-1] = (intervals[-1][0], d, v)
                     else:
@@ -711,8 +688,7 @@ class FcchpBuilder:
         chain = self.vars["chain"]
         y = self.vars["y"]
         w = self.vars["w"]
-        f_lo = min(self.up.f_values)
-        f_hi = max(self.up.f_values)
+        f_lo, f_hi = self.f[0], self.f[-1]
         spread = float(f_hi - f_lo + 1)
         sigma_m = record_bigm(m, float(max(f_hi - 1, 1)), f"{name}.sigma", float(max(f_hi - 1, 1)))
 

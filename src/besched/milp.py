@@ -12,8 +12,12 @@ row from an expression, ``add_rows`` a block of rows, one per time unit,
 from an ``ExprBlock``: a series of expressions held as arrays (term columns
 and coefficients in insertion order, row pointers and a constant vector).
 ``append_rows`` appends rows given as plain lists (columns, coefficients,
-term counts, sense codes, right-hand sides and tags), with
-``add_constraint``'s checks run once per batch.
+term counts, sense codes, right-hand sides and tags).  One rule says what a
+stored row may be, whichever of the three stores it: a known sense, a
+non-empty tag, declared columns, each column at most once, and a finite
+right-hand side.  Each entry tests its batch in one cheap pass and hands a
+batch that fails to ``Model._check_rows``, which raises the error of the
+first bad row, naming its tag; nothing of the batch is stored.
 ``Model.continuous_series`` makes the named columns of such a series in one
 call.  ``row_arrays`` hands the store to the solver and to ``export_lp`` as
 numpy arrays; ``Model.constraints`` is a read-only view that builds a
@@ -54,7 +58,7 @@ import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import ne
 from typing import NamedTuple
 
@@ -120,9 +124,9 @@ class LinExpr:
     expression.  The switched-state rows of ``fcchp.transition_rows`` and
     ``fcchp.build_min_durations``: their columns and +-1.0 coefficients come
     from the ``Var`` ids, their float operands fold into the rhs, and each
-    call hands all its rows to ``Model.append_rows`` at once.  Measured on
-    those rows, the per-row expressions and ``add_constraint`` calls were
-    the cost, not the operators' arithmetic.
+    call hands all its rows to ``Model.append_rows`` at once.  The operators
+    merge two terms of one column; a row formed without them that holds a
+    column twice breaks the store's one rule for rows and is refused.
     """
 
     __slots__ = ("terms", "const")
@@ -571,30 +575,21 @@ class Model:
             bad = next(vid for vid in terms if vid < 0 or vid >= n)
             raise UndeclaredVariable(f"variable handle {bad} not declared in this model")
 
-    @staticmethod
-    def _check_row(sense: str, tag: str):
-        if sense not in _SENSE_CODE:
-            raise ModelError(f"unknown constraint sense: {sense!r}")
-        if not tag:
-            raise ModelError("constraint tag must be non-empty")
-
     @property
     def constraints(self) -> _RowView:
         """The rows, read-only: each row read is a new ``Constraint``."""
         return _RowView(self)
 
     def add_constraint(self, lhs, sense: str, rhs: float = 0.0, tag: str = "") -> int:
-        # the checks run in full only where their inline test fails
         code = _SENSE_CODE.get(sense)
-        if code is None or not tag:
-            self._check_row(sense, tag)
         e = lhs if type(lhs) is LinExpr else as_expr(lhs)
         terms = e.terms
-        if terms and (min(terms) < 0 or max(terms) >= len(self._names)):
-            self._check_declared(terms)
         rhs = float(rhs) - e.const
-        if not math.isfinite(rhs):
-            raise ModelError(f"non-finite rhs in constraint {tag!r}")
+        # the terms are a dict, so no column repeats
+        if (code is None or not tag or not math.isfinite(rhs)
+                or (terms and (min(terms) < 0 or max(terms) >= len(self._names)))):
+            self._check_rows(list(terms), [len(terms)], [sense if code is None else code],
+                             [rhs], [tag])
         self._cols.extend(terms)
         self._coefs.extend(terms.values())
         self._ends.append(len(self._cols))
@@ -607,24 +602,27 @@ class Model:
         """One row per expression of ``lhs``, tagged ``{tag}.i=1``, ``.i=2``, ...
 
         Row i is the row ``add_constraint(lhs[i], sense, rhs[i])`` adds, with
-        ``rhs`` one number for all rows or one per row.  Returns the row ids.
+        ``rhs`` one number for all rows or one per row.  An empty ``tag``
+        leaves every row's tag empty.  Returns the row ids.
         """
-        self._check_row(sense, tag)
-        cols = lhs.cols
-        if len(cols) and (cols.min() < 0 or cols.max() >= len(self._names)):
-            self._check_declared(cols.tolist())
-        n = len(lhs)
+        code = _SENSE_CODE.get(sense)
+        cols, counts, n, n_cols = lhs.cols, np.diff(lhs.ptr), len(lhs), len(self._names)
         rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (n,)) - lhs.const
-        bad = np.flatnonzero(~np.isfinite(rhs))
-        if len(bad):
-            raise ModelError(f"non-finite rhs in constraint {f'{tag}.i={bad[0] + 1}'!r}")
+        tags = [f"{tag}.i={i}" for i in range(1, n + 1)] if tag else [tag] * n
+        # a column repeats in a row where two sorted keys row * (n_cols + 1) + col meet
+        keys = np.sort(np.repeat(np.arange(n) * (n_cols + 1), counts) + cols)
+        if (code is None or not tag or not np.isfinite(rhs).all()
+                or (len(cols) and (cols.min() < 0 or cols.max() >= n_cols))
+                or (keys[1:] == keys[:-1]).any()):
+            self._check_rows(cols.tolist(), counts.tolist(), [sense if code is None else code] * n,
+                             rhs.tolist(), tags)
         first, base = len(self._tags), len(self._cols)
         self._cols.frombytes(np.asarray(cols, dtype=np.int64).tobytes())
         self._coefs.frombytes(np.asarray(lhs.coefs, dtype=float).tobytes())
         self._ends.frombytes((np.asarray(lhs.ptr[1:], dtype=np.int64) + base).tobytes())
-        self._senses.frombytes(np.full(n, _SENSE_CODE[sense], dtype=np.int8).tobytes())
+        self._senses.frombytes(np.full(n, code, dtype=np.int8).tobytes())
         self._rhs.frombytes(rhs.tobytes())
-        self._tags.extend([f"{tag}.i={i}" for i in range(1, n + 1)])
+        self._tags.extend(tags)
         return range(first, first + n)
 
     def append_rows(self, cols: list, coefs: list, counts: list, senses: list, rhs: list,
@@ -634,19 +632,19 @@ class Model:
         Row k has the next ``counts[k]`` entries of ``cols`` and ``coefs`` as
         its terms, the sense code ``senses[k]`` (-1 for <=, 0 for =, 1 for
         >=), the right-hand side ``rhs[k]`` and the tag ``tags[k]``: the row
-        ``add_constraint`` stores from the same terms, constant and tag.  The
-        columns of one row must be distinct, as the terms of one expression
-        are; the callers see to that.  ``add_constraint``'s checks run once
-        over the batch, and where one fails the error is that of the first
-        bad row, naming its tag, and nothing is stored.  Returns the row ids.
+        ``add_constraint`` stores from the same terms, constant and tag.  A
+        batch with a row that breaks the rule of :meth:`_check_rows` is
+        refused whole.  Returns the row ids.
         """
         if not (len(counts) == len(senses) == len(rhs) == len(tags)
                 and len(cols) == len(coefs) == sum(counts)):
             raise ModelError("row lists of unequal lengths")
-        # the checks run row by row only where their batch test fails;
-        # a sum of finite values may overflow, so that test can fail alone
+        # each row takes its columns in turn from one iterator; a sum of
+        # finite values may overflow, so the rhs test can fail alone
+        terms = iter(cols)
         if not (_SENSE_OF.keys() >= set(senses) and all(tags)
                 and (not cols or (min(cols) >= 0 and max(cols) < len(self._names)))
+                and list(map(len, map(set, map(islice, repeat(terms), counts)))) == counts
                 and math.isfinite(sum(rhs))):
             self._check_rows(cols, counts, senses, rhs, tags)
         first, base = len(self._tags), len(self._cols)
@@ -659,18 +657,26 @@ class Model:
         return range(first, first + len(tags))
 
     def _check_rows(self, cols, counts, senses, rhs, tags):
-        """Raise the error of the first row of a batch that fails a check."""
+        """The one rule for what a stored row may be: a known sense code, a
+        non-empty tag, declared columns, each at most once, and a finite
+        rhs.  Raises the error of the first row of a batch that breaks it,
+        naming its tag; ``add_constraint``, ``add_rows`` and ``append_rows``
+        call it on every batch that fails their quick test, and store
+        nothing when it raises."""
         n, end = len(self._names), 0
         for count, code, r, tag in zip(counts, senses, rhs, tags):
             start, end = end, end + count
+            row = cols[start:end]
             if code not in _SENSE_OF:
-                raise ModelError(f"unknown constraint sense code {code!r} in constraint {tag!r}")
+                raise ModelError(f"unknown constraint sense {code!r} in constraint {tag!r}")
             if not tag:
-                raise ModelError("constraint tag must be non-empty")
-            bad = next((vid for vid in cols[start:end] if vid < 0 or vid >= n), None)
+                raise ModelError(f"constraint tag must be non-empty, got {tag!r}")
+            bad = next((vid for vid in row if vid < 0 or vid >= n), None)
             if bad is not None:
                 raise UndeclaredVariable(
                     f"variable handle {bad} not declared in this model, in constraint {tag!r}")
+            if len(set(row)) < count:
+                raise ModelError(f"the operands of constraint {tag!r} share a column")
             if not math.isfinite(r):
                 raise ModelError(f"non-finite rhs in constraint {tag!r}")
 

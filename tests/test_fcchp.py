@@ -146,12 +146,18 @@ def test_shutdown_peak_spread_over_units():
 
 
 def test_warmup_table_clipped_and_checked():
-    up = derive_unit_params(make_phys(warmup_table=(1, 2, 3)), TimeGrid(8, 1.0))
-    assert up.f_values == (1, 2, 3, 3, 3, 3, 3, 3)
+    # f is taken at every downtime 1 .. n - l_0: 8 units off since unit -2
+    _, b = build_plant(8, phys=make_phys(warmup_table=(1, 2, 3)),
+                       init=FcchpInitialState(l_0=-2, r_0=-2))
+    assert b.f == [1, 2, 3, 3, 3, 3, 3, 3, 3, 3]
     with pytest.raises(ModelError, match="monotone"):
-        derive_unit_params(make_phys(warmup_table=(2, 1)), TimeGrid(4, 1.0))
+        build_plant(4, phys=make_phys(warmup_table=(2, 1)))
+    # the fall at downtime 4 lies past the horizon, within reach of l_0 = -1
+    with pytest.raises(ModelError, match="monotone"):
+        build_plant(3, phys=make_phys(warmup_table=(1, 2, 3, 2)),
+                    init=FcchpInitialState(l_0=-1, r_0=-1))
     with pytest.raises(ModelError, match="positive integer"):
-        derive_unit_params(make_phys(warmup_table=(1, 2.5)), TimeGrid(4, 1.0))
+        build_plant(4, phys=make_phys(warmup_table=(1, 2.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +281,9 @@ STATE_KEYS = (("l", "l"), ("r", "r"), ("w", "w"), ("k", "k"),
               ("y", "y"), ("stopWarmUp", "sw"), ("z", "z"), ("s", "s"))
 
 
-def _check_equivalence(init, n=5):
+def _check_equivalence(init, n=5, phys=None):
     for bits in itertools.product((0, 1), repeat=n):
-        m, b = build_plant(n, init=init)
+        m, b = build_plant(n, phys=phys, init=init)
         sol = solve_pattern(m, b, bits)
         sim = simulate_fcchp(list(bits), init, b.phys.warmup_table,
                              b.up.start_up, b.up.lower_init,
@@ -310,6 +316,13 @@ def test_states_match_simulator_from_ongoing_cold_warmup():
         FcchpInitialState(x_0=1, y_0=1, k_0=1, l_0=-1, r_0=-1, w_0=3,
                           start_history={-1: 1})
     )
+
+
+def test_states_match_simulator_with_warmup_values_past_the_horizon():
+    # off since unit -3: pattern 0111 starts after a 5-unit downtime and
+    # warms f(5) = 5 units, a table value that f(1 .. n) never reaches
+    _check_equivalence(FcchpInitialState(l_0=-3, r_0=-3), n=4,
+                       phys=make_phys(warmup_table=(1, 2, 3, 4, 5)))
 
 
 def test_cold_start_flag_follows_downtime_threshold():

@@ -153,6 +153,56 @@ def test_rows_refuse_a_non_finite_rhs_and_an_undeclared_column():
     assert m.constraints == []
 
 
+# each fault of the one rule for a stored row: the bad row's sense, tag,
+# second column (its first is column 0) and rhs, and the error's class
+_ROW_FAULTS = {
+    "unknown sense": ("<>", "bad", 1, 1.0, ModelError),
+    "empty tag": (LE, "", 1, 1.0, ModelError),
+    "undeclared column": (LE, "bad", 2, 1.0, UndeclaredVariable),
+    "repeated column": (LE, "bad", 0, 1.0, ModelError),
+    "non-finite rhs": (LE, "bad", 1, INF, ModelError),
+}
+
+
+def _store_bad_row(m, entry, sense, tag, col, rhs):
+    """Through ``entry``, store a good row and then the row x0 + x{col} with
+    ``sense``, ``tag`` and ``rhs``; ``add_constraint`` stores only the bad row.
+    ``add_rows`` tags its rows ``{tag}.i=k`` and takes one sense for its block.
+    """
+    if entry == "add_constraint":
+        m.add_constraint(LinExpr({0: 1.0, col: 1.0}), sense, rhs, tag)
+    elif entry == "add_rows":
+        block = ExprBlock(np.array([0, 2, 4]), np.array([0, 1, 0, col]), np.ones(4),
+                          np.zeros(2))
+        m.add_rows(block, sense, [1.0, rhs], tag)
+    else:
+        m.append_rows([0, 1, 0, col], [1.0] * 4, [2, 2], [-1, -1 if sense == LE else 2],
+                      [1.0, rhs], ["good", tag])
+
+
+@pytest.mark.parametrize("entry, fault", [
+    (entry, fault) for entry in ("add_constraint", "add_rows", "append_rows")
+    for fault in _ROW_FAULTS
+    if (entry, fault) != ("add_constraint", "repeated column")  # a LinExpr holds a column once
+])
+def test_every_store_entry_refuses_each_row_fault_and_stores_nothing(entry, fault):
+    *row, error = _ROW_FAULTS[fault]
+    sense, tag = row[:2]
+    if entry == "add_rows" and tag:
+        # an empty tag leaves every row's tag empty, and a bad sense is the block's
+        tag = f"{tag}.i={1 if sense == '<>' else 2}"
+    m = Model()
+    x0, _ = m.binary("x0"), m.binary("x1")
+    m.add_constraint(x0 + 0.0, LE, 1.0, "kept")
+    before = m.row_arrays()
+    with pytest.raises(error) as raised:
+        _store_bad_row(m, entry, *row)
+    assert repr(tag) in str(raised.value)
+    after = m.row_arrays()
+    assert all(np.array_equal(x, y) for x, y in zip(before[:5], after[:5]))
+    assert after.tags == ["kept"]
+
+
 def test_a_non_finite_coefficient_is_refused_naming_its_row_or_column():
     m = Model()
     x, y = m.binary("x"), m.binary("y")

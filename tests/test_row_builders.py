@@ -313,8 +313,8 @@ def test_append_rows_stores_what_add_constraint_stores():
     ({"cols": [-1, 1, 1, 2]}, UndeclaredVariable, "handle -1 not declared .* 'r1'"),
     ({"rhs": [0.0, float("nan"), float("inf")]}, ModelError, "non-finite rhs in constraint 'r2'"),
     ({"rhs": [0.0, 1.5, float("-inf")]}, ModelError, "non-finite rhs in constraint 'r3'"),
-    ({"senses": [-1, 2, 1]}, ModelError, "unknown constraint sense code 2 in constraint 'r2'"),
-    ({"senses": [-1, 0, ">="]}, ModelError, "unknown constraint sense code '>=' in .* 'r3'"),
+    ({"senses": [-1, 2, 1]}, ModelError, "unknown constraint sense 2 in constraint 'r2'"),
+    ({"senses": [-1, 0, ">="]}, ModelError, "unknown constraint sense '>=' in .* 'r3'"),
     ({"tags": ["r1", "", "r3"]}, ModelError, "constraint tag must be non-empty"),
     ({"counts": [2, 0, 1]}, ModelError, "row lists of unequal lengths"),
     ({"tags": ["r1", "r2"]}, ModelError, "row lists of unequal lengths"),
