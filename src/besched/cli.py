@@ -12,6 +12,14 @@ Exit codes of ``optimize``:
   2  proven infeasible: metadata.json only
   1  any error, or a time limit hit before any incumbent (metadata.json only)
 
+With ``--emit-lp``, the LP file is exported and written on a worker thread
+while the solver runs on the calling thread: the export only reads the built
+model, and HiGHS releases the interpreter lock while it solves.  The worker is
+joined before anything under ``--out`` is written.  The LP file is written
+whatever the solve ends in, an error included.  An error of the export (a
+``ModelError``, or the ``OSError`` of an LP path that cannot be written) wins
+over an error of the solve, and then nothing under ``--out`` is written.
+
 The argument parser is built once per process; each call parses its own
 arguments into a new namespace.
 """
@@ -22,6 +30,7 @@ import argparse
 import functools
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import BeschedError
@@ -81,14 +90,26 @@ def _load_problem(args):
     return build_problem(config, situation, base_dir=Path(args.situation).parent)
 
 
+def _write_lp(model, path: str) -> None:
+    Path(path).write_text(export_lp(model).text)
+
+
 def _cmd_optimize(args) -> int:
     problem = _load_problem(args)
-    if args.emit_lp:
-        Path(args.emit_lp).write_text(export_lp(problem.model).text)
     options = SolveOptions(
         backend=args.solver, command=args.solver_cmd, time_limit=args.time_limit
     )
-    solution = solve_problem(problem, options)
+    if args.emit_lp:
+        # the solve stays on this thread: its Python prelude then reaches
+        # HiGHS, which releases the lock, before the export takes it over
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            exported = pool.submit(_write_lp, problem.model, args.emit_lp)
+            try:
+                solution = solve_problem(problem, options)
+            finally:
+                exported.result()  # its error wins over the solve's
+    else:
+        solution = solve_problem(problem, options)
     if solution.x is None:
         empty = Schedule(problem.grid, solution.status, None, {}, dict(solution.stats))
         write_schedule(empty, args.out)

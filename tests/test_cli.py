@@ -4,7 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
-
+import threading
 import time
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 
 import besched.cli
 from besched.cli import cli_main
+from besched.errors import ModelError, NumericalFailure
 from besched.solver import OPTIMAL, Solution, _WarmLP
 
 from helpers import write_daily_scenario
@@ -374,6 +375,63 @@ def test_emit_lp_writes_model_file(tmp_path):
     text = lp.read_text()
     assert text.startswith("\\")
     assert "Minimize" in text and "Binary" in text and text.rstrip().endswith("End")
+
+
+def _fail_the_solve(problem, options):
+    raise NumericalFailure("HiGHS LP run failed")
+
+
+def _fail_the_export(model):
+    raise ModelError("cannot export this model")
+
+
+@pytest.mark.parametrize("solve", ["solved", "fails"])
+@pytest.mark.parametrize("fault", ["unwritable", "raises"])
+def test_emit_lp_error_wins_and_nothing_is_written_under_out(
+        tmp_path, monkeypatch, capsys, solve, fault):
+    if solve == "fails":
+        monkeypatch.setattr(besched.cli, "solve_problem", _fail_the_solve)
+    if fault == "unwritable":
+        lp, message = tmp_path / "missing" / "model.lp", "No such file or directory"
+    else:
+        monkeypatch.setattr(besched.cli, "export_lp", _fail_the_export)
+        lp, message = tmp_path / "model.lp", "cannot export this model"
+    args = _write_scenario(tmp_path)
+    out = tmp_path / "out"
+    threads = threading.active_count()
+    assert cli_main(["optimize", *args, "--out", str(out), "--emit-lp", str(lp)]) == 1
+    assert threading.active_count() == threads
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and message in line
+    assert not out.exists() and not lp.exists()
+
+
+def test_emit_lp_writes_the_lp_file_on_a_worker_when_the_solve_fails(
+        tmp_path, monkeypatch, capsys):
+    exported_on = []
+
+    def export_lp(model):
+        exported_on.append(threading.current_thread())
+        return export_lp.inner(model)
+
+    export_lp.inner = besched.cli.export_lp
+    monkeypatch.setattr(besched.cli, "export_lp", export_lp)
+    args = _write_scenario(tmp_path)
+    lp, out = tmp_path / "model.lp", tmp_path / "out"
+    assert cli_main(["optimize", *args, "--out", str(out), "--emit-lp", str(lp)]) == 0
+    solved = lp.read_bytes()
+
+    monkeypatch.setattr(besched.cli, "solve_problem", _fail_the_solve)
+    lp.unlink()
+    out = tmp_path / "out2"
+    threads = threading.active_count()
+    assert cli_main(["optimize", *args, "--out", str(out), "--emit-lp", str(lp)]) == 1
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err == "error: HiGHS LP run failed\n"
+    assert lp.read_bytes() == solved
+    assert not out.exists()
+    assert len(exported_on) == 2
+    assert threading.main_thread() not in exported_on
 
 
 def test_missing_input_file_exits_one(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The day and week scenarios pinned by sha256: LP text, row tags, census,
-ledger states, the solver's arrays and schedule.csv.
+"""The day and week scenarios pinned by sha256: LP text (of ``export_lp`` and
+of the CLI's ``--emit-lp`` file), row tags, census, ledger states, the
+solver's arrays and schedule.csv.
 
 A change to how models are built must leave every digest as it is: the
 solver sees the same arrays and the user gets the same files.
@@ -34,13 +35,15 @@ def _digests(write, tmp_path) -> dict:
     model, ledger = problem.model, problem.ledger
     rows = list(model.constraints)
     arrays = ModelArrays(model)
-    out = tmp_path / "out"
+    out, lp_path = tmp_path / "out", tmp_path / "model.lp"
     assert cli_main(["optimize", "--config", str(config_path), "--situation",
-                     str(situation_path), "--out", str(out)]) == 0
+                     str(situation_path), "--out", str(out), "--emit-lp", str(lp_path)]) == 0
+    lp = _sha(export_lp(model).text)
+    assert _sha(lp_path.read_bytes()) == lp  # the CLI's LP file holds the same bytes
     return {
         "census": (len(model.vars), sum(v.domain.is_integral for v in model.vars), len(rows),
                    sum(len(c.terms) for c in rows)),
-        "lp": _sha(export_lp(model).text),
+        "lp": lp,
         "tags": _sha("\n".join(c.tag for c in rows)),
         # term order and float.hex of every coefficient and constant
         "states": _sha(repr([(name, [([(v, c.hex()) for v, c in e.terms.items()], e.const.hex())
