@@ -434,6 +434,31 @@ def test_emit_lp_writes_the_lp_file_on_a_worker_when_the_solve_fails(
     assert threading.main_thread() not in exported_on
 
 
+def test_emit_lp_outputs_hold_when_the_threads_switch_often(tmp_path):
+    # the export and the solve read one model; switching every 10 us
+    # interleaves them far more finely than the default 5 ms
+    from besched.milp import export_lp
+    from besched.pipeline import build_problem
+    from besched.xmlio import parse_configuration, parse_situation
+
+    config, situation = write_daily_scenario(tmp_path / "scen")
+    args = ["optimize", "--config", str(config), "--situation", str(situation)]
+    assert cli_main([*args, "--out", str(tmp_path / "alone")]) == 0
+    lp = tmp_path / "model.lp"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert cli_main([*args, "--out", str(tmp_path / "out"), "--emit-lp", str(lp)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "out" / "schedule.csv").read_bytes() == (
+        tmp_path / "alone" / "schedule.csv").read_bytes()
+    config_doc = parse_configuration(config.read_text())
+    problem = build_problem(config_doc, parse_situation(situation.read_text(), config_doc),
+                            base_dir=config.parent)
+    assert lp.read_text() == export_lp(problem.model).text
+
+
 def test_missing_input_file_exits_one(tmp_path, capsys):
     rc = cli_main(["optimize", "--config", str(tmp_path / "nope.xml"),
                    "--situation", str(tmp_path / "nope.xml"),

@@ -325,15 +325,14 @@ def test_states_match_simulator_with_warmup_values_past_the_horizon():
                        phys=make_phys(warmup_table=(1, 2, 3, 4, 5)))
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 19, defect B (the FOUND line on FcchpBuilder.build_warmup_bounds in "
     "CHANGES.md): minwarm.i=1.j=7 sees the start at -4 and caps w[1] at 6, while "
     "warmdur.i=1 keeps w[1] = w_0 = 10, so even pattern 000000 is infeasible"))
 def test_states_match_simulator_after_a_warmup_cut_short_by_a_stop():
     # criterion-5 state 4: started at -4, stopped at -2 during a 10-unit warm-up
-    init = INITIAL_STATES[4]
-    assert (init.l_0, init.r_0, init.w_0, init.start_history) == (-2, -4, 10, {-4: 1})
-    _check_equivalence(init, n=6, phys=make_phys(warmup_table=(1, 2, 3, 4, 5, 6, 7)))
+    _check_equivalence(FcchpInitialState(l_0=-2, r_0=-4, w_0=10, start_history={-4: 1}),
+                       n=6, phys=make_phys(warmup_table=(1, 2, 3, 4, 5, 6, 7)))
 
 
 def test_cold_start_flag_follows_downtime_threshold():
