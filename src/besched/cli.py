@@ -12,13 +12,17 @@ Exit codes of ``optimize``:
   2  proven infeasible: metadata.json only
   1  any error, or a time limit hit before any incumbent (metadata.json only)
 
-With ``--emit-lp``, the LP file is exported and written on a worker thread
-while the solver runs on the calling thread: the export only reads the built
-model, and HiGHS releases the interpreter lock while it solves.  The worker is
-joined before anything under ``--out`` is written.  The LP file is written
-whatever the solve ends in, an error included.  An error of the export (a
-``ModelError``, or the ``OSError`` of an LP path that cannot be written) wins
-over an error of the solve, and then nothing under ``--out`` is written.
+With ``--emit-lp``, the LP file is opened on the calling thread before the
+solve starts, so a path that cannot be written fails at once.  The model is
+then exported and written on a worker thread while the solver runs on the
+calling thread: the export only reads the built model, and HiGHS releases
+the interpreter lock while it solves.  The worker is joined before anything
+under ``--out`` is written.  The LP file is written whatever the solve ends
+in, an error included.  An error of the export (a ``ModelError``, or an
+``OSError`` of the write) wins over an error of the solve; the LP file is
+then removed and nothing under ``--out`` is written.  With ``--solver
+external`` the model is exported once, on the worker, and the external
+solver waits for that text and reads it.
 
 The argument parser is built once per process; each call parses its own
 arguments into a new namespace.
@@ -90,8 +94,16 @@ def _load_problem(args):
     return build_problem(config, situation, base_dir=Path(args.situation).parent)
 
 
-def _write_lp(model, path: str) -> None:
-    Path(path).write_text(export_lp(model).text)
+def _write_lp(model, file):
+    """Export the model into ``file``, open for writing, and close it;
+    returns the ``LpFile``.  On an error the file is removed."""
+    try:
+        with file:
+            file.write((lp := export_lp(model)).text)
+    except BaseException:
+        Path(file.name).unlink()
+        raise
+    return lp
 
 
 def _cmd_optimize(args) -> int:
@@ -100,12 +112,16 @@ def _cmd_optimize(args) -> int:
         backend=args.solver, command=args.solver_cmd, time_limit=args.time_limit
     )
     if args.emit_lp:
+        lp_file = open(args.emit_lp, "w")  # an unwritable path fails before the solve
         # the solve stays on this thread: its Python prelude then reaches
         # HiGHS, which releases the lock, before the export takes it over
         with ThreadPoolExecutor(max_workers=1) as pool:
-            exported = pool.submit(_write_lp, problem.model, args.emit_lp)
+            exported = pool.submit(_write_lp, problem.model, lp_file)
             try:
-                solution = solve_problem(problem, options)
+                if options.backend == "external":  # its solver waits for the exported text
+                    solution = solve_problem(problem, options, exported.result())
+                else:
+                    solution = solve_problem(problem, options)
             finally:
                 exported.result()  # its error wins over the solve's
     else:

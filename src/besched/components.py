@@ -28,7 +28,7 @@ from .errors import ModelError
 # FcchpBuilder is here as the FcCHP row's builder in the element table (xmlio.ELEMENTS)
 from .fcchp import FcchpBuilder, OnOffChain, build_min_durations, build_onoff_chain
 from .linearize import gated_column
-from .milp import EQ, ExprBlock, Model
+from .milp import EQ, ExprBlock, Model, RowList
 
 
 def _check_series(values, n, label, lo=None, hi=None):
@@ -372,11 +372,13 @@ def build_mech_chp(model: Model, spec: MechChpSpec, grid: TimeGrid,
     price = _check_series(spec.primary_price, n, f"{spec.name}.primary_price")
     chain = _switched_chain(model, spec, grid)
     heat, boiler_heat = [], []
+    rows = RowList(model)
     for i in range(1, n + 1):
         x = chain.x[i - 1]
-        heat.append(gated_column(model, x, spec.p_th_min, spec.p_th_max,
+        heat.append(gated_column(rows, x, spec.p_th_min, spec.p_th_max,
                                  f"{spec.name}.out[{i}]", f"{spec.name}.modulation.i={i}"))
         boiler_heat.append(model.continuous(f"{spec.name}.boiler[{i}]", 0.0, spec.boiler_p_max))
+    rows.store()
 
     ledger.add_source(HEAT, spec.name, [heat[i] + boiler_heat[i] for i in range(n)])
     ledger.add_source(ELECTRIC, spec.name, [h * (spec.eta_el / spec.eta_th) for h in heat])

@@ -13,12 +13,20 @@ times a tracker come from one writer there.
 the on/off chain (``build_onoff_chain``, shared with heat pumps and mechanical
 CHPs), the warm-up and the production phase.  Windows of past events read the
 replayed history before unit 1 (``OnOffChain.start_at``, ``FcchpBuilder.sw_at``).
-These rows and the minimum run and down times (``build_min_durations``)
-are formed without the ``LinExpr`` operators: each call gathers its rows'
-columns from the ``Var`` ids, folds the float operands into the right-hand
-sides and hands all its rows to ``Model.append_rows`` at once, whose rule
-refuses a row that holds a column twice.  Every other row is formed with
-the operators.
+
+Every row has one form: no row is formed with the ``LinExpr`` operators.  A
+row's columns come from the ``Var`` ids, its float operands fold into the
+right-hand side, and each call of ``transition_rows`` and
+``build_min_durations``, and each build step of ``FcchpBuilder``, hands all
+its rows to ``Model.append_rows`` at once: the steps gather theirs in a
+``milp.RowList``, with operands as (terms, constant) pairs
+(``linearize._operand``).  Each coefficient and rhs takes the float
+operations of the operator chain it stands for; where two operands share a
+column they merge by ``milp._add_terms`` (``linearize._difference``), and
+the store's rule refuses a row that holds a column twice.  The operator
+chains are kept as the reference in ``tests/test_row_builders.py``.  The
+ledger series (thermal, electric, primary power and the financial input)
+are expressions, not rows, and stay ``LinExpr``.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from operator import add
 from .assembly import ELECTRIC, HEAT, BalanceLedger, TimeGrid, check_finite_powers
 from .errors import InconsistentHistory, ModelError
 from .linearize import (
-    binary_abs_diff,
+    _difference,
     bool_and,
     gated_column,
     product_bin_bounded,
@@ -42,7 +50,7 @@ from .linearize import (
     record_bigm,
     select_interval_gated,
 )
-from .milp import EQ, GE, LE, LinExpr, Model, Var, _SENSE_CODE
+from .milp import GE, LE, LinExpr, Model, RowList, Var, _EQ, _GE, _LE, _SENSE_CODE
 
 log = logging.getLogger(__name__)
 
@@ -409,11 +417,11 @@ def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: i
     if on_min > 1:
         windows.append(("minrun", on_min, [v.id for v in chain.start],
                         sorted(j for j in chain.hist_start if j < 1), chain.start_at,
-                        -1.0, _SENSE_CODE[GE], 0.0))
+                        -1.0, _GE, 0.0))
     if off_min > 1:
         windows.append(("mindown", off_min, [v.id for v in chain.stop],
                         sorted(j for j in chain.hist_stop if j < 1), chain.stop_at,
-                        1.0, _SENSE_CODE[LE], 1.0))
+                        1.0, _LE, 1.0))
     cols, coefs, counts, senses, rhs, tags = [], [], [], [], [], []
     for i in range(1, len(x) + 1):
         for family, span, events, recorded, event_at, coef, code, bound in windows:
@@ -532,14 +540,15 @@ class FcchpBuilder:
 
     # -- values at earlier units ---------------------------------------------
 
-    def _kept(self, i: int, tracker: list, value_0: int, lo, hi, name: str, tag: str):
+    def _kept(self, rows: RowList, i: int, tracker: list, value_0: int, lo, hi, name: str, tag: str):
         """The tracker's previous value unless a start at unit i resets it:
-        (1 - start_i) * tracker_{i-1}, expanded as a product after unit 1."""
+        (1 - start_i) * tracker_{i-1}, expanded as a product after unit 1.
+        Returns it as an operand (terms, constant)."""
         start = self.vars["chain"].start[i - 1]
-        if i == 1:
-            return (1 - start) * value_0
-        prev = tracker[i - 2]
-        return prev - product_bin_bounded(self.model, start, prev, lo, hi, name, tag)
+        if i == 1:  # (1 - start_i) * value_0, no term for a value_0 of 0
+            return {start.id: -1.0 * value_0} if value_0 else {}, float(1.0 * value_0)
+        v = product_bin_bounded(rows, start, tracker[i - 2], lo, hi, name, tag)
+        return {tracker[i - 2].id: 1.0, v.id: -1.0}, 0.0
 
     def sw_at(self, i: int):
         if i >= 1:
@@ -558,19 +567,23 @@ class FcchpBuilder:
         return chain
 
     def build_change_tracker(self):
-        """l_i, the unit of the last start or stop: i at a change, else
-        l_{i-1}, through the product (1 - change_i) * l_{i-1} (``lkeep``), a
-        column because it feeds an equality."""
-        m, name = self.model, self.name
-        chain = self.vars["chain"]
+        """l_i, the unit of the last start or stop: the row ``lastchange``,
+        l_i - kept - change_i * i = 0 with change_i = start_i + stop_i, sets
+        it to i at a change, else to l_{i-1} through the product kept =
+        (1 - change_i) * l_{i-1} (``lkeep``), a column because it feeds an
+        equality."""
+        m, name, l_0 = self.model, self.name, self.init.l_0
+        rows, chain = RowList(m), self.vars["chain"]
         l = [m.integer(f"{name}.l[{i}]", self.l_lo, self.n) for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
-            change = binary_abs_diff(chain.start[i - 1], chain.stop[i - 1])
+            s, p = chain.start[i - 1].id, chain.stop[i - 1].id
             tag = f"{name}.lastchange.i={i}"
-            # (1 - change) * l_{i-1}: the constant l_0 before unit 1
-            kept = ((1 - change) * self.init.l_0 if i == 1 else product_bin_bounded(
-                m, 1 - change, l[i - 2], self.l_lo, self.n, f"{name}.lkeep[{i}]", f"{tag}.keep"))
-            m.add_constraint(l[i - 1] - kept - change * i, EQ, 0.0, tag)
+            # (1 - change) * l_{i-1}, the constant l_0 times 1 - change at unit 1
+            kept = (({s: -1.0 * l_0, p: -1.0 * l_0} if l_0 else {}, float(1.0 * l_0)) if i == 1
+                    else product_bin_bounded(rows, ({s: -1.0, p: -1.0}, 1.0), l[i - 2], self.l_lo,
+                                             self.n, f"{name}.lkeep[{i}]", f"{tag}.keep"))
+            rows.add(*_difference(l[i - 1], kept, ({s: 1.0 * i, p: 1.0 * i}, 0.0)), _EQ, 0.0, tag)
+        rows.store()
         self.vars["l"] = l
         return l
 
@@ -584,14 +597,13 @@ class FcchpBuilder:
         span <= on_max no run ending inside the horizon can break the limit,
         the row is implied by the boxes and none is written.
         """
-        m, name = self.model, self.name
-        chain = self.vars["chain"]
-        l = self.vars["l"]
+        rows, chain, l = RowList(self.model), self.vars["chain"], self.vars["l"]
         span = self.n - self.l_lo
         for i in range(1, self.n + 1):
             prev = float(self.init.l_0) if i == 1 else l[i - 2]
-            product_inequality(m, chain.stop[i - 1], l[i - 1] - prev, -span, span, LE,
-                               float(self.up.on_max), f"{name}.maxrun.i={i}")
+            product_inequality(rows, chain.stop[i - 1], _difference(l[i - 1], prev), -span, span,
+                               LE, float(self.up.on_max), f"{self.name}.maxrun.i={i}")
+        rows.store()
 
     def build_cold_start_flags(self):
         """k_i = 1 marks a start after a downtime beyond the cold-start
@@ -603,47 +615,48 @@ class FcchpBuilder:
         written by ``product_inequality``, without a product column; at
         unit 1 l_0 is a constant and the ``onstart`` row is linear as it is.
         """
-        m, name = self.model, self.name
-        chain = self.vars["chain"]
-        l = self.vars["l"]
+        m, name, l_0 = self.model, self.name, self.init.l_0
+        rows, chain, l = RowList(m), self.vars["chain"], self.vars["l"]
         L = float(self.phys.cold_start_threshold)
-        big_m = record_bigm(
-            m, self.n - self.l_lo + 1.0, f"{name}.coldstart", self.n - self.l_lo
-        )
+        big_m = record_bigm(m, self.n - self.l_lo + 1.0, f"{name}.coldstart", self.n - self.l_lo)
+        by_m = -(1.0 * big_m)  # the coefficient of k_i in - M * k_i
         k = [m.binary(f"{name}.k[{i}]") for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             tag = f"{name}.coldstart.i={i}"
-            # start after a downtime beyond L forces k_i = 1
-            start = chain.start[i - 1]
+            start, k_i = chain.start[i - 1], k[i - 1].id
             if i == 1:
-                downtime_start = start * 1.0 - start * self.init.l_0
-                m.add_constraint(downtime_start - big_m * k[0], LE, L, f"{tag}.onstart")
-                # pending cold start propagates through an ongoing downtime
+                # start after a downtime beyond L forces k_1 = 1:
+                # start * 1.0 - start * l_0 - M * k_1 <= L
+                rows.add(*_difference(start, ({start.id: 1.0 * l_0} if l_0 else {}, float(0.0 * l_0)),
+                                      ({k_i: 1.0 * big_m}, 0.0)), _LE, L, f"{tag}.onstart")
+                # pending cold start propagates through an ongoing downtime:
+                # 1 - l_1 - M * k_1 <= 0, linear because k_0 is a constant
                 if self.init.k_0 == 1:
-                    # 1 - l_1 <= M*k_1, linear because k_0 is a constant
-                    m.add_constraint(
-                        1.0 - l[0] - big_m * k[0], LE, 0.0, f"{tag}.keep"
-                    )
+                    rows.add({l[0].id: -1.0, k_i: by_m}, 1.0, _LE, 0.0, f"{tag}.keep")
                 continue
             # start_i * l_{i-1} >= start_i * i - M * k_i - L
-            product_inequality(m, start, l[i - 2], self.l_lo, self.n, GE,
-                               start * float(i) - big_m * k[i - 1] - L, f"{tag}.onstart")
+            product_inequality(rows, start, l[i - 2], self.l_lo, self.n, GE,
+                               ({start.id: 1.0 * i, k_i: by_m}, 0.0 + -L), f"{tag}.onstart")
             # k_{i-1} * l_i >= k_{i-1} * i - M * k_i
-            product_inequality(m, k[i - 2], l[i - 1], self.l_lo, self.n, GE,
-                               k[i - 2] * float(i) - big_m * k[i - 1], f"{tag}.keep")
+            product_inequality(rows, k[i - 2], l[i - 1], self.l_lo, self.n, GE,
+                               ({k[i - 2].id: 1.0 * i, k_i: by_m}, 0.0), f"{tag}.keep")
+        rows.store()
         self.vars["k"] = k
         return k
 
     def build_warmup_duration(self):
+        """w_i, the warm-up duration of the last start: the row ``warmdur``,
+        w_i - looked_up - kept = 0, sets it to looked_up = start_i * f(i -
+        l_{i-1}) (the lookup ``{tag}.lookup``) at a start, else to w_{i-1}
+        through the product kept = (1 - start_i) * w_{i-1} (``wkeep``)."""
         m, name = self.model, self.name
-        chain = self.vars["chain"]
-        l = self.vars["l"]
+        rows, start, l = RowList(m), self.vars["chain"].start, self.vars["l"]
         f = self.f
         w = [m.integer(f"{name}.w[{i}]", self.w_lo, self.w_hi) for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             tag = f"{name}.warmdur.i={i}"
             if i == 1:
-                looked_up = chain.start[0] * float(f[-self.init.l_0])
+                looked_up = {start[0].id: 1.0 * float(f[-self.init.l_0])}, 0.0
             else:
                 # f(i - l_{i-1}) with equal-valued downtimes grouped into ranges
                 intervals = []
@@ -654,13 +667,14 @@ class FcchpBuilder:
                     else:
                         intervals.append((d, d, v))
                 looked_up, _ = select_interval_gated(
-                    m, chain.start[i - 1], float(i) - l[i - 2], intervals,
+                    rows, start[i - 1], ({l[i - 2].id: -1.0}, float(i)), intervals,
                     x_min=i - self.n, x_max=i - self.l_lo,
                     name=f"{name}.wsel[{i}]", tag=f"{tag}.lookup",
                 )
-            kept = self._kept(i, w, self.init.w_0, self.w_lo, self.w_hi,
+            kept = self._kept(rows, i, w, self.init.w_0, self.w_lo, self.w_hi,
                               f"{name}.wkeep[{i}]", f"{tag}.keep")
-            m.add_constraint(w[i - 1] - looked_up - kept, EQ, 0.0, tag)
+            rows.add(*_difference(w[i - 1], looked_up, kept), _EQ, 0.0, tag)
+        rows.store()
         self.vars["w"] = w
         return w
 
@@ -685,57 +699,69 @@ class FcchpBuilder:
         ``product_inequality`` writes both without a product column.
         """
         m, name = self.model, self.name
-        chain = self.vars["chain"]
-        y = self.vars["y"]
-        w = self.vars["w"]
+        rows, chain, y, w = RowList(m), self.vars["chain"], self.vars["y"], self.vars["w"]
+        start = [v.id for v in chain.start]
         f_lo, f_hi = self.f[0], self.f[-1]
         spread = float(f_hi - f_lo + 1)
         sigma_m = record_bigm(m, float(max(f_hi - 1, 1)), f"{name}.sigma", float(max(f_hi - 1, 1)))
 
         for i in range(1, self.n + 1):
+            capped = {y[i - 1].id: 1.0 * spread}, 0.0  # spread * y_i
             for j in range(f_lo, f_hi + 1):
-                recent = reduce(LinExpr.accumulate, map(chain.start_at, range(i - j + 1, i)),
-                                LinExpr())
-                if not recent.terms and recent.const == 0.0:
+                # the starts of the j - 1 units before i: columns inside the
+                # horizon, the recorded ones before it summed in unit order
+                recent = start[max(i - j + 1, 1) - 1:i - 1]
+                recorded = reduce(add, map(chain.start_at, range(i - j + 1, min(i, 1))), 0.0)
+                if not recent and recorded == 0.0:
                     continue  # no start can fall into this window; sigma = 0
                 tag = f"{name}.minwarm.i={i}.j={j}"
                 sig = m.binary(f"{name}.sigma[{i},{j}]")
-                m.add_constraint(sig * sigma_m - recent, GE, 0.0, f"{tag}.ub")
-                m.add_constraint(sig - recent, LE, 0.0, f"{tag}.lb")
+                # sig * M - recent >= 0 and sig - recent <= 0
+                ones, rhs = [-1.0] * len(recent), 0.0 - (0.0 + -recorded)
+                rows.append(([sig.id, *recent], [1.0 * sigma_m, *ones], _GE, rhs, f"{tag}.ub"))
+                rows.append(([sig.id, *recent], [1.0, *ones], _LE, rhs, f"{tag}.lb"))
                 # sig * (w_i - j + 1) <= spread * y_i
-                product_inequality(m, sig, w[i - 1] - float(j - 1), self.w_lo - j + 1,
-                                   self.w_hi - j + 1, LE, spread * y[i - 1], tag)
+                product_inequality(rows, sig, ({w[i - 1].id: 1.0}, 0.0 + -float(j - 1)),
+                                   self.w_lo - j + 1, self.w_hi - j + 1, LE, capped, tag)
 
         # an ongoing initial warm-up is pinned directly: its duration w_0 may
         # exceed every table value, putting it out of reach of the rows above
         if self.init.y_0 == 1:
             warm_end = self.init.r_0 + self.init.w_0
             for i in range(1, min(warm_end - 1, self.n) + 1):
-                m.add_constraint(y[i - 1] + 0.0, GE, 1.0, f"{name}.minwarm.init.i={i}")
+                rows.append(((y[i - 1].id,), (1.0,), _GE, 1.0, f"{name}.minwarm.init.i={i}"))
 
         # r tracks the most recent start; warm-up may not outlast w
         r = [m.integer(f"{name}.r[{i}]", self.r_lo, self.n) for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             tag = f"{name}.maxwarm.i={i}"
-            kept = self._kept(i, r, self.init.r_0, self.r_lo, self.n,
+            kept = self._kept(rows, i, r, self.init.r_0, self.r_lo, self.n,
                               f"{name}.rkeep[{i}]", f"{tag}.keep")
-            m.add_constraint(
-                r[i - 1] - chain.start[i - 1] * float(i) - kept, EQ, 0.0, f"{tag}.track"
-            )
+            # r_i - start_i * i - kept = 0
+            rows.add(*_difference(r[i - 1], ({start[i - 1]: 1.0 * i}, 0.0), kept), _EQ, 0.0,
+                     f"{tag}.track")
             # while warming up, the last start is at most w_i units ago:
             # y_i * r_i >= y_i * i - w_i, vacuous outside warm-up
-            product_inequality(m, y[i - 1], r[i - 1], self.r_lo, self.n, GE,
-                               y[i - 1] * float(i) - w[i - 1], tag)
+            product_inequality(rows, y[i - 1], r[i - 1], self.r_lo, self.n, GE,
+                               ({y[i - 1].id: 1.0 * i, w[i - 1].id: -1.0}, 0.0), tag)
+        rows.store()
         self.vars["r"] = r
         return r
 
     def build_startup_shutdown(self):
+        """s_i, the jump to the first start-up level: the row ``jump``, s_i -
+        (sw_i + sw_{i-1} + ... over lower_init units) = 0, the warm-up ends
+        before unit 1 summed into the rhs in unit order."""
         m, name = self.model, self.name
+        rows, sw = RowList(m), self.vars["stopWarmUp"]
         s = [m.binary(f"{name}.s[{i}]") for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
-            jump = reduce(LinExpr.accumulate, map(self.sw_at, range(i, i - self.up.lower_init, -1)),
-                          LinExpr())
-            m.add_constraint(s[i - 1] - jump, EQ, 0.0, f"{name}.jump.i={i}")
+            units = range(i, i - self.up.lower_init, -1)
+            ends = [sw[u - 1].id for u in units if u >= 1]
+            recorded = reduce(add, [self.sw_at(u) for u in units if u < 1], 0.0)
+            rows.append(([s[i - 1].id, *ends], [1.0, *[-1.0] * len(ends)], _EQ,
+                         0.0 - (0.0 + -recorded), f"{name}.jump.i={i}"))
+        rows.store()
         self.vars["s"] = s
         return s
 
@@ -762,7 +788,7 @@ class FcchpBuilder:
         relaxation.  ``vars["u_th"]`` exists only with the ramp rows.
         """
         m, name, phys, up = self.model, self.name, self.phys, self.up
-        chain = self.vars["chain"]
+        rows, chain = RowList(m), self.vars["chain"]
         y = self.vars["y"]
         z = self.vars["z"]
         k = self.vars["k"]
@@ -776,16 +802,17 @@ class FcchpBuilder:
                 for i in range(1, n + 1)
             ]
             for i in range(2, n + 1):
-                step = u_th[i - 1] - u_th[i - 2]
-                m.add_constraint(step, LE, ramp, f"{name}.ramplim.i={i}.up")
-                m.add_constraint(step, GE, -ramp, f"{name}.ramplim.i={i}.down")
+                # the step u_i - u_{i-1} within [-ramp, ramp]
+                step = {u_th[i - 1].id: 1.0, u_th[i - 2].id: -1.0}
+                rows.add(step, 0.0, _LE, float(ramp), f"{name}.ramplim.i={i}.up")
+                rows.add(step, 0.0, _GE, float(-ramp), f"{name}.ramplim.i={i}.down")
 
         thermal, electric_out, electric_in, primary_in = [], [], [], []
         gammas = []
         for i in range(1, n + 1):
             level = (phys.p_th_min, phys.p_th_max, f"{name}.zu[{i}]", f"{name}.prodlevel.i={i}")
-            prod_level = (gated_column(m, z[i - 1], *level) if u_th is None
-                          else product_bin_bounded(m, z[i - 1], u_th[i - 1], *level))
+            prod_level = (gated_column(rows, z[i - 1], *level) if u_th is None
+                          else product_bin_bounded(rows, z[i - 1], u_th[i - 1], *level))
             th = reduce(LinExpr.accumulate,
                         (self.sw_at(i - j) * p for j, p in enumerate(up.p_th_up)), LinExpr())
             th = th + prod_level
@@ -793,7 +820,7 @@ class FcchpBuilder:
             electric_out.append(th * (phys.eta_el / phys.eta_th))
 
             gamma = bool_and(
-                m, y[i - 1], k[i - 1], f"{name}.gamma[{i}]", f"{name}.coldwarm.i={i}"
+                rows, y[i - 1], k[i - 1], f"{name}.gamma[{i}]", f"{name}.coldwarm.i={i}"
             )
             gammas.append(gamma)
             ein = reduce(LinExpr.accumulate,
@@ -807,6 +834,7 @@ class FcchpBuilder:
                          y[i - 1] * phys.p_pr_warm_up + gamma * phys.p_pr_cold_start)
             pin = pin + prod_level * (1.0 / phys.eta_th)
             primary_in.append(pin)
+        rows.store()
 
         self.vars["gamma"] = gammas
         self.vars["thermalOutputPower"] = thermal

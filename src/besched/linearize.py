@@ -9,9 +9,16 @@ column held by four rows (``product_bin_bounded``), or by its two gate rows
 alone where U sits in no other row (``gated_column``).
 ``product_inequality`` writes no row that the column boxes already imply.
 
-All three write their rows through ``_mccormick_row``, the one writer of
-the four McCormick (1976) rows, with V any expression: the new column, or
-the bound of ``product_inequality``.
+Every writer appends its rows to the caller's ``milp.RowList``, which the
+caller stores with one ``Model.append_rows`` call.  The operands are
+``Var``, ``LinExpr`` or numbers, or already (terms, constant) pairs as
+``_operand`` makes them: no row is formed with the ``LinExpr`` operators.
+Each row's terms and rhs are computed with the float operations of the
+operator chain it stands for (a term that cancels to 0.0 dropped, two
+operands' terms of one column merged by ``milp._add_terms``), through
+``_difference`` and ``_mccormick_row``, the one writer of the four McCormick
+(1976) rows, with V any operand: the new column, or the bound of
+``product_inequality``.
 
 All builders only add variables and rows; existing rows are never touched.
 Every big-M constant is recorded on the model together with the bound that
@@ -24,7 +31,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .milp import EQ, GE, LE, LinExpr, Model, Var, _add_terms, _adopt, as_expr
+from .milp import (GE, LE, LinExpr, Model, RowList, Var, _add_terms, _adopt, _EQ, _GE, _LE,
+                   as_expr)
 
 
 @dataclass(frozen=True)
@@ -47,42 +55,63 @@ def record_bigm(model: Model, value: float, tag: str, required: float) -> float:
     return value
 
 
-def _mccormick_row(row: str, a: LinExpr, u: LinExpr | None, v: LinExpr, u_min: float,
-                   u_max: float) -> LinExpr:
-    """Left side of one McCormick row ``<= 0`` of V = alpha * U, U in
-    [u_min, u_max]: ``lo_gate`` is ``a * u_min - v``, ``hi_gate``
-    ``v - a * u_max``, ``lo_track`` ``u - (1 - a) * u_max - v`` and
-    ``hi_track`` ``v - u + (1 - a) * u_min``; only the track rows read u.
+def _operand(x) -> tuple:
+    """``x`` as an operand (terms, constant): the term dict and constant of
+    its ``LinExpr``, shared, not copied.  A tuple is taken to be one already."""
+    if type(x) is tuple:
+        return x
+    e = as_expr(x)
+    return e.terms, e.const
 
-    The term dict is written directly, with the float operation of that
-    ``LinExpr`` operator chain per coefficient and constant: bit for bit its
-    row (term order, a cancelled term dropped, a product by a zero bound
-    empty, the sign of a zero constant), without its temporary copies.
+
+def _difference(lead, *operands) -> tuple:
+    """The operand ``lead - operands[0] - operands[1] ...`` in new terms, as
+    the ``LinExpr`` operators form it; each may be anything ``_operand`` takes."""
+    terms, const = _operand(lead)
+    terms = terms.copy()
+    for other, k in map(_operand, operands):
+        _add_terms(terms, other.items(), True)
+        const += -k
+    return terms, const
+
+
+def _mccormick_row(row: str, a: tuple, u: tuple | None, v: tuple, u_min: float,
+                   u_max: float) -> tuple:
+    """One McCormick row ``<= 0`` of V = alpha * U, U in [u_min, u_max], as
+    an operand: ``lo_gate`` is ``a * u_min - v``, ``hi_gate`` ``v - a *
+    u_max``, ``lo_track`` ``u - (1 - a) * u_max - v`` and ``hi_track`` ``v -
+    u + (1 - a) * u_min``; only the track rows read u.
+
+    Each coefficient and the constant take the float operation of that
+    ``LinExpr`` operator chain: bit for bit its row (term order, a cancelled
+    term dropped, a product by a zero bound empty, the sign of a zero
+    constant), without its temporary copies.
     """
-    at, ak = a.terms, a.const
+    (at, ak), (vt, vk) = a, v
     if row == "lo_gate":
         terms = {} if u_min == 0 else {c_id: c * u_min for c_id, c in at.items()}
-        _add_terms(terms, v.terms.items(), True)
-        return _adopt(terms, (0.0 if u_min == 0 else ak * u_min) + -v.const)
+        _add_terms(terms, vt.items(), True)
+        return terms, (0.0 if u_min == 0 else ak * u_min) + -vk
     if row == "hi_gate":
-        terms = v.terms.copy()
+        terms = vt.copy()
         if u_max != 0:
             _add_terms(terms, [(c_id, c * u_max) for c_id, c in at.items()], True)
-        return _adopt(terms, v.const + -(0.0 if u_max == 0 else ak * u_max))
+        return terms, vk + -(0.0 if u_max == 0 else ak * u_max)
+    ut, uk = u
     if row == "lo_track":
-        terms = u.terms.copy()
+        terms = ut.copy()
         if u_max != 0:
             _add_terms(terms, [(c_id, (-c) * u_max) for c_id, c in at.items()], True)
-        _add_terms(terms, v.terms.items(), True)
-        return _adopt(terms, (u.const + -(0.0 if u_max == 0 else (-ak + 1) * u_max)) + -v.const)
+        _add_terms(terms, vt.items(), True)
+        return terms, (uk + -(0.0 if u_max == 0 else (-ak + 1) * u_max)) + -vk
     # hi_track
-    terms = _add_terms(v.terms.copy(), u.terms.items(), True)
+    terms = _add_terms(vt.copy(), ut.items(), True)
     if u_min != 0:
         _add_terms(terms, [(c_id, (-c) * u_min) for c_id, c in at.items()])
-    return _adopt(terms, (v.const + -u.const) + (0.0 if u_min == 0 else (-ak + 1) * u_min))
+    return terms, (vk + -uk) + (0.0 if u_min == 0 else (-ak + 1) * u_min)
 
 
-def gated_column(model: Model, alpha, u_min: float, u_max: float, name: str, tag: str) -> Var:
+def gated_column(rows: RowList, alpha, u_min: float, u_max: float, name: str, tag: str) -> Var:
     """Column V in [min(0, u_min), max(0, u_max)] held between alpha * u_min
     and alpha * u_max by its ``lo_gate`` and ``hi_gate`` rows
     (``_mccormick_row``, tagged ``{tag}.lo_gate`` and ``{tag}.hi_gate``): V is
@@ -94,16 +123,15 @@ def gated_column(model: Model, alpha, u_min: float, u_max: float, name: str, tag
     the gates, so the feasible set, LP relaxation included, is the same.  The
     gate coefficients are the bounds themselves, so no big-M is recorded.
     """
-    a = as_expr(alpha)
-    v = model.continuous(name, min(0.0, u_min), max(0.0, u_max))
-    ve = v.expr()
+    a = _operand(alpha)
+    v = rows.model.continuous(name, min(0.0, u_min), max(0.0, u_max))
     for row in ("lo_gate", "hi_gate"):
-        model.add_constraint(_mccormick_row(row, a, None, ve, u_min, u_max), LE, 0.0,
-                             f"{tag}.{row}")
+        rows.add(*_mccormick_row(row, a, None, ({v.id: 1.0}, 0.0), u_min, u_max), _LE, 0.0,
+                 f"{tag}.{row}")
     return v
 
 
-def product_bin_bounded(model: Model, alpha, u, u_min: float, u_max: float, name: str, tag: str) -> Var:
+def product_bin_bounded(rows: RowList, alpha, u, u_min: float, u_max: float, name: str, tag: str) -> Var:
     """Auxiliary V = alpha * U for binary-valued alpha and U in [u_min, u_max].
 
     alpha may be a binary variable or any expression that is 0/1 in every
@@ -118,18 +146,17 @@ def product_bin_bounded(model: Model, alpha, u, u_min: float, u_max: float, name
         raise ModelError(f"product {name!r}: bounds on U must be finite")
     if u_min > u_max:
         raise ModelError(f"product {name!r}: u_min {u_min} > u_max {u_max}")
-    a, ue = as_expr(alpha), as_expr(u)
-    v = gated_column(model, a, u_min, u_max, name, tag)
-    ve = v.expr()
+    a, ue = _operand(alpha), _operand(u)
+    v = gated_column(rows, a, u_min, u_max, name, tag)
     for row in ("lo_track", "hi_track"):
-        model.add_constraint(_mccormick_row(row, a, ue, ve, u_min, u_max), LE, 0.0,
-                             f"{tag}.{row}")
+        rows.add(*_mccormick_row(row, a, ue, ({v.id: 1.0}, 0.0), u_min, u_max), _LE, 0.0,
+                 f"{tag}.{row}")
     bound = max(abs(u_min), abs(u_max), 1e-12)
-    record_bigm(model, bound, tag, bound)
+    record_bigm(rows.model, bound, tag, bound)
     return v
 
 
-def product_inequality(model: Model, alpha, u, u_min: float, u_max: float, sense: str, bound,
+def product_inequality(rows: RowList, alpha, u, u_min: float, u_max: float, sense: str, bound,
                        tag: str) -> None:
     """The row ``V <sense> bound`` for V = alpha * U (binary-valued alpha, U in
     [u_min, u_max]), written without V: the Fourier-Motzkin projection of V
@@ -151,30 +178,29 @@ def product_inequality(model: Model, alpha, u, u_min: float, u_max: float, sense
     if not (math.isfinite(u_min) and math.isfinite(u_max) and u_min <= u_max):
         raise ModelError(f"product row {tag!r}: bounds [{u_min}, {u_max}] on U must be "
                          "finite and ordered")
-    a, ue, b = as_expr(alpha), as_expr(u), as_expr(bound)
-    rows = (("hi_gate", f"{tag}.gate"), ("hi_track", tag)) if sense == GE else \
+    a, ue, b = _operand(alpha), _operand(u), _operand(bound)
+    pairs = (("hi_gate", f"{tag}.gate"), ("hi_track", tag)) if sense == GE else \
         (("lo_gate", f"{tag}.gate"), ("lo_track", tag))
-    lo, hi = model._lo, model._hi
-    for row, row_tag in rows:
-        e = _mccormick_row(row, a, ue, b, u_min, u_max)
-        if e.const + sum(c * (hi[v] if c > 0 else lo[v]) for v, c in e.terms.items()) > 0:
-            model.add_constraint(e, LE, 0.0, row_tag)
+    lo, hi = rows.model._lo, rows.model._hi
+    for row, row_tag in pairs:
+        terms, const = _mccormick_row(row, a, ue, b, u_min, u_max)
+        if const + sum(c * (hi[v] if c > 0 else lo[v]) for v, c in terms.items()) > 0:
+            rows.add(terms, const, _LE, 0.0, row_tag)
 
 
-def abs_diff(model: Model, a, b, bound: float, name: str, tag: str) -> Var:
+def abs_diff(rows: RowList, a, b, bound: float, name: str, tag: str) -> Var:
     """Auxiliary X = |B - A| for expressions with |B - A| <= bound.
 
     Uses one selector binary and two expanded products.
     """
     if not math.isfinite(bound) or bound < 0:
         raise ModelError(f"abs_diff {name!r}: bound must be finite and non-negative")
-    ae, be = as_expr(a), as_expr(b)
-    beta = model.binary(f"{name}_sel")
-    x = model.continuous(name, 0.0, bound)
+    beta = rows.model.binary(f"{name}_sel")
+    x = rows.model.continuous(name, 0.0, bound)
     # X = beta*(B-A) + (1-beta)*(A-B)
-    p = product_bin_bounded(model, beta, be - ae, -bound, bound, f"{name}_p", f"{tag}.p")
+    p = product_bin_bounded(rows, beta, _difference(b, a), -bound, bound, f"{name}_p", f"{tag}.p")
     # X = (A-B) + 2*p
-    model.add_constraint(x - (ae - be) - 2 * p, EQ, 0.0, f"{tag}.def")
+    rows.add(*_difference(x, _difference(a, b), ({p.id: 2.0}, 0.0)), _EQ, 0.0, f"{tag}.def")
     return x
 
 
@@ -188,17 +214,19 @@ def binary_abs_diff(start_i, stop_i) -> LinExpr:
     return as_expr(start_i) + as_expr(stop_i)
 
 
-def bool_and(model: Model, a, b, name: str, tag: str) -> Var:
-    """Auxiliary gamma = a AND b for binary a, b."""
-    ae, be = as_expr(a), as_expr(b)
-    g = model.binary(name)
-    model.add_constraint(ae + be - g, LE, 1.0, f"{tag}.low")
-    model.add_constraint(g - ae, LE, 0.0, f"{tag}.a")
-    model.add_constraint(g - be, LE, 0.0, f"{tag}.b")
+def bool_and(rows: RowList, a, b, name: str, tag: str) -> Var:
+    """Auxiliary gamma = a AND b for binary a, b: the rows a + b - gamma <= 1,
+    gamma - a <= 0 and gamma - b <= 0."""
+    ae, be = _operand(a), _operand(b)
+    g = rows.model.binary(name)
+    both = _add_terms(ae[0].copy(), be[0].items()), ae[1] + be[1]  # a + b
+    rows.add(*_difference(both, g), _LE, 1.0, f"{tag}.low")
+    rows.add(*_difference(g, ae), _LE, 0.0, f"{tag}.a")
+    rows.add(*_difference(g, be), _LE, 0.0, f"{tag}.b")
     return g
 
 
-def select_value(model: Model, x, table, name: str, tag: str):
+def select_value(rows: RowList, x, table, name: str, tag: str):
     """Table lookup value = F[x] for an integer expression x in {1..N}.
 
     A ``select_interval_gated`` lookup that is always on, with one interval
@@ -207,11 +235,11 @@ def select_value(model: Model, x, table, name: str, tag: str):
     x must never leave 1..N.
     """
     n = len(table)
-    return select_interval_gated(model, 1.0, x, [(i, i, table[i - 1]) for i in range(1, n + 1)],
+    return select_interval_gated(rows, 1.0, x, [(i, i, table[i - 1]) for i in range(1, n + 1)],
                                  1, n, name, tag)
 
 
-def select_interval_gated(model: Model, gate, x, intervals, x_min: float, x_max: float,
+def select_interval_gated(rows: RowList, gate, x, intervals, x_min: float, x_max: float,
                           name: str, tag: str):
     """Gated piecewise-constant lookup: value = gate * F[x] where F is constant
     on each interval.
@@ -220,6 +248,8 @@ def select_interval_gated(model: Model, gate, x, intervals, x_min: float, x_max:
     every x reachable while gate = 1.  One selector binary per interval instead
     of one per table entry; exactness is unchanged because a selector pins x
     into its interval, not to a single point.  x must stay in [x_min, x_max].
+    Per interval the rows ``x - b + m_up * lam <= m_up`` and ``x - a - m_dn *
+    lam >= -m_dn``, with x's terms first, then ``sum(lam) - gate = 0``.
     """
     if not intervals:
         raise ModelError(f"select_interval_gated {name!r}: intervals must be non-empty")
@@ -230,22 +260,22 @@ def select_interval_gated(model: Model, gate, x, intervals, x_min: float, x_max:
         if prev_b is not None and a != prev_b + 1:
             raise ModelError(f"select_interval_gated {name!r}: gap before interval [{a},{b}]")
         prev_b = b
-    xe = as_expr(x)
-    ge = as_expr(gate)
+    xt, xk = _operand(x)
     lams = []
-    total = LinExpr()
-    value = LinExpr()
+    value = {}  # the terms lam * v, none where v is 0
     big_m = max(x_max - intervals[0][0], intervals[-1][1] - x_min, 1.0)
-    record_bigm(model, big_m, tag, big_m)
+    record_bigm(rows.model, big_m, tag, big_m)
     for a, b, v in intervals:
-        lam = model.binary(f"{name}_l{a}_{b}")
+        lam = rows.model.binary(f"{name}_l{a}_{b}")
         lams.append(lam)
-        total.accumulate(lam)
-        value.accumulate(lam * float(v))
+        if float(v) != 0:
+            value[lam.id] = float(v)
         # lam = 1 pins x into [a, b]; lam = 0 leaves x anywhere in [x_min, x_max]
         m_up = max(x_max - b, 1.0)
         m_dn = max(a - x_min, 1.0)
-        model.add_constraint(xe - b + m_up * lam, LE, m_up, f"{tag}.ub.j={a}_{b}")
-        model.add_constraint(xe - a - m_dn * lam, GE, -m_dn, f"{tag}.lb.j={a}_{b}")
-    model.add_constraint(total - ge, EQ, 0.0, f"{tag}.onehot")
-    return value, lams
+        rows.add({**xt, lam.id: 1.0 * m_up}, (xk + -b) + 0.0, _LE, float(m_up),
+                 f"{tag}.ub.j={a}_{b}")
+        rows.add({**xt, lam.id: -(1.0 * m_dn)}, (xk + -a) + -0.0, _GE, float(-m_dn),
+                 f"{tag}.lb.j={a}_{b}")
+    rows.add(*_difference(({lam.id: 1.0 for lam in lams}, 0.0), gate), _EQ, 0.0, f"{tag}.onehot")
+    return _adopt(value, 0.0), lams

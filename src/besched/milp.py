@@ -12,12 +12,13 @@ row from an expression, ``add_rows`` a block of rows, one per time unit,
 from an ``ExprBlock``: a series of expressions held as arrays (term columns
 and coefficients in insertion order, row pointers and a constant vector).
 ``append_rows`` appends rows given as plain lists (columns, coefficients,
-term counts, sense codes, right-hand sides and tags).  One rule says what a
-stored row may be, whichever of the three stores it: a known sense, a
-non-empty tag, declared columns, each column at most once, and a finite
-right-hand side.  Each entry tests its batch in one cheap pass and hands a
-batch that fails to ``Model._check_rows``, which raises the error of the
-first bad row, naming its tag; nothing of the batch is stored.
+term counts, sense codes, right-hand sides and tags); a ``RowList`` gathers
+a builder's rows as one tuple each and hands them to it in one call.  One
+rule says what a stored row may be, whichever of the three stores it: a
+known sense, a non-empty tag, declared columns, each column at most once,
+and a finite right-hand side.  Each entry tests its batch in one cheap pass
+and hands a batch that fails to ``Model._check_rows``, which raises the
+error of the first bad row, naming its tag; nothing of the batch is stored.
 ``Model.continuous_series`` makes the named columns of such a series in one
 call.  ``row_arrays`` hands the store to the solver and to ``export_lp`` as
 numpy arrays; ``Model.constraints`` is a read-only view that builds a
@@ -77,7 +78,8 @@ EQ = "="
 GE = ">="
 
 # a row's sense as stored: -1 for <=, 0 for =, 1 for >=
-_SENSE_CODE = {LE: -1, EQ: 0, GE: 1}
+_LE, _EQ, _GE = -1, 0, 1
+_SENSE_CODE = {LE: _LE, EQ: _EQ, GE: _GE}
 _SENSE_OF = {-1: LE, 0: EQ, 1: GE}
 
 
@@ -117,16 +119,14 @@ class LinExpr:
     The terms keep insertion order, and a coefficient that cancels to
     0.0 is dropped.
 
-    Scalar rows are formed with these operators, except two kinds.  The
-    McCormick rows of ``linearize``: its one writer, ``_mccormick_row``,
-    forms each row's term dict itself, with the float operations these
-    operators would do, and hands it to ``Model.add_constraint`` as one
-    expression.  The switched-state rows of ``fcchp.transition_rows`` and
-    ``fcchp.build_min_durations``: their columns and +-1.0 coefficients come
-    from the ``Var`` ids, their float operands fold into the rhs, and each
-    call hands all its rows to ``Model.append_rows`` at once.  The operators
-    merge two terms of one column; a row formed without them that holds a
-    column twice breaks the store's one rule for rows and is refused.
+    The component builders form no row with these operators: ``fcchp``
+    and ``linearize`` gather their rows in a ``RowList`` (or plain lists)
+    from ``Var`` ids and (terms, constant) operands, with the float
+    operations these operators would do, and hand each build step's rows to
+    ``Model.append_rows`` at once.  The operators stay the expression API of
+    the objective, the ledger series and the tests.  They merge two terms of
+    one column; a row formed without them that holds a column twice breaks
+    the store's one rule for rows and is refused.
     """
 
     __slots__ = ("terms", "const")
@@ -648,11 +648,11 @@ class Model:
                 and math.isfinite(sum(rhs))):
             self._check_rows(cols, counts, senses, rhs, tags)
         first, base = len(self._tags), len(self._cols)
-        self._cols.extend(cols)
-        self._coefs.extend(coefs)
-        self._ends.extend(islice(accumulate(counts, initial=base), 1, None))
-        self._senses.extend(senses)
-        self._rhs.extend(rhs)
+        self._cols.fromlist(cols)
+        self._coefs.fromlist(coefs)
+        self._ends.fromlist(list(accumulate(counts, initial=base))[1:])
+        self._senses.fromlist(senses)
+        self._rhs.fromlist(rhs)
         self._tags.extend(tags)
         return range(first, first + len(tags))
 
@@ -742,6 +742,29 @@ class Model:
                 (k, rows.tags[k])
             )
         return report
+
+
+class RowList(list):
+    """Rows gathered as ``(columns, coefficients, sense code, rhs, tag)``
+    tuples, a term dict's keys and values as the columns and coefficients,
+    and stored by one ``Model.append_rows`` call (:meth:`store`): the form in
+    which the component builders write their rows."""
+
+    __slots__ = ("model",)
+
+    def __init__(self, model: Model):
+        self.model = model  # the list starts empty: list.__init__ is not called
+
+    def add(self, terms: dict, const: float, code: int, bound: float, tag: str) -> None:
+        """The row ``terms + const <sense> bound``, its rhs ``bound - const``
+        as ``Model.add_constraint`` folds it."""
+        self.append((terms, terms.values(), code, bound - const, tag))
+
+    def store(self) -> range:
+        cols, coefs, senses, rhs, tags = zip(*self) if self else ((),) * 5
+        return self.model.append_rows(list(chain.from_iterable(cols)),
+                                      list(chain.from_iterable(coefs)), list(map(len, cols)),
+                                      list(senses), list(rhs), list(tags))
 
 
 # -- LP file export -----------------------------------------------------------

@@ -87,10 +87,12 @@ def build_problem(config: BuildingConfiguration, situation: BuildingSituation,
     return Problem(model=model, ledger=ledger, grid=grid)
 
 
-def solve_problem(problem: Problem, options: SolveOptions | None = None) -> Solution:
+def solve_problem(problem: Problem, options: SolveOptions | None = None, lp=None) -> Solution:
+    """Solve with the backend of ``options``.  ``lp``, the model's exported
+    ``LpFile``, spares the external backend its own export."""
     options = options or SolveOptions()
     if options.backend == "external":
         from .external import solve_external
 
-        return solve_external(problem.model, options)
+        return solve_external(problem.model, options, lp)
     return solve_builtin(problem.model, options)

@@ -9,7 +9,7 @@ from besched.fcchp import (
     FcchpInitialState,
     FcchpPhysicalParams,
 )
-from besched.milp import EQ, Model
+from besched.milp import EQ, Model, RowList
 from besched.solver import SolveOptions, solve_builtin
 
 
@@ -56,6 +56,15 @@ def build_plant(n, phys=None, costs=None, init=None, dt=1.0, name="fcCHP"):
     builder = FcchpBuilder(model, grid, phys, costs, init, name=name)
     builder.build()
     return model, builder
+
+
+def write(writer, model, *args):
+    """Call the row writer ``writer`` (a ``linearize`` function) on a
+    ``RowList`` of ``model`` and store its rows; returns what it returns."""
+    rows = RowList(model)
+    out = writer(rows, *args)
+    rows.store()
+    return out
 
 
 def solve_pattern(model, builder, x_pattern, options=None):

@@ -26,6 +26,7 @@ from helpers import (
     make_phys,
     series,
     solve_pattern,
+    write,
     write_daily_scenario,
 )
 from oracles import (
@@ -159,7 +160,7 @@ def test_criterion_4_linearizations_exact_by_enumeration():
         for u in (-6, -2, 0, 3, 6):
             m = Model()
             alpha, uu = m.binary("a"), m.continuous("u", -6, 6)
-            v = product_bin_bounded(m, alpha, uu, -6, 6, "v", "p")
+            v = write(product_bin_bounded, m, alpha, uu, -6, 6, "v", "p")
             pin(m, alpha, a), pin(m, uu, u)
             sol = solve_builtin(m, DENSE)
             assert abs(sol.x[v.id] - a * u) <= 1e-9
@@ -167,7 +168,7 @@ def test_criterion_4_linearizations_exact_by_enumeration():
     for x, yv in ((3, 3), (1, 5), (5, 1), (-4, 2)):
         m = Model()
         va, vb = m.continuous("x", -6, 6), m.continuous("y", -6, 6)
-        d = abs_diff(m, va, vb, 12, "d", "a")
+        d = write(abs_diff, m, va, vb, 12, "d", "a")
         pin(m, va, x), pin(m, vb, yv)
         sol = solve_builtin(m, DENSE)
         assert abs(sol.x[d.id] - abs(x - yv)) <= 1e-9
@@ -176,7 +177,7 @@ def test_criterion_4_linearizations_exact_by_enumeration():
         for bv in (0, 1):
             m = Model()
             va, vb = m.binary("a"), m.binary("b")
-            g = bool_and(m, va, vb, "g", "and")
+            g = write(bool_and, m, va, vb, "g", "and")
             pin(m, va, a), pin(m, vb, bv)
             sol = solve_builtin(m, DENSE)
             assert sol.x[g.id] == float(a and bv)  # exact on binaries
@@ -185,7 +186,7 @@ def test_criterion_4_linearizations_exact_by_enumeration():
     for d in range(1, 7):
         m = Model()
         x = m.integer("x", 1, 6)
-        value, _ = select_value(m, x, table, "sel", "sel")
+        value, _ = write(select_value, m, x, table, "sel", "sel")
         pin(m, x, d)
         sol = solve_builtin(m, DENSE)
         assert m.evaluate(value, sol.x) == float(table[d - 1])

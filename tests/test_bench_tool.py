@@ -39,6 +39,18 @@ def test_ties_and_the_pair_count():
     assert rec["change_better_pairs"] == 2 and rec["median_change"] == pytest.approx(-0.05)
 
 
+@pytest.mark.parametrize("change, p", [
+    ([b - 0.05 for b in BASE], 1 / 1024),  # 10 of 10 pairs
+    ([b - 0.05 for b in BASE[:9]] + [1.2], 11 / 1024),  # 9 of 10
+    ([b - 0.05 for b in BASE[:9]] + [BASE[9]], 1 / 512),  # 9 of 9 untied pairs: a tie lowers n
+    (list(BASE), 1.0),  # no untied pair
+])
+def test_the_sign_test_p_value_of_the_wins(change, p):
+    rec = bench.compare(change, BASE, "lower", 0.25)
+    assert rec["change_better_p"] == p
+    assert f"(sign test p {p:.3g})" in bench.verdict_line("w", "m", rec, 0.25)
+
+
 def test_a_faked_benchmark_stores_and_prints_both_verdicts(tmp_path, monkeypatch, capsys):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in spec["end_to_end"]]

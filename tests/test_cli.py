@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import besched.cli
+import besched.external
+import besched.milp
 from besched.cli import cli_main
 from besched.errors import ModelError, NumericalFailure
 from besched.solver import OPTIMAL, Solution, _WarmLP
@@ -404,6 +406,42 @@ def test_emit_lp_error_wins_and_nothing_is_written_under_out(
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and message in line
     assert not out.exists() and not lp.exists()
+
+
+def test_an_unwritable_lp_path_fails_before_the_solve(tmp_path, monkeypatch, capsys):
+    solved = []
+
+    def solve_problem(problem, options, lp=None):
+        solved.append(problem)
+        raise NumericalFailure("the solve ran for an LP path that cannot be written")
+
+    monkeypatch.setattr(besched.cli, "solve_problem", solve_problem)
+    args = _write_scenario(tmp_path)
+    out, lp = tmp_path / "out", tmp_path / "missing" / "model.lp"
+    assert cli_main(["optimize", *args, "--out", str(out), "--emit-lp", str(lp)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "No such file or directory" in line
+    assert not out.exists() and not lp.exists()
+    assert solved == []
+
+
+def test_external_emit_lp_exports_the_model_once(tmp_path, monkeypatch, capsys):
+    texts = []
+
+    def export_lp(model):
+        exported = besched.milp.export_lp(model)
+        texts.append(exported.text)
+        return exported
+
+    monkeypatch.setattr(besched.cli, "export_lp", export_lp)
+    monkeypatch.setattr(besched.external, "export_lp", export_lp)
+    args = _write_scenario(tmp_path)
+    lp = tmp_path / "model.lp"
+    # "true" writes no solution file, so the solve ends in an error after the export
+    assert cli_main(["optimize", *args, "--out", str(tmp_path / "out"), "--solver", "external",
+                     "--solver-cmd", "true {in} {out}", "--emit-lp", str(lp)]) == 1
+    assert "produced no solution file" in capsys.readouterr().err
+    assert texts == [lp.read_text()]
 
 
 def test_emit_lp_writes_the_lp_file_on_a_worker_when_the_solve_fails(

@@ -19,6 +19,7 @@ from besched.linearize import (
 from besched.milp import EQ, GE, LE, Model
 from besched.solver import SolveOptions, solve_builtin
 
+from helpers import write
 from oracles import brute_force_solve
 
 OPTS = SolveOptions(lp_backend="dense")
@@ -48,7 +49,7 @@ def test_product_bin_bounded_enumeration(a, u):
     m = Model()
     alpha = m.binary("alpha")
     uu = m.continuous("u", -10, 10)
-    v = product_bin_bounded(m, alpha, uu, -10, 10, "v", "prod")
+    v = write(product_bin_bounded, m, alpha, uu, -10, 10, "v", "prod")
     _pin(m, alpha, a)
     _pin(m, uu, u)
     sol = _solve(m)
@@ -66,7 +67,7 @@ def test_a_product_whose_u_is_in_no_other_row_is_its_two_gate_rows(seed, free_u)
     full, gates = Model(), Model()
     a = full.continuous("alpha", 0.0, 1.0)
     u = full.continuous("u", *((-math.inf, math.inf) if free_u else (u_min, u_max)))
-    v = product_bin_bounded(full, a, u, u_min, u_max, "v", "prod")
+    v = write(product_bin_bounded, full, a, u, u_min, u_max, "v", "prod")
     ga = gates.continuous("alpha", 0.0, 1.0)
     gv = gates.continuous("v", min(0.0, u_min), max(0.0, u_max))
     gates.add_constraint(ga * u_min - gv, LE, 0.0, "prod.lo_gate")
@@ -96,10 +97,10 @@ def test_a_product_in_one_inequality_is_its_projection(seed, sense):
         a, u = m.continuous("alpha", 0.0, 1.0), m.continuous("u", u_min, u_max)
         w = m.continuous("w", -1.0, 1.0)
         if project:
-            product_inequality(m, a, u, u_min, u_max, sense, w * c + d, "prod")
+            write(product_inequality, m, a, u, u_min, u_max, sense, w * c + d, "prod")
             assert m.bigms == []
         else:
-            v = product_bin_bounded(m, a, u, u_min, u_max, "v", "prod.p")
+            v = write(product_bin_bounded, m, a, u, u_min, u_max, "v", "prod.p")
             m.add_constraint(v - w * c - d, sense, 0.0, "prod")
         models.append((m, (a, u, w)))
     for coefs in rng.normal(size=(3, 3)):
@@ -118,16 +119,16 @@ def test_a_projected_row_the_boxes_imply_is_not_written():
     m = Model()
     a, u = m.binary("alpha"), m.continuous("u", -4.0, 6.0)
     # V <= 6 and V >= -4 hold for every alpha * U in the box
-    product_inequality(m, a, u, -4.0, 6.0, LE, 6.0, "le")
-    product_inequality(m, a, u, -4.0, 6.0, GE, -4.0, "ge")
+    write(product_inequality, m, a, u, -4.0, 6.0, LE, 6.0, "le")
+    write(product_inequality, m, a, u, -4.0, 6.0, GE, -4.0, "ge")
     assert len(m.constraints) == 0
     # V <= 5 cuts alpha = 1, U > 5 off: only the track row is written
-    product_inequality(m, a, u, -4.0, 6.0, LE, 5.0, "cut")
+    write(product_inequality, m, a, u, -4.0, 6.0, LE, 5.0, "cut")
     assert [c.tag for c in m.constraints] == ["cut"]
     with pytest.raises(ModelError, match="finite and ordered"):
-        product_inequality(m, a, u, -math.inf, 6.0, LE, 5.0, "unbounded")
+        write(product_inequality, m, a, u, -math.inf, 6.0, LE, 5.0, "unbounded")
     with pytest.raises(ModelError, match="equality"):
-        product_inequality(m, a, u, -4.0, 6.0, EQ, 5.0, "equality")
+        write(product_inequality, m, a, u, -4.0, 6.0, EQ, 5.0, "equality")
 
 
 def test_product_rejects_unbounded():
@@ -135,7 +136,7 @@ def test_product_rejects_unbounded():
     alpha = m.binary("alpha")
     u = m.continuous("u")
     with pytest.raises(ModelError):
-        product_bin_bounded(m, alpha, u, float("-inf"), 10, "v", "prod")
+        write(product_bin_bounded, m, alpha, u, float("-inf"), 10, "v", "prod")
 
 
 @pytest.mark.parametrize("a,b", [(3, 3), (2, 5), (5, 2), (-4, 4), (0, -7)])
@@ -143,7 +144,7 @@ def test_abs_diff(a, b):
     m = Model()
     va = m.continuous("a", -10, 10)
     vb = m.continuous("b", -10, 10)
-    x = abs_diff(m, va, vb, 20, "x", "abs")
+    x = write(abs_diff, m, va, vb, 20, "x", "abs")
     _pin(m, va, a)
     _pin(m, vb, b)
     sol = _solve(m)
@@ -167,7 +168,7 @@ def test_binary_abs_diff_matches_under_compatibility_rows():
 def test_bool_and_truth_table(a, b):
     m = Model()
     va, vb = m.binary("a"), m.binary("b")
-    g = bool_and(m, va, vb, "g", "and")
+    g = write(bool_and, m, va, vb, "g", "and")
     _pin(m, va, a)
     _pin(m, vb, b)
     # no objective pressure needed: the three rows pin gamma exactly
@@ -178,7 +179,7 @@ def test_bool_and_truth_table(a, b):
 def test_select_value_direct_lookup():
     m = Model()
     x = m.integer("x", 1, 4)
-    value, lams = select_value(m, x, (1, 1, 2, 4), "sel", "sel")
+    value, lams = write(select_value, m, x, (1, 1, 2, 4), "sel", "sel")
     _pin(m, x, 3)
     sol = _solve(m)
     assert m.evaluate(value, sol.x) == pytest.approx(2.0)
@@ -190,7 +191,7 @@ def test_select_value_boundary_and_sweep():
     for target in range(1, 7):
         m = Model()
         x = m.integer("x", 1, 6)
-        value, _ = select_value(m, x, table, "sel", "sel")
+        value, _ = write(select_value, m, x, table, "sel", "sel")
         _pin(m, x, target)
         sol = _solve(m)
         assert m.evaluate(value, sol.x) == pytest.approx(table[target - 1])
@@ -200,7 +201,7 @@ def test_select_value_rejects_empty_table():
     m = Model()
     x = m.integer("x", 1, 3)
     with pytest.raises(ModelError):
-        select_value(m, x, (), "sel", "sel")
+        write(select_value, m, x, (), "sel", "sel")
 
 
 def test_select_interval_gated_lookup():
@@ -210,7 +211,7 @@ def test_select_interval_gated_lookup():
         m = Model()
         x = m.integer("x", 1, 6)
         gate = m.binary("gate")
-        value, _ = select_interval_gated(m, gate, x + 0.0, intervals, 1, 6, "sel", "sel")
+        value, _ = write(select_interval_gated, m, gate, x + 0.0, intervals, 1, 6, "sel", "sel")
         _pin(m, gate, 1)
         _pin(m, x, d)
         sol = _solve(m)
@@ -222,7 +223,7 @@ def test_select_interval_gated_closed_gate_yields_zero():
     m = Model()
     x = m.integer("x", 1, 6)
     gate = m.binary("gate")
-    value, _ = select_interval_gated(m, gate, x + 0.0, [(1, 6, 3.0)], 1, 6, "sel", "sel")
+    value, _ = write(select_interval_gated, m, gate, x + 0.0, [(1, 6, 3.0)], 1, 6, "sel", "sel")
     _pin(m, gate, 0)
     _pin(m, x, 4)
     sol = _solve(m)
@@ -235,7 +236,7 @@ def test_reformulations_only_append():
     u = m.continuous("u", 0, 5)
     m.add_constraint(a + u, EQ, 1.0, "pre")
     before = [(c.terms.copy(), c.sense, c.rhs) for c in m.constraints]
-    product_bin_bounded(m, a, u, 0, 5, "v", "prod")
+    write(product_bin_bounded, m, a, u, 0, 5, "v", "prod")
     after = [(c.terms.copy(), c.sense, c.rhs) for c in m.constraints[: len(before)]]
     assert before == after
 
@@ -243,5 +244,5 @@ def test_reformulations_only_append():
 def test_bigms_are_recorded_with_tags():
     m = Model()
     x = m.integer("x", 1, 4)
-    select_value(m, x, (1, 2, 3, 4), "sel", "sel")
+    write(select_value, m, x, (1, 2, 3, 4), "sel", "sel")
     assert any(bm.tag.startswith("sel") for bm in m.bigms)

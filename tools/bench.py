@@ -16,7 +16,8 @@ seed --seed) per workload give each side's per-layer self times, as the median
 of its three runs, and the model census.
 
 The file records, per workload and side, every end-to-end value with its
-median and quartiles, the pairs the change won, the traced layer times and
+median and quartiles, the pairs the change won with the exact one-sided
+sign-test p-value of those wins (``change_better_p``), the traced layer times and
 the census; per workload and end-to-end metric, two verdicts (see
 ``compare``): whether the change meets the claim rule for a gain, and
 whether it is worse than the baseline by more than the metric's bound; per
@@ -46,6 +47,7 @@ import ast
 import datetime
 import io
 import json
+import math
 import re
 import statistics
 import subprocess
@@ -140,11 +142,20 @@ def spread(values: list) -> dict:
             "values": values}
 
 
+def sign_test_p(wins: int, untied: int) -> float:
+    """The exact one-sided sign-test p-value of ``wins`` won pairs out of
+    ``untied`` pairs without a tie: the chance of at least that many wins
+    when each side wins a pair with probability one half."""
+    return sum(math.comb(untied, k) for k in range(wins, untied + 1)) / 2 ** untied
+
+
 def compare(change: list, baseline: list, better: str, bound: float) -> dict:
     """One end-to-end metric of one workload, from runs paired by index.
 
     Beside each side's spread it records the pairs the change won (a tie
-    counts for neither side), the change of the medians and two verdicts:
+    counts for neither side), the exact one-sided sign-test p-value of those
+    wins over the untied pairs (``change_better_p``, see ``sign_test_p``),
+    the change of the medians and two verdicts:
     ``gain``, the claim rule of the choosing-metrics guide (the change won at
     least nine tenths of the pairs, and its median is better than the
     baseline's by more than the baseline's interquartile range), and
@@ -154,9 +165,11 @@ def compare(change: list, baseline: list, better: str, bound: float) -> dict:
     """
     rec = {"change": spread(change), "baseline": spread(baseline)}
     sign = 1.0 if better == "lower" else -1.0
-    wins = sum(sign * (c - b) < 0 for c, b in zip(change, baseline))
+    gaps = [sign * (c - b) for c, b in zip(change, baseline)]
+    wins = sum(gap < 0 for gap in gaps)
     base = rec["baseline"]["median"]
     rec["change_better_pairs"] = wins
+    rec["change_better_p"] = sign_test_p(wins, sum(gap != 0 for gap in gaps))
     rec["median_change"] = rec["change"]["median"] - base
     improvement = -sign * rec["median_change"]  # positive when the change is better
     rec["gain"] = wins >= 0.9 * min(len(change), len(baseline)) and (
@@ -174,7 +187,8 @@ def separated(change: list, baseline: list) -> bool:
 def verdict_line(workload: str, metric: str, rec: dict, bound: float) -> str:
     base, change = rec["baseline"], rec["change"]
     return (f"{workload} {metric}: {base['median']:.4g} -> {change['median']:.4g}, "
-            f"change better in {rec['change_better_pairs']}/{len(change['values'])} pairs, "
+            f"change better in {rec['change_better_pairs']}/{len(change['values'])} pairs "
+            f"(sign test p {rec['change_better_p']:.3g}), "
             f"baseline IQR {base['iqr']:.4g}: gain {'met' if rec['gain'] else 'not met'}; "
             f"{'WORSE than' if rec['beyond_bound'] else 'within'} the {bound:g} bound")
 
