@@ -12,17 +12,18 @@ Exit codes of ``optimize``:
   2  proven infeasible: metadata.json only
   1  any error, or a time limit hit before any incumbent (metadata.json only)
 
-With ``--emit-lp``, the LP file is opened on the calling thread before the
-solve starts, so a path that cannot be written fails at once.  The model is
-then exported and written on a worker thread while the solver runs on the
-calling thread: the export only reads the built model, and HiGHS releases
-the interpreter lock while it solves.  The worker is joined before anything
-under ``--out`` is written.  The LP file is written whatever the solve ends
-in, an error included.  An error of the export (a ``ModelError``, or an
-``OSError`` of the write) wins over an error of the solve; the LP file is
-then removed and nothing under ``--out`` is written.  With ``--solver
-external`` the model is exported once, on the worker, and the external
-solver waits for that text and reads it.
+With ``--emit-lp``, the LP file is opened for appending on the calling
+thread before the solve starts, so a path that cannot be written fails at
+once and an existing file is not emptied yet.  The model is then exported
+and written on a worker thread while the solver runs on the calling thread:
+the export only reads the built model, and HiGHS releases the interpreter
+lock while it solves.  The worker is joined before anything under ``--out``
+is written.  The LP file is written whatever the solve ends in, an error
+included.  An error of the export (a ``ModelError``, or an ``OSError`` of
+the write) wins over an error of the solve; an LP file that this run created
+is then removed, and nothing under ``--out`` is written.  With ``--solver
+external`` the model is exported once, on the calling thread before the
+solve, and the external solver reads that text.
 
 The argument parser is built once per process; each call parses its own
 arguments into a new namespace.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -94,16 +96,19 @@ def _load_problem(args):
     return build_problem(config, situation, base_dir=Path(args.situation).parent)
 
 
-def _write_lp(model, file):
-    """Export the model into ``file``, open for writing, and close it;
-    returns the ``LpFile``.  On an error the file is removed."""
+def _write_lp(model, path: str, created: bool, keep: bool = False):
+    """Export the model and write it to ``path``; returns the ``LpFile``
+    with ``keep``, else None, so that a future does not hold its text
+    through the solve.  On an error the file is removed if ``created`` says
+    that this run made it; a file that was there before is left in place."""
     try:
-        with file:
-            file.write((lp := export_lp(model)).text)
+        lp = export_lp(model)
+        Path(path).write_text(lp.text)
     except BaseException:
-        Path(file.name).unlink()
+        if created:
+            Path(path).unlink(missing_ok=True)  # the export's error is the one raised
         raise
-    return lp
+    return lp if keep else None
 
 
 def _cmd_optimize(args) -> int:
@@ -112,18 +117,22 @@ def _cmd_optimize(args) -> int:
         backend=args.solver, command=args.solver_cmd, time_limit=args.time_limit
     )
     if args.emit_lp:
-        lp_file = open(args.emit_lp, "w")  # an unwritable path fails before the solve
-        # the solve stays on this thread: its Python prelude then reaches
-        # HiGHS, which releases the lock, before the export takes it over
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            exported = pool.submit(_write_lp, problem.model, lp_file)
-            try:
-                if options.backend == "external":  # its solver waits for the exported text
-                    solution = solve_problem(problem, options, exported.result())
-                else:
+        # an unwritable path fails before the solve; opened for appending, an
+        # existing file keeps its content until the export has succeeded
+        created = not os.path.lexists(args.emit_lp)
+        open(args.emit_lp, "a").close()
+        if options.backend == "external":  # its solver reads the exported text
+            solution = solve_problem(problem, options,
+                                     _write_lp(problem.model, args.emit_lp, created, keep=True))
+        else:
+            # the solve stays on this thread: its Python prelude then reaches
+            # HiGHS, which releases the lock, before the export takes it over
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                exported = pool.submit(_write_lp, problem.model, args.emit_lp, created)
+                try:
                     solution = solve_problem(problem, options)
-            finally:
-                exported.result()  # its error wins over the solve's
+                finally:
+                    exported.result()  # its error wins over the solve's
     else:
         solution = solve_problem(problem, options)
     if solution.x is None:

@@ -18,12 +18,14 @@ Every row has one form: no row is formed with the ``LinExpr`` operators.  A
 row's columns come from the ``Var`` ids, its float operands fold into the
 right-hand side, and each call of ``transition_rows`` and
 ``build_min_durations``, and each build step of ``FcchpBuilder``, hands all
-its rows to ``Model.append_rows`` at once: the steps gather theirs in a
-``milp.RowList``, with operands as (terms, constant) pairs
-(``linearize._operand``).  Each coefficient and rhs takes the float
-operations of the operator chain it stands for; where two operands share a
-column they merge by ``milp._add_terms`` (``linearize._difference``), and
-the store's rule refuses a row that holds a column twice.  The operator
+its rows to ``Model.append_rows`` at once: the steps gather theirs with
+``milp.RowList.add``, with operands as (terms, constant) pairs
+(``linearize._operand``); the two functions, whose rows repeat one fixed
+layout per unit, extend ``append_rows``' six lists from it and form no term
+dict per row.  Each coefficient and rhs takes the float operations of the
+operator chain it stands for; where two operands share a column they merge
+by ``milp._add_terms`` (``linearize._difference``), and the store's rule
+refuses a row that holds a column twice.  The operator
 chains are kept as the reference in ``tests/test_row_builders.py``.  The
 ledger series (thermal, electric, primary power and the financial input)
 are expressions, not rows, and stay ``LinExpr``.
@@ -50,7 +52,7 @@ from .linearize import (
     record_bigm,
     select_interval_gated,
 )
-from .milp import GE, LE, LinExpr, Model, RowList, Var, _EQ, _GE, _LE, _SENSE_CODE
+from .milp import LinExpr, Model, RowList, Var, _EQ, _GE, _LE
 
 log = logging.getLogger(__name__)
 
@@ -297,17 +299,17 @@ class OnOffChain:
         return self.stop[i - 1] if i >= 1 else float(self.hist_stop.get(i, 0))
 
 
-# The rows of one unit of ``transition_rows``: (suffix, sense, terms).  The
+# The rows of one unit of ``transition_rows``: (suffix, sense code, terms).  The
 # operands are numbered begin 0, now 1, prev 2, end 3 and on 4; a term is an
 # (operand, coefficient) pair, in the order the LinExpr operators add them.
 _TRANSITION_ROWS = (
-    (".a", GE, ((0, 1.0), (1, -1.0), (2, 1.0))),  # begin - now + prev >= 0
-    (".b", LE, ((0, 1.0), (1, -1.0))),  # begin - now <= 0
-    (".c", LE, ((0, 1.0), (2, 1.0))),  # begin + prev <= 1
-    (".d", GE, ((3, 1.0), (2, -1.0), (1, 1.0))),  # end - prev + now >= 0
-    (".e", LE, ((3, 1.0), (2, -1.0))),  # end - prev <= 0
-    (".f", LE, ((3, 1.0), (1, 1.0))),  # end + now <= 1
-    (".on", GE, ((4, 1.0), (1, -1.0))),  # on - now >= 0
+    (".a", _GE, ((0, 1.0), (1, -1.0), (2, 1.0))),  # begin - now + prev >= 0
+    (".b", _LE, ((0, 1.0), (1, -1.0))),  # begin - now <= 0
+    (".c", _LE, ((0, 1.0), (2, 1.0))),  # begin + prev <= 1
+    (".d", _GE, ((3, 1.0), (2, -1.0), (1, 1.0))),  # end - prev + now >= 0
+    (".e", _LE, ((3, 1.0), (2, -1.0))),  # end - prev <= 0
+    (".f", _LE, ((3, 1.0), (1, 1.0))),  # end + now <= 1
+    (".on", _GE, ((4, 1.0), (1, -1.0))),  # on - now >= 0
 )
 
 
@@ -320,7 +322,7 @@ def _transition_layout(numbers: tuple, with_on: bool) -> tuple:
     skip = {k for k, number in zip((0, 2, 3), numbers) if number}
     terms = [[(k, c) for k, c in row if k not in skip] for _, _, row in rows]
     return (tuple(k for row in terms for k, _ in row), tuple(c for row in terms for _, c in row),
-            tuple(map(len, terms)), tuple(_SENSE_CODE[sense] for _, sense, _ in rows),
+            tuple(map(len, terms)), tuple(code for _, code, _ in rows),
             tuple(suffix for suffix, _, _ in rows))
 
 
@@ -602,7 +604,7 @@ class FcchpBuilder:
         for i in range(1, self.n + 1):
             prev = float(self.init.l_0) if i == 1 else l[i - 2]
             product_inequality(rows, chain.stop[i - 1], _difference(l[i - 1], prev), -span, span,
-                               LE, float(self.up.on_max), f"{self.name}.maxrun.i={i}")
+                               _LE, float(self.up.on_max), f"{self.name}.maxrun.i={i}")
         rows.store()
 
     def build_cold_start_flags(self):
@@ -635,10 +637,10 @@ class FcchpBuilder:
                     rows.add({l[0].id: -1.0, k_i: by_m}, 1.0, _LE, 0.0, f"{tag}.keep")
                 continue
             # start_i * l_{i-1} >= start_i * i - M * k_i - L
-            product_inequality(rows, start, l[i - 2], self.l_lo, self.n, GE,
+            product_inequality(rows, start, l[i - 2], self.l_lo, self.n, _GE,
                                ({start.id: 1.0 * i, k_i: by_m}, 0.0 + -L), f"{tag}.onstart")
             # k_{i-1} * l_i >= k_{i-1} * i - M * k_i
-            product_inequality(rows, k[i - 2], l[i - 1], self.l_lo, self.n, GE,
+            product_inequality(rows, k[i - 2], l[i - 1], self.l_lo, self.n, _GE,
                                ({k[i - 2].id: 1.0 * i, k_i: by_m}, 0.0), f"{tag}.keep")
         rows.store()
         self.vars["k"] = k
@@ -717,19 +719,19 @@ class FcchpBuilder:
                 tag = f"{name}.minwarm.i={i}.j={j}"
                 sig = m.binary(f"{name}.sigma[{i},{j}]")
                 # sig * M - recent >= 0 and sig - recent <= 0
-                ones, rhs = [-1.0] * len(recent), 0.0 - (0.0 + -recorded)
-                rows.append(([sig.id, *recent], [1.0 * sigma_m, *ones], _GE, rhs, f"{tag}.ub"))
-                rows.append(([sig.id, *recent], [1.0, *ones], _LE, rhs, f"{tag}.lb"))
+                window, const = dict.fromkeys(recent, -1.0), 0.0 + -recorded
+                rows.add({sig.id: 1.0 * sigma_m, **window}, const, _GE, 0.0, f"{tag}.ub")
+                rows.add({sig.id: 1.0, **window}, const, _LE, 0.0, f"{tag}.lb")
                 # sig * (w_i - j + 1) <= spread * y_i
                 product_inequality(rows, sig, ({w[i - 1].id: 1.0}, 0.0 + -float(j - 1)),
-                                   self.w_lo - j + 1, self.w_hi - j + 1, LE, capped, tag)
+                                   self.w_lo - j + 1, self.w_hi - j + 1, _LE, capped, tag)
 
         # an ongoing initial warm-up is pinned directly: its duration w_0 may
         # exceed every table value, putting it out of reach of the rows above
         if self.init.y_0 == 1:
             warm_end = self.init.r_0 + self.init.w_0
             for i in range(1, min(warm_end - 1, self.n) + 1):
-                rows.append(((y[i - 1].id,), (1.0,), _GE, 1.0, f"{name}.minwarm.init.i={i}"))
+                rows.add({y[i - 1].id: 1.0}, 0.0, _GE, 1.0, f"{name}.minwarm.init.i={i}")
 
         # r tracks the most recent start; warm-up may not outlast w
         r = [m.integer(f"{name}.r[{i}]", self.r_lo, self.n) for i in range(1, self.n + 1)]
@@ -742,7 +744,7 @@ class FcchpBuilder:
                      f"{tag}.track")
             # while warming up, the last start is at most w_i units ago:
             # y_i * r_i >= y_i * i - w_i, vacuous outside warm-up
-            product_inequality(rows, y[i - 1], r[i - 1], self.r_lo, self.n, GE,
+            product_inequality(rows, y[i - 1], r[i - 1], self.r_lo, self.n, _GE,
                                ({y[i - 1].id: 1.0 * i, w[i - 1].id: -1.0}, 0.0), tag)
         rows.store()
         self.vars["r"] = r
@@ -759,8 +761,8 @@ class FcchpBuilder:
             units = range(i, i - self.up.lower_init, -1)
             ends = [sw[u - 1].id for u in units if u >= 1]
             recorded = reduce(add, [self.sw_at(u) for u in units if u < 1], 0.0)
-            rows.append(([s[i - 1].id, *ends], [1.0, *[-1.0] * len(ends)], _EQ,
-                         0.0 - (0.0 + -recorded), f"{name}.jump.i={i}"))
+            rows.add({s[i - 1].id: 1.0, **dict.fromkeys(ends, -1.0)}, 0.0 + -recorded, _EQ, 0.0,
+                     f"{name}.jump.i={i}")
         rows.store()
         self.vars["s"] = s
         return s
@@ -788,11 +790,8 @@ class FcchpBuilder:
         relaxation.  ``vars["u_th"]`` exists only with the ramp rows.
         """
         m, name, phys, up = self.model, self.name, self.phys, self.up
-        rows, chain = RowList(m), self.vars["chain"]
-        y = self.vars["y"]
-        z = self.vars["z"]
-        k = self.vars["k"]
-        n = self.n
+        rows, chain, n = RowList(m), self.vars["chain"], self.n
+        y, z, k = self.vars["y"], self.vars["z"], self.vars["k"]
 
         u_th = None
         ramp = phys.delta_p_th_prod * self.grid.hours_per_unit
@@ -807,8 +806,7 @@ class FcchpBuilder:
                 rows.add(step, 0.0, _LE, float(ramp), f"{name}.ramplim.i={i}.up")
                 rows.add(step, 0.0, _GE, float(-ramp), f"{name}.ramplim.i={i}.down")
 
-        thermal, electric_out, electric_in, primary_in = [], [], [], []
-        gammas = []
+        thermal, electric_out, electric_in, primary_in, gammas = [], [], [], [], []
         for i in range(1, n + 1):
             level = (phys.p_th_min, phys.p_th_max, f"{name}.zu[{i}]", f"{name}.prodlevel.i={i}")
             prod_level = (gated_column(rows, z[i - 1], *level) if u_th is None
@@ -819,9 +817,8 @@ class FcchpBuilder:
             thermal.append(th)
             electric_out.append(th * (phys.eta_el / phys.eta_th))
 
-            gamma = bool_and(
-                rows, y[i - 1], k[i - 1], f"{name}.gamma[{i}]", f"{name}.coldwarm.i={i}"
-            )
+            gamma = bool_and(rows, y[i - 1], k[i - 1], f"{name}.gamma[{i}]",
+                             f"{name}.coldwarm.i={i}")
             gammas.append(gamma)
             ein = reduce(LinExpr.accumulate,
                          (chain.stop_at(i - j) * p for j, p in enumerate(up.p_el_down)),

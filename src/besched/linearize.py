@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .milp import (GE, LE, LinExpr, Model, RowList, Var, _add_terms, _adopt, _EQ, _GE, _LE,
-                   as_expr)
+from .milp import Model, RowList, Var, _add_terms, _adopt, _EQ, _GE, _LE, as_expr
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,8 @@ def _operand(x) -> tuple:
     its ``LinExpr``, shared, not copied.  A tuple is taken to be one already."""
     if type(x) is tuple:
         return x
+    if type(x) is Var:  # the terms of Var.expr(), without the LinExpr
+        return {x.id: 1.0}, 0.0
     e = as_expr(x)
     return e.terms, e.const
 
@@ -156,9 +157,9 @@ def product_bin_bounded(rows: RowList, alpha, u, u_min: float, u_max: float, nam
     return v
 
 
-def product_inequality(rows: RowList, alpha, u, u_min: float, u_max: float, sense: str, bound,
+def product_inequality(rows: RowList, alpha, u, u_min: float, u_max: float, sense: int, bound,
                        tag: str) -> None:
-    """The row ``V <sense> bound`` for V = alpha * U (binary-valued alpha, U in
+    """The row ``V <sense> bound``, sense the code ``milp._GE`` or ``milp._LE``, for V = alpha * U (binary-valued alpha, U in
     [u_min, u_max]), written without V: the Fourier-Motzkin projection of V
     out of the four ``product_bin_bounded`` rows and this one.
 
@@ -173,13 +174,13 @@ def product_inequality(rows: RowList, alpha, u, u_min: float, u_max: float, sens
     big-M record.  A row whose maximum activity over its columns' boxes cannot
     exceed its right-hand side is implied by the boxes and is not written.
     """
-    if sense not in (GE, LE):
+    if sense not in (_GE, _LE):
         raise ModelError(f"product row {tag!r}: an equality needs the product column")
     if not (math.isfinite(u_min) and math.isfinite(u_max) and u_min <= u_max):
         raise ModelError(f"product row {tag!r}: bounds [{u_min}, {u_max}] on U must be "
                          "finite and ordered")
     a, ue, b = _operand(alpha), _operand(u), _operand(bound)
-    pairs = (("hi_gate", f"{tag}.gate"), ("hi_track", tag)) if sense == GE else \
+    pairs = (("hi_gate", f"{tag}.gate"), ("hi_track", tag)) if sense == _GE else \
         (("lo_gate", f"{tag}.gate"), ("lo_track", tag))
     lo, hi = rows.model._lo, rows.model._hi
     for row, row_tag in pairs:
@@ -202,16 +203,6 @@ def abs_diff(rows: RowList, a, b, bound: float, name: str, tag: str) -> Var:
     # X = (A-B) + 2*p
     rows.add(*_difference(x, _difference(a, b), ({p.id: 2.0}, 0.0)), _EQ, 0.0, f"{tag}.def")
     return x
-
-
-def binary_abs_diff(start_i, stop_i) -> LinExpr:
-    """|x_i - x_{i-1}| when the operands are on/off binaries.
-
-    Valid whenever the start/stop compatibility rows are present: exactly one
-    of start_i, stop_i is 1 at a state change and both are 0 otherwise.  Adds
-    no variables.
-    """
-    return as_expr(start_i) + as_expr(stop_i)
 
 
 def bool_and(rows: RowList, a, b, name: str, tag: str) -> Var:

@@ -13,11 +13,11 @@ from an ``ExprBlock``: a series of expressions held as arrays (term columns
 and coefficients in insertion order, row pointers and a constant vector).
 ``append_rows`` appends rows given as plain lists (columns, coefficients,
 term counts, sense codes, right-hand sides and tags); a ``RowList`` gathers
-a builder's rows as one tuple each and hands them to it in one call.  One
-rule says what a stored row may be, whichever of the three stores it: a
-known sense, a non-empty tag, declared columns, each column at most once,
-and a finite right-hand side.  Each entry tests its batch in one cheap pass
-and hands a batch that fails to ``Model._check_rows``, which raises the
+a builder's rows, each added as a term dict, and hands them to it in one
+call.  One rule says what a stored row may be, whichever of the three stores
+it: a known sense, a non-empty tag, declared columns, each column at most
+once, and a finite right-hand side.  Each entry tests its batch in one cheap
+pass and hands a batch that fails to ``Model._check_rows``, which raises the
 error of the first bad row, naming its tag; nothing of the batch is stored.
 ``Model.continuous_series`` makes the named columns of such a series in one
 call.  ``row_arrays`` hands the store to the solver and to ``export_lp`` as
@@ -119,14 +119,15 @@ class LinExpr:
     The terms keep insertion order, and a coefficient that cancels to
     0.0 is dropped.
 
-    The component builders form no row with these operators: ``fcchp``
-    and ``linearize`` gather their rows in a ``RowList`` (or plain lists)
-    from ``Var`` ids and (terms, constant) operands, with the float
-    operations these operators would do, and hand each build step's rows to
-    ``Model.append_rows`` at once.  The operators stay the expression API of
-    the objective, the ledger series and the tests.  They merge two terms of
-    one column; a row formed without them that holds a column twice breaks
-    the store's one rule for rows and is refused.
+    ``fcchp`` and ``linearize`` form no row with these operators: they
+    gather their rows with ``RowList.add`` (the per-unit layouts of
+    ``fcchp.transition_rows`` and ``build_min_durations`` go straight into
+    ``append_rows``' lists) from ``Var`` ids and (terms, constant) operands,
+    with the float operations these operators would do, and hand each build
+    step's rows to ``Model.append_rows`` at once.  The operators stay the
+    expression API of the objective, the ledger series and the tests.  They
+    merge two terms of one column; a row formed without them that holds a
+    column twice breaks the store's one rule for rows and is refused.
     """
 
     __slots__ = ("terms", "const")
@@ -745,10 +746,10 @@ class Model:
 
 
 class RowList(list):
-    """Rows gathered as ``(columns, coefficients, sense code, rhs, tag)``
-    tuples, a term dict's keys and values as the columns and coefficients,
-    and stored by one ``Model.append_rows`` call (:meth:`store`): the form in
-    which the component builders write their rows."""
+    """Rows gathered by :meth:`add`, each a term dict with a constant, a
+    sense code and a bound, and stored by one ``Model.append_rows`` call
+    (:meth:`store`): the form in which the fcCHP build steps and the
+    ``linearize`` writers write their rows."""
 
     __slots__ = ("model",)
 

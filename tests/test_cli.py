@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -406,6 +407,33 @@ def test_emit_lp_error_wins_and_nothing_is_written_under_out(
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and message in line
     assert not out.exists() and not lp.exists()
+
+
+def test_an_existing_lp_file_is_kept_on_an_export_error_and_replaced_after_an_export(
+        tmp_path, monkeypatch, capsys):
+    args = _write_scenario(tmp_path)
+    lp = tmp_path / "model.lp"
+    old = "an LP file written before, longer than the model's\n" * 2000
+    lp.write_text(old)
+    monkeypatch.setattr(besched.cli, "export_lp", _fail_the_export)
+    assert cli_main(["optimize", *args, "--out", str(tmp_path / "out"), "--emit-lp", str(lp)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: cannot export this model"
+    assert lp.read_text() == old
+
+    texts = []
+
+    def export_lp(model):
+        texts.append(besched.milp.export_lp(model).text)
+        return besched.milp.export_lp(model)
+
+    monkeypatch.setattr(besched.cli, "export_lp", export_lp)
+    assert cli_main(["optimize", *args, "--out", str(tmp_path / "out"), "--emit-lp", str(lp)]) == 0
+    assert [lp.read_text()] == texts and len(texts[0]) < len(old)
+    # a path that is no regular file is written and kept as well
+    assert cli_main(["optimize", *args, "--out", str(tmp_path / "out2"),
+                     "--emit-lp", os.devnull]) == 0
+    assert os.path.exists(os.devnull)
 
 
 def test_an_unwritable_lp_path_fails_before_the_solve(tmp_path, monkeypatch, capsys):

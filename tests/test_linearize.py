@@ -9,14 +9,13 @@ from besched.errors import ModelError
 from besched.linearize import (
     BigM,
     abs_diff,
-    binary_abs_diff,
     bool_and,
     product_bin_bounded,
     product_inequality,
     select_interval_gated,
     select_value,
 )
-from besched.milp import EQ, GE, LE, Model
+from besched.milp import _EQ, _GE, _LE, _SENSE_CODE, EQ, GE, LE, Model
 from besched.solver import SolveOptions, solve_builtin
 
 from helpers import write
@@ -97,7 +96,8 @@ def test_a_product_in_one_inequality_is_its_projection(seed, sense):
         a, u = m.continuous("alpha", 0.0, 1.0), m.continuous("u", u_min, u_max)
         w = m.continuous("w", -1.0, 1.0)
         if project:
-            write(product_inequality, m, a, u, u_min, u_max, sense, w * c + d, "prod")
+            write(product_inequality, m, a, u, u_min, u_max, _SENSE_CODE[sense], w * c + d,
+                  "prod")
             assert m.bigms == []
         else:
             v = write(product_bin_bounded, m, a, u, u_min, u_max, "v", "prod.p")
@@ -119,16 +119,16 @@ def test_a_projected_row_the_boxes_imply_is_not_written():
     m = Model()
     a, u = m.binary("alpha"), m.continuous("u", -4.0, 6.0)
     # V <= 6 and V >= -4 hold for every alpha * U in the box
-    write(product_inequality, m, a, u, -4.0, 6.0, LE, 6.0, "le")
-    write(product_inequality, m, a, u, -4.0, 6.0, GE, -4.0, "ge")
+    write(product_inequality, m, a, u, -4.0, 6.0, _LE, 6.0, "le")
+    write(product_inequality, m, a, u, -4.0, 6.0, _GE, -4.0, "ge")
     assert len(m.constraints) == 0
     # V <= 5 cuts alpha = 1, U > 5 off: only the track row is written
-    write(product_inequality, m, a, u, -4.0, 6.0, LE, 5.0, "cut")
+    write(product_inequality, m, a, u, -4.0, 6.0, _LE, 5.0, "cut")
     assert [c.tag for c in m.constraints] == ["cut"]
     with pytest.raises(ModelError, match="finite and ordered"):
-        write(product_inequality, m, a, u, -math.inf, 6.0, LE, 5.0, "unbounded")
+        write(product_inequality, m, a, u, -math.inf, 6.0, _LE, 5.0, "unbounded")
     with pytest.raises(ModelError, match="equality"):
-        write(product_inequality, m, a, u, -4.0, 6.0, EQ, 5.0, "equality")
+        write(product_inequality, m, a, u, -4.0, 6.0, _EQ, 5.0, "equality")
 
 
 def test_product_rejects_unbounded():
@@ -149,19 +149,6 @@ def test_abs_diff(a, b):
     _pin(m, vb, b)
     sol = _solve(m)
     assert sol.x[x.id] == pytest.approx(abs(b - a), abs=1e-9)
-
-
-def test_binary_abs_diff_matches_under_compatibility_rows():
-    from besched.fcchp import build_onoff_chain
-
-    for x0 in (0, 1):
-        for x1 in (0, 1):
-            m = Model()
-            chain = build_onoff_chain(m, 1, x0, name="u")
-            _pin(m, chain.x[0], x1)
-            expr = binary_abs_diff(chain.start[0], chain.stop[0])
-            sol = _solve(m)
-            assert m.evaluate(expr, sol.x) == pytest.approx(abs(x1 - x0))
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (0, 1), (1, 0), (1, 1)])

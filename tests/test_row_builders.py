@@ -26,7 +26,7 @@ from besched.fcchp import FcchpBuilder, OnOffChain, build_min_durations, transit
 from besched.linearize import (abs_diff, bool_and, gated_column, product_bin_bounded,
                                product_inequality, record_bigm, select_interval_gated,
                                select_value)
-from besched.milp import EQ, GE, LE, LinExpr, Model, RowList, as_expr
+from besched.milp import _SENSE_CODE, EQ, GE, LE, LinExpr, Model, RowList, as_expr
 
 from helpers import make_costs, make_phys, write
 from test_acceptance import INITIAL_STATES
@@ -178,7 +178,8 @@ def _inequality_built(rows, alpha, u, bound, bounds, sense):
 @example(("var", 0), ("var", 1), ("expr", {0: 3.0, 2: -3.0}, -2.0), [-2, 3], GE)
 @example(("var", 0), ("var", 1), ("expr", {0: 3.0, 2: -3.0}, -2.0), [-2, 3], LE)
 def test_inequality_rows_match_the_operator_chains(alpha, u, bound, bounds, sense):
-    assert _inequality_built(_stored(product_inequality), alpha, u, bound, bounds, sense) == \
+    assert _inequality_built(_stored(product_inequality), alpha, u, bound, bounds,
+                             _SENSE_CODE[sense]) == \
         _inequality_built(_inequality_reference, alpha, u, bound, bounds, sense)
 
 
