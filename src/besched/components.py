@@ -12,7 +12,11 @@ units: ``Model.continuous_series`` makes a named series of columns,
 ``ExprBlock`` holds their expressions and ``Model.add_rows`` adds the
 storage rows as one block.  Each gives bit for bit the variables, rows and
 expressions that the ``LinExpr`` operators would.  The switched components
-(heat pump, mechanical CHP, fcCHP) are built unit by unit with ``LinExpr``.
+(heat pump, mechanical CHP, fcCHP) store their rows as Python lists through
+``milp.RowList`` and ``Model.append_rows``: the on/off chain and minimum
+times of ``fcchp.build_onoff_chain`` and ``build_min_durations``, the
+MechCHP output's ``linearize.gated_column`` rows, and the fcCHP build steps.
+Only their ledger series are built unit by unit with ``LinExpr``.
 """
 
 from __future__ import annotations

@@ -17,15 +17,16 @@ replayed history before unit 1 (``OnOffChain.start_at``, ``FcchpBuilder.sw_at``)
 Every row has one form: no row is formed with the ``LinExpr`` operators.  A
 row's columns come from the ``Var`` ids, its float operands fold into the
 right-hand side, and each call of ``transition_rows`` and
-``build_min_durations``, and each build step of ``FcchpBuilder``, hands all
-its rows to ``Model.append_rows`` at once: the steps gather theirs with
-``milp.RowList.add``, with operands as (terms, constant) pairs
+``build_min_durations``, and each build step of ``FcchpBuilder``, gathers
+all its rows in one ``milp.RowList`` and stores them with one
+``Model.append_rows`` call (``RowList.store``).  The steps add theirs with
+``RowList.add``, with operands as (terms, constant) pairs
 (``linearize._operand``); the two functions, whose rows repeat one fixed
-layout per unit, extend ``append_rows``' six lists from it and form no term
-dict per row.  Each coefficient and rhs takes the float operations of the
-operator chain it stands for; where two operands share a column they merge
-by ``milp._add_terms`` (``linearize._difference``), and the store's rule
-refuses a row that holds a column twice.  The operator
+layout per unit, extend ``append_rows``' six lists in the ``RowList`` from
+that layout and form no term dict per row.  Each coefficient and rhs takes
+the float operations of the operator chain it stands for; where two operands
+share a column they merge by ``milp._add_terms`` (``linearize._difference``),
+and the store's rule refuses a row that holds a column twice.  The operator
 chains are kept as the reference in ``tests/test_row_builders.py``.  The
 ledger series (thermal, electric, primary power and the financial input)
 are expressions, not rows, and stay ``LinExpr``.
@@ -193,9 +194,6 @@ class FcchpInitialState:
             if v not in (0, 1):
                 raise ModelError(f"start history value at {j} must be 0 or 1")
 
-    def start_at(self, j: int) -> int:
-        return int(self.start_history.get(j, 0))
-
 
 @dataclass(frozen=True)
 class FcchpUnitParams:
@@ -206,10 +204,9 @@ class FcchpUnitParams:
     off_min: int
     lower_init: int
     start_up: int
-    shut_down: int
     p_th_up: tuple  # thermal start-up step per unit, length start_up
     p_pr_up: tuple
-    p_el_down: tuple  # electric shut-down step per unit, length shut_down
+    p_el_down: tuple  # electric shut-down step per unit over the shut-down units
 
 
 def _profile_average(t0: float, t1: float, phys: FcchpPhysicalParams) -> float:
@@ -270,7 +267,6 @@ def derive_unit_params(phys: FcchpPhysicalParams, grid: TimeGrid,
         off_min=off_min,
         lower_init=lower_init,
         start_up=start_up,
-        shut_down=shut_down,
         p_th_up=p_th_up,
         p_pr_up=p_pr_up,
         p_el_down=tuple(p_el_down),
@@ -348,12 +344,14 @@ def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, t
 
     Each row's columns and +-1.0 coefficients come straight from the
     ``Var`` ids (``_TRANSITION_ROWS``), the float operands (history events,
-    state_0) fold into the rhs, and all rows go to ``Model.append_rows`` in
-    one call.  The rows, tags, order and rhs bits are the operator chains'
+    state_0) fold into the rhs, and all rows go into one ``RowList``,
+    stored with one ``Model.append_rows`` call.  The rows, tags, order and rhs bits are the operator chains'
     (pinned in ``tests/test_row_builders.py``).  A row whose operands share
     a column is refused by the store, naming the row.
     """
-    cols, coefs, counts, senses, rhs, tags = [], [], [], [], [], []
+    rows = RowList(model)
+    cols, coefs, counts, senses, rhs, tags = (rows.cols, rows.coefs, rows.counts, rows.senses,
+                                              rows.rhs, rows.tags)
     with_on = on is not None
     o = None
     for i in range(1, len(state) + 1):
@@ -379,7 +377,7 @@ def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, t
         if with_on:
             rhs.append(0.0)
         tags.extend([t + suffix for suffix in suffixes])
-    model.append_rows(cols, coefs, counts, senses, rhs, tags)
+    rows.store()
 
 
 def build_onoff_chain(model: Model, n: int, x_0: int, hist_start: dict | None = None,
@@ -407,8 +405,8 @@ def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: i
 
     x_i and the window's columns come straight from the ``Var`` ids, the
     recorded events are summed from 0.0 in unit order into the rhs, as
-    ``LinExpr.accumulate`` sums them, and all rows go to
-    ``Model.append_rows`` in one call.  A row whose operands share a column
+    ``LinExpr.accumulate`` sums them, and all rows go into one ``RowList``,
+    stored with one ``Model.append_rows`` call.  A row whose operands share a column
     is refused by the store, naming the row.
     """
     x = [v.id for v in chain.x]
@@ -424,7 +422,9 @@ def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: i
         windows.append(("mindown", off_min, [v.id for v in chain.stop],
                         sorted(j for j in chain.hist_stop if j < 1), chain.stop_at,
                         1.0, _LE, 1.0))
-    cols, coefs, counts, senses, rhs, tags = [], [], [], [], [], []
+    rows = RowList(model)
+    cols, coefs, counts, senses, rhs, tags = (rows.cols, rows.coefs, rows.counts, rows.senses,
+                                              rows.rhs, rows.tags)
     for i in range(1, len(x) + 1):
         for family, span, events, recorded, event_at, coef, code, bound in windows:
             lo = i - span + 1
@@ -438,7 +438,7 @@ def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: i
             s = reduce(add, map(event_at, recorded[bisect_left(recorded, lo):]), 0.0)
             rhs.append(bound - (0.0 + coef * s))
             tags.append(f"{name}.{family}.i={i}")
-    model.append_rows(cols, coefs, counts, senses, rhs, tags)
+    rows.store()
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +559,14 @@ class FcchpBuilder:
 
     # -- state chains --------------------------------------------------------
 
-    def build_chain(self) -> OnOffChain:
-        chain = build_onoff_chain(
+    def build_chain(self) -> None:
+        chain = self.vars["chain"] = build_onoff_chain(
             self.model, self.n, self.init.x_0,
             hist_start=self.init.start_history, hist_stop=self.hist_stop, name=self.name,
         )
         build_min_durations(self.model, chain, self.up.on_min, self.up.off_min, name=self.name)
-        self.vars["chain"] = chain
-        return chain
 
-    def build_change_tracker(self):
+    def build_change_tracker(self) -> None:
         """l_i, the unit of the last start or stop: the row ``lastchange``,
         l_i - kept - change_i * i = 0 with change_i = start_i + stop_i, sets
         it to i at a change, else to l_{i-1} through the product kept =
@@ -576,7 +574,8 @@ class FcchpBuilder:
         equality."""
         m, name, l_0 = self.model, self.name, self.init.l_0
         rows, chain = RowList(m), self.vars["chain"]
-        l = [m.integer(f"{name}.l[{i}]", self.l_lo, self.n) for i in range(1, self.n + 1)]
+        l = self.vars["l"] = [m.integer(f"{name}.l[{i}]", self.l_lo, self.n)
+                              for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             s, p = chain.start[i - 1].id, chain.stop[i - 1].id
             tag = f"{name}.lastchange.i={i}"
@@ -586,8 +585,6 @@ class FcchpBuilder:
                                              self.n, f"{name}.lkeep[{i}]", f"{tag}.keep"))
             rows.add(*_difference(l[i - 1], kept, ({s: 1.0 * i, p: 1.0 * i}, 0.0)), _EQ, 0.0, tag)
         rows.store()
-        self.vars["l"] = l
-        return l
 
     def build_max_runtime(self) -> None:
         """A run that ends at a stop in unit i lasts stop_i * (l_i - l_{i-1})
@@ -607,7 +604,7 @@ class FcchpBuilder:
                                _LE, float(self.up.on_max), f"{self.name}.maxrun.i={i}")
         rows.store()
 
-    def build_cold_start_flags(self):
+    def build_cold_start_flags(self) -> None:
         """k_i = 1 marks a start after a downtime beyond the cold-start
         threshold L, and a pending cold start that an ongoing downtime carries.
 
@@ -622,7 +619,7 @@ class FcchpBuilder:
         L = float(self.phys.cold_start_threshold)
         big_m = record_bigm(m, self.n - self.l_lo + 1.0, f"{name}.coldstart", self.n - self.l_lo)
         by_m = -(1.0 * big_m)  # the coefficient of k_i in - M * k_i
-        k = [m.binary(f"{name}.k[{i}]") for i in range(1, self.n + 1)]
+        k = self.vars["k"] = [m.binary(f"{name}.k[{i}]") for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             tag = f"{name}.coldstart.i={i}"
             start, k_i = chain.start[i - 1], k[i - 1].id
@@ -643,10 +640,8 @@ class FcchpBuilder:
             product_inequality(rows, k[i - 2], l[i - 1], self.l_lo, self.n, _GE,
                                ({k[i - 2].id: 1.0 * i, k_i: by_m}, 0.0), f"{tag}.keep")
         rows.store()
-        self.vars["k"] = k
-        return k
 
-    def build_warmup_duration(self):
+    def build_warmup_duration(self) -> None:
         """w_i, the warm-up duration of the last start: the row ``warmdur``,
         w_i - looked_up - kept = 0, sets it to looked_up = start_i * f(i -
         l_{i-1}) (the lookup ``{tag}.lookup``) at a start, else to w_{i-1}
@@ -654,7 +649,8 @@ class FcchpBuilder:
         m, name = self.model, self.name
         rows, start, l = RowList(m), self.vars["chain"].start, self.vars["l"]
         f = self.f
-        w = [m.integer(f"{name}.w[{i}]", self.w_lo, self.w_hi) for i in range(1, self.n + 1)]
+        w = self.vars["w"] = [m.integer(f"{name}.w[{i}]", self.w_lo, self.w_hi)
+                              for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             tag = f"{name}.warmdur.i={i}"
             if i == 1:
@@ -677,21 +673,16 @@ class FcchpBuilder:
                               f"{name}.wkeep[{i}]", f"{tag}.keep")
             rows.add(*_difference(w[i - 1], looked_up, kept), _EQ, 0.0, tag)
         rows.store()
-        self.vars["w"] = w
-        return w
 
-    def build_warmup_phase(self):
+    def build_warmup_phase(self) -> None:
         m, name = self.model, self.name
         chain = self.vars["chain"]
         y = self.vars["y"] = [m.binary(f"{name}.y[{i}]") for i in range(1, self.n + 1)]
-        sw = self.vars["stopWarmUp"] = [
-            m.binary(f"{name}.stopWarmUp[{i}]") for i in range(1, self.n + 1)
-        ]
+        self.vars["stopWarmUp"] = [m.binary(f"{name}.stopWarmUp[{i}]") for i in range(1, self.n + 1)]
         transition_rows(m, y, self.init.y_0, chain.start_at, self.sw_at, f"{name}.warmphase",
                         on=chain.x)
-        return y, sw
 
-    def build_warmup_bounds(self):
+    def build_warmup_bounds(self) -> None:
         """The warm-up lasts at least and at most w_i units.
 
         ``minwarm.i=i.j=j``: a start in the j - 1 units before i
@@ -734,7 +725,8 @@ class FcchpBuilder:
                 rows.add({y[i - 1].id: 1.0}, 0.0, _GE, 1.0, f"{name}.minwarm.init.i={i}")
 
         # r tracks the most recent start; warm-up may not outlast w
-        r = [m.integer(f"{name}.r[{i}]", self.r_lo, self.n) for i in range(1, self.n + 1)]
+        r = self.vars["r"] = [m.integer(f"{name}.r[{i}]", self.r_lo, self.n)
+                              for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             tag = f"{name}.maxwarm.i={i}"
             kept = self._kept(rows, i, r, self.init.r_0, self.r_lo, self.n,
@@ -747,16 +739,14 @@ class FcchpBuilder:
             product_inequality(rows, y[i - 1], r[i - 1], self.r_lo, self.n, _GE,
                                ({y[i - 1].id: 1.0 * i, w[i - 1].id: -1.0}, 0.0), tag)
         rows.store()
-        self.vars["r"] = r
-        return r
 
-    def build_startup_shutdown(self):
+    def build_startup_shutdown(self) -> None:
         """s_i, the jump to the first start-up level: the row ``jump``, s_i -
         (sw_i + sw_{i-1} + ... over lower_init units) = 0, the warm-up ends
         before unit 1 summed into the rhs in unit order."""
         m, name = self.model, self.name
         rows, sw = RowList(m), self.vars["stopWarmUp"]
-        s = [m.binary(f"{name}.s[{i}]") for i in range(1, self.n + 1)]
+        s = self.vars["s"] = [m.binary(f"{name}.s[{i}]") for i in range(1, self.n + 1)]
         for i in range(1, self.n + 1):
             units = range(i, i - self.up.lower_init, -1)
             ends = [sw[u - 1].id for u in units if u >= 1]
@@ -764,21 +754,18 @@ class FcchpBuilder:
             rows.add({s[i - 1].id: 1.0, **dict.fromkeys(ends, -1.0)}, 0.0 + -recorded, _EQ, 0.0,
                      f"{name}.jump.i={i}")
         rows.store()
-        self.vars["s"] = s
-        return s
 
-    def build_production_phase(self):
+    def build_production_phase(self) -> None:
         m, name = self.model, self.name
         chain = self.vars["chain"]
         z = self.vars["z"] = [m.binary(f"{name}.z[{i}]") for i in range(1, self.n + 1)]
         # production begins start_up units after the warm-up ends, and ends at a stop
         transition_rows(m, z, self.init.z_0, lambda i: self.sw_at(i - self.up.start_up),
                         chain.stop_at, f"{name}.prodphase", on=chain.x)
-        return z
 
     # -- power and cost --------------------------------------------------------
 
-    def build_power_equations(self):
+    def build_power_equations(self) -> None:
         """Per-unit thermal, electric and primary power as expressions.
 
         The production level zu_i = z_i * u_th_i is a product over the
@@ -838,13 +825,12 @@ class FcchpBuilder:
         self.vars["electricOutputPower"] = electric_out
         self.vars["electricInputPower"] = electric_in
         self.vars["primaryInputPower"] = primary_in
-        return thermal, electric_out, electric_in, primary_in
 
-    def build_cost_equation(self):
+    def build_cost_equation(self) -> None:
         chain = self.vars["chain"]
         dt = self.grid.hours_per_unit
         c = self.costs
-        fin = []
+        fin = self.vars["financialInput"] = []
         for i in range(1, self.n + 1):
             e = self.vars["primaryInputPower"][i - 1] * (c.primary_price[i - 1] * dt)
             e = e + chain.start[i - 1] * c.k_on + chain.stop[i - 1] * c.k_off
@@ -852,8 +838,6 @@ class FcchpBuilder:
             e = e + self.vars["gamma"][i - 1] * c.k_cold_start
             e = e + self.vars["z"][i - 1] * c.k_prod
             fin.append(e)
-        self.vars["financialInput"] = fin
-        return fin
 
     # -- orchestration ---------------------------------------------------------
 

@@ -7,17 +7,19 @@ carries a provenance tag so generated rows can be traced back to the
 component and time unit that emitted them.
 
 A model keeps its rows in one CSR row store: column and coefficient arrays,
-row ends, senses, right-hand sides and tags.  ``add_constraint`` appends one
-row from an expression, ``add_rows`` a block of rows, one per time unit,
-from an ``ExprBlock``: a series of expressions held as arrays (term columns
-and coefficients in insertion order, row pointers and a constant vector).
-``append_rows`` appends rows given as plain lists (columns, coefficients,
-term counts, sense codes, right-hand sides and tags); a ``RowList`` gathers
-a builder's rows, each added as a term dict, and hands them to it in one
-call.  One rule says what a stored row may be, whichever of the three stores
-it: a known sense, a non-empty tag, declared columns, each column at most
-once, and a finite right-hand side.  Each entry tests its batch in one cheap
-pass and hands a batch that fails to ``Model._check_rows``, which raises the
+row ends, senses, right-hand sides and tags.  Rows reach it by two store
+paths, chosen by the form of the input.  ``add_rows`` stores a numpy block
+of rows, one per time unit, from an ``ExprBlock``: a series of expressions
+held as arrays (term columns and coefficients in insertion order, row
+pointers and a constant vector).  ``append_rows`` stores rows given as
+Python lists (columns, coefficients, term counts, sense codes, right-hand
+sides and tags).  A ``RowList`` holds those six lists, filled row by row
+from term dicts or extended by a builder, and hands them to ``append_rows``
+in one call; ``add_constraint`` is a one-row ``append_rows`` batch formed
+from an expression.  One rule says what a stored row may be, on both paths:
+a known sense, a non-empty tag, declared columns, each column at most once,
+and a finite right-hand side.  Each path tests its batch in one cheap pass
+and hands a batch that fails to ``Model._check_rows``, which raises the
 error of the first bad row, naming its tag; nothing of the batch is stored.
 ``Model.continuous_series`` makes the named columns of such a series in one
 call.  ``row_arrays`` hands the store to the solver and to ``export_lp`` as
@@ -119,15 +121,16 @@ class LinExpr:
     The terms keep insertion order, and a coefficient that cancels to
     0.0 is dropped.
 
-    ``fcchp`` and ``linearize`` form no row with these operators: they
-    gather their rows with ``RowList.add`` (the per-unit layouts of
-    ``fcchp.transition_rows`` and ``build_min_durations`` go straight into
-    ``append_rows``' lists) from ``Var`` ids and (terms, constant) operands,
-    with the float operations these operators would do, and hand each build
-    step's rows to ``Model.append_rows`` at once.  The operators stay the
-    expression API of the objective, the ledger series and the tests.  They
-    merge two terms of one column; a row formed without them that holds a
-    column twice breaks the store's one rule for rows and is refused.
+    ``fcchp``, ``linearize`` and ``components`` form no row with these
+    operators: they gather their rows in a ``RowList`` (with ``RowList.add``,
+    or, for the per-unit layouts of ``fcchp.transition_rows`` and
+    ``build_min_durations``, by extending its lists) from ``Var`` ids and
+    (terms, constant) operands, with the float operations these operators
+    would do, and store each batch with one ``Model.append_rows`` call.  The
+    operators stay the expression API of the objective, the ledger series,
+    ``add_constraint`` and the tests.  They merge two terms of one column; a
+    row formed without them that holds a column twice breaks the store's one
+    rule for rows and is refused.
     """
 
     __slots__ = ("terms", "const")
@@ -582,29 +585,22 @@ class Model:
         return _RowView(self)
 
     def add_constraint(self, lhs, sense: str, rhs: float = 0.0, tag: str = "") -> int:
-        code = _SENSE_CODE.get(sense)
+        """The row ``lhs <sense> rhs``, stored as a one-row :meth:`append_rows`
+        batch with the constant of ``lhs`` folded into the rhs.  An unknown
+        sense goes to the batch as it is, so :meth:`_check_rows` names it.
+        Returns the row id."""
         e = lhs if type(lhs) is LinExpr else as_expr(lhs)
-        terms = e.terms
-        rhs = float(rhs) - e.const
-        # the terms are a dict, so no column repeats
-        if (code is None or not tag or not math.isfinite(rhs)
-                or (terms and (min(terms) < 0 or max(terms) >= len(self._names)))):
-            self._check_rows(list(terms), [len(terms)], [sense if code is None else code],
-                             [rhs], [tag])
-        self._cols.extend(terms)
-        self._coefs.extend(terms.values())
-        self._ends.append(len(self._cols))
-        self._senses.append(code)
-        self._rhs.append(rhs)
-        self._tags.append(tag)
-        return len(self._tags) - 1
+        return self.append_rows(list(e.terms), list(e.terms.values()), [len(e.terms)],
+                                [_SENSE_CODE.get(sense, sense)], [float(rhs) - e.const], [tag])[0]
 
     def add_rows(self, lhs: ExprBlock, sense: str, rhs=0.0, tag: str = "") -> range:
         """One row per expression of ``lhs``, tagged ``{tag}.i=1``, ``.i=2``, ...
 
-        Row i is the row ``add_constraint(lhs[i], sense, rhs[i])`` adds, with
-        ``rhs`` one number for all rows or one per row.  An empty ``tag``
-        leaves every row's tag empty.  Returns the row ids.
+        Row i is the row ``add_constraint(lhs[i], sense, rhs[i], tag)`` adds,
+        with ``rhs`` one number for all rows or one per row: the numpy store
+        path, kept beside :meth:`append_rows` because a block of time-unit
+        rows is built as arrays.  An empty ``tag`` is refused, as on every
+        row.  Returns the row ids.
         """
         code = _SENSE_CODE.get(sense)
         cols, counts, n, n_cols = lhs.cols, np.diff(lhs.ptr), len(lhs), len(self._names)
@@ -628,14 +624,15 @@ class Model:
 
     def append_rows(self, cols: list, coefs: list, counts: list, senses: list, rhs: list,
                     tags: list) -> range:
-        """Rows given as plain lists, stored in one append per list.
+        """Rows given as Python lists, stored in one append per list: the
+        store path of every row not built as arrays (``RowList.store`` and
+        ``add_constraint`` call it).
 
         Row k has the next ``counts[k]`` entries of ``cols`` and ``coefs`` as
         its terms, the sense code ``senses[k]`` (-1 for <=, 0 for =, 1 for
-        >=), the right-hand side ``rhs[k]`` and the tag ``tags[k]``: the row
-        ``add_constraint`` stores from the same terms, constant and tag.  A
-        batch with a row that breaks the rule of :meth:`_check_rows` is
-        refused whole.  Returns the row ids.
+        >=), the right-hand side ``rhs[k]`` and the tag ``tags[k]``.  A batch
+        with a row that breaks the rule of :meth:`_check_rows` is refused
+        whole.  Returns the row ids.
         """
         if not (len(counts) == len(senses) == len(rhs) == len(tags)
                 and len(cols) == len(coefs) == sum(counts)):
@@ -661,9 +658,9 @@ class Model:
         """The one rule for what a stored row may be: a known sense code, a
         non-empty tag, declared columns, each at most once, and a finite
         rhs.  Raises the error of the first row of a batch that breaks it,
-        naming its tag; ``add_constraint``, ``add_rows`` and ``append_rows``
-        call it on every batch that fails their quick test, and store
-        nothing when it raises."""
+        naming its tag; ``add_rows`` and ``append_rows`` call it on every
+        batch that fails their quick test, and store nothing when it
+        raises."""
         n, end = len(self._names), 0
         for count, code, r, tag in zip(counts, senses, rhs, tags):
             start, end = end, end + count
@@ -745,27 +742,32 @@ class Model:
         return report
 
 
-class RowList(list):
-    """Rows gathered by :meth:`add`, each a term dict with a constant, a
-    sense code and a bound, and stored by one ``Model.append_rows`` call
-    (:meth:`store`): the form in which the fcCHP build steps and the
-    ``linearize`` writers write their rows."""
+class RowList:
+    """Rows gathered in the six lists that ``Model.append_rows`` takes and
+    stored by one call of it (:meth:`store`): the one batch of every row that
+    a builder forms as Python lists.  :meth:`add` appends a row given as a
+    term dict; a builder whose rows repeat one fixed layout per unit (the
+    switched-state chains of ``fcchp``) extends the lists itself."""
 
-    __slots__ = ("model",)
+    __slots__ = ("model", "cols", "coefs", "counts", "senses", "rhs", "tags")
 
     def __init__(self, model: Model):
-        self.model = model  # the list starts empty: list.__init__ is not called
+        self.model = model
+        self.cols, self.coefs, self.counts, self.senses, self.rhs, self.tags = [], [], [], [], [], []
 
     def add(self, terms: dict, const: float, code: int, bound: float, tag: str) -> None:
         """The row ``terms + const <sense> bound``, its rhs ``bound - const``
         as ``Model.add_constraint`` folds it."""
-        self.append((terms, terms.values(), code, bound - const, tag))
+        self.cols.extend(terms)
+        self.coefs.extend(terms.values())
+        self.counts.append(len(terms))
+        self.senses.append(code)
+        self.rhs.append(bound - const)
+        self.tags.append(tag)
 
     def store(self) -> range:
-        cols, coefs, senses, rhs, tags = zip(*self) if self else ((),) * 5
-        return self.model.append_rows(list(chain.from_iterable(cols)),
-                                      list(chain.from_iterable(coefs)), list(map(len, cols)),
-                                      list(senses), list(rhs), list(tags))
+        return self.model.append_rows(self.cols, self.coefs, self.counts, self.senses, self.rhs,
+                                      self.tags)
 
 
 # -- LP file export -----------------------------------------------------------

@@ -137,7 +137,7 @@ def test_startup_steps_begin_at_init_level_and_end_at_startup_level():
 def test_shutdown_peak_spread_over_units():
     # shut-down shorter than one unit dilutes the extra draw
     up = derive_unit_params(make_phys(d_down=0.3), TimeGrid(8, 0.25))
-    assert up.shut_down == 2
+    assert len(up.p_el_down) == 2
     assert up.p_el_down[0] == pytest.approx(0.4)
     assert up.p_el_down[1] == pytest.approx(0.4 * 0.05 / 0.25)
     # exact multiple: full peak in every shut-down unit
