@@ -690,6 +690,13 @@ class FcchpBuilder:
         <= spread * y_i.  ``maxwarm.i=i``: r_i tracks the last start, and while
         warming up it lies at most w_i units back, y_i * r_i >= y_i * i - w_i.
         ``product_inequality`` writes both without a product column.
+
+        A ``minwarm`` window counts only the starts inside the horizon.  Rows
+        for a start before unit 1 would add nothing right: while its warm-up
+        still runs at unit 1 (y_0 = 1) the ``minwarm.init`` rows pin it over
+        exactly the units they would force; after it ended (j > w_0) they are
+        vacuous; and after a stop cut it short they would cap w_1, which
+        keeps w_0, below w_0, and so refuse even a plant that stays off.
         """
         m, name = self.model, self.name
         rows, chain, y, w = RowList(m), self.vars["chain"], self.vars["y"], self.vars["w"]
@@ -701,18 +708,16 @@ class FcchpBuilder:
         for i in range(1, self.n + 1):
             capped = {y[i - 1].id: 1.0 * spread}, 0.0  # spread * y_i
             for j in range(f_lo, f_hi + 1):
-                # the starts of the j - 1 units before i: columns inside the
-                # horizon, the recorded ones before it summed in unit order
+                # the starts of the j - 1 units before i inside the horizon
                 recent = start[max(i - j + 1, 1) - 1:i - 1]
-                recorded = reduce(add, map(chain.start_at, range(i - j + 1, min(i, 1))), 0.0)
-                if not recent and recorded == 0.0:
+                if not recent:
                     continue  # no start can fall into this window; sigma = 0
                 tag = f"{name}.minwarm.i={i}.j={j}"
                 sig = m.binary(f"{name}.sigma[{i},{j}]")
                 # sig * M - recent >= 0 and sig - recent <= 0
-                window, const = dict.fromkeys(recent, -1.0), 0.0 + -recorded
-                rows.add({sig.id: 1.0 * sigma_m, **window}, const, _GE, 0.0, f"{tag}.ub")
-                rows.add({sig.id: 1.0, **window}, const, _LE, 0.0, f"{tag}.lb")
+                window = dict.fromkeys(recent, -1.0)
+                rows.add({sig.id: 1.0 * sigma_m, **window}, 0.0, _GE, 0.0, f"{tag}.ub")
+                rows.add({sig.id: 1.0, **window}, 0.0, _LE, 0.0, f"{tag}.lb")
                 # sig * (w_i - j + 1) <= spread * y_i
                 product_inequality(rows, sig, ({w[i - 1].id: 1.0}, 0.0 + -float(j - 1)),
                                    self.w_lo - j + 1, self.w_hi - j + 1, _LE, capped, tag)

@@ -325,12 +325,10 @@ def test_states_match_simulator_with_warmup_values_past_the_horizon():
                        phys=make_phys(warmup_table=(1, 2, 3, 4, 5)))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 19, defect B (the FOUND line on FcchpBuilder.build_warmup_bounds in "
-    "CHANGES.md): minwarm.i=1.j=7 sees the start at -4 and caps w[1] at 6, while "
-    "warmdur.i=1 keeps w[1] = w_0 = 10, so even pattern 000000 is infeasible"))
 def test_states_match_simulator_after_a_warmup_cut_short_by_a_stop():
-    # criterion-5 state 4: started at -4, stopped at -2 during a 10-unit warm-up
+    # criterion-5 state 4: started at -4, stopped at -2 during a 10-unit warm-up;
+    # a minwarm window over the start at -4 capped w[1] at 6 while warmdur.i=1
+    # keeps w[1] = w_0 = 10, which refused even pattern 000000 (item 19, defect B)
     _check_equivalence(FcchpInitialState(l_0=-2, r_0=-4, w_0=10, start_history={-4: 1}),
                        n=6, phys=make_phys(warmup_table=(1, 2, 3, 4, 5, 6, 7)))
 
@@ -639,7 +637,7 @@ def _chain_histories():
 PINNED_MODELS = {
     "criterion_5_states": (
         _criterion_5_states,
-        "219dea7e0135915c1ab4d6919dcf9ff50d42f8e2ff984f1762c8e464df934362",
+        "1a4c94b4ad87fdb9c0aef525c2b140b7627b7b6edf4bdae6217038ed4f077279",
     ),
     "criterion_3_ramp_plant": (
         _criterion_3_ramp_plant,

@@ -474,9 +474,9 @@ class _ReferenceBuilder(FcchpBuilder):
         for i in range(1, self.n + 1):
             for j in range(f_lo, f_hi + 1):
                 recent = LinExpr()
-                for unit in range(i - j + 1, i):
+                for unit in range(max(i - j + 1, 1), i):
                     recent.accumulate(chain.start_at(unit))
-                if not recent.terms and recent.const == 0.0:
+                if not recent.terms:
                     continue
                 tag = f"{name}.minwarm.i={i}.j={j}"
                 sig = m.binary(f"{name}.sigma[{i},{j}]")
