@@ -360,6 +360,27 @@ def test_validate_rejects_empty_heating_band(tmp_path, capsys):
     assert "band empty" in capsys.readouterr().err
 
 
+def test_validate_reports_a_trivially_infeasible_row_and_exits_one(
+        tmp_path, capsys, monkeypatch):
+    # the day scenario plus the empty row 0 >= 1
+    from besched.milp import GE, LinExpr
+
+    forced = []
+
+    def with_an_empty_row(*args, **kwargs):
+        problem = build_problem(*args, **kwargs)
+        forced.append(problem.model.add_constraint(LinExpr(), GE, 1.0, "forced"))
+        return problem
+
+    build_problem = besched.cli.build_problem
+    monkeypatch.setattr(besched.cli, "build_problem", with_an_empty_row)
+    config, situation = write_daily_scenario(tmp_path / "day")
+    assert cli_main(["validate", "--config", str(config), "--situation", str(situation)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("model ok: ")
+    assert out[1:] == [f"trivially infeasible row {forced[0]}: forced"]
+
+
 def test_explain_filters_rows_by_tag_prefix(tmp_path, capsys):
     args = _write_scenario(tmp_path)
     assert cli_main(["explain", *args, "--tag", "balance.heat"]) == 0

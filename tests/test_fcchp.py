@@ -134,6 +134,15 @@ def test_startup_steps_begin_at_init_level_and_end_at_startup_level():
     assert all(b >= a - 1e-12 for a, b in zip(up.p_th_up, up.p_th_up[1:]))
 
 
+def test_startup_steps_that_end_inside_a_unit_average_the_plateau():
+    # a 1.5 h start-up on 1 h units: unit 2 ramps from 0.5 to 1.5 kW over
+    # [1, 1.5] (0.5 kWh) and holds 1.5 kW over [1.5, 2] (0.75 kWh)
+    up = derive_unit_params(make_phys(d_start_up=1.5), TimeGrid(6, 1.0))
+    assert up.start_up == 2
+    assert up.p_th_up == (0.5, 1.25)
+    assert up.p_pr_up == (1.0, 2.5)
+
+
 def test_shutdown_peak_spread_over_units():
     # shut-down shorter than one unit dilutes the extra draw
     up = derive_unit_params(make_phys(d_down=0.3), TimeGrid(8, 0.25))
@@ -331,6 +340,17 @@ def test_states_match_simulator_after_a_warmup_cut_short_by_a_stop():
     # keeps w[1] = w_0 = 10, which refused even pattern 000000 (item 19, defect B)
     _check_equivalence(FcchpInitialState(l_0=-2, r_0=-4, w_0=10, start_history={-4: 1}),
                        n=6, phys=make_phys(warmup_table=(1, 2, 3, 4, 5, 6, 7)))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 19, defect C (the FOUND line on replay_history and prodphase in "
+    "CHANGES.md): replay_history ends the cut-short warm-up at the stop at -2, so "
+    "production may begin at unit 1 = -2 + start_up 3; patterns 111000 to 111111 solve "
+    "with y and z both 1 at units 1-3, which simulate_fcchp refuses"))
+def test_states_match_simulator_after_a_cut_short_warmup_with_a_long_start_up():
+    # criterion-5 state 4 with a 3-unit start-up
+    _check_equivalence(FcchpInitialState(l_0=-2, r_0=-4, w_0=10, start_history={-4: 1}),
+                       n=6, phys=make_phys(d_start_up=3.0))
 
 
 def test_cold_start_flag_follows_downtime_threshold():

@@ -1,8 +1,10 @@
 """Built-in branch-and-bound and the two LP backends."""
 
+import heapq
 import math
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from besched.solver import (
     OPTIMAL,
     TIME_LIMIT,
     UNBOUNDED,
+    VERIFY_TOL,
     ModelArrays,
     SolveOptions,
     _WarmLP,
@@ -102,6 +105,48 @@ def test_time_limit_status():
     assert sol.status in (TIME_LIMIT, INFEASIBLE, OPTIMAL)  # tiny models may finish in one node
     # a zero limit is a limit, not "no limit"
     assert solve_builtin(m, SolveOptions(time_limit=0.0)).status == TIME_LIMIT
+
+
+def test_time_limit_between_tree_nodes_keeps_the_incumbent(monkeypatch):
+    # a knapsack that branches: the root dive finds an incumbent and the
+    # search leaves a ceiling child unsolved on the heap; the clock passes
+    # the deadline as that child is popped, before its LP starts
+    weights, values = (15, 17, 4, 5, 10, 12), (15, 9, 3, 6, 10, 9)
+    m = Model("knapsack")
+    xs = [m.binary(f"x{j}") for j in range(len(weights))]
+    m.add_constraint(sum(x * float(w) for x, w in zip(xs, weights)), LE, 31.0, "cap")
+    m.set_objective(sum(x * float(-v) for x, v in zip(xs, values)))
+    optimum = solve_builtin(m)
+    assert optimum.status == OPTIMAL
+
+    now = [0.0]
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        if entry[4] is None:  # an open node whose LP is still to be solved
+            now[0] = 100.0
+        return entry
+
+    lp_statuses = []
+    solve_lp = ModelArrays.solve_lp
+
+    def recording_solve_lp(self, *args, **kwargs):
+        solved = solve_lp(self, *args, **kwargs)
+        lp_statuses.append(solved[0])
+        return solved
+
+    monkeypatch.setattr(besched.solver.time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(besched.solver, "heapq",
+                        types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    monkeypatch.setattr(ModelArrays, "solve_lp", recording_solve_lp)
+    sol = solve_builtin(m, SolveOptions(time_limit=10.0))
+    assert now[0] == 100.0 and lp_statuses and TIME_LIMIT not in lp_statuses
+    assert sol.status == TIME_LIMIT
+    assert sol.stats.keys() == BUILTIN_STATS
+    assert sol.stats["nodes"] < optimum.stats["nodes"]
+    arrays = ModelArrays(m)
+    assert arrays.max_violation(sol.x) <= VERIFY_TOL
+    assert sol.objective == arrays.objective_value(sol.x) >= optimum.objective
 
 
 def test_presolve_bound_tightening():
