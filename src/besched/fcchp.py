@@ -345,8 +345,9 @@ def transition_rows(model: Model, state: list, state_0: int, begin_at, end_at, t
     Each row's columns and +-1.0 coefficients come straight from the
     ``Var`` ids (``_TRANSITION_ROWS``), the float operands (history events,
     state_0) fold into the rhs, and all rows go into one ``RowList``,
-    stored with one ``Model.append_rows`` call.  The rows, tags, order and rhs bits are the operator chains'
-    (pinned in ``tests/test_row_builders.py``).  A row whose operands share
+    stored with one ``Model.append_rows`` call.  The rows, tags, order and
+    rhs bits are the operator chains' (pinned in
+    ``tests/test_row_builders.py``).  A row whose operands share
     a column is refused by the store, naming the row.
     """
     rows = RowList(model)
@@ -406,8 +407,8 @@ def build_min_durations(model: Model, chain: OnOffChain, on_min: int, off_min: i
     x_i and the window's columns come straight from the ``Var`` ids, the
     recorded events are summed from 0.0 in unit order into the rhs, as
     ``LinExpr.accumulate`` sums them, and all rows go into one ``RowList``,
-    stored with one ``Model.append_rows`` call.  A row whose operands share a column
-    is refused by the store, naming the row.
+    stored with one ``Model.append_rows`` call.  A row whose operands share
+    a column is refused by the store, naming the row.
     """
     x = [v.id for v in chain.x]
     # per family: the window span, the event columns, the recorded event
@@ -678,7 +679,8 @@ class FcchpBuilder:
         m, name = self.model, self.name
         chain = self.vars["chain"]
         y = self.vars["y"] = [m.binary(f"{name}.y[{i}]") for i in range(1, self.n + 1)]
-        self.vars["stopWarmUp"] = [m.binary(f"{name}.stopWarmUp[{i}]") for i in range(1, self.n + 1)]
+        self.vars["stopWarmUp"] = [m.binary(f"{name}.stopWarmUp[{i}]")
+                                   for i in range(1, self.n + 1)]
         transition_rows(m, y, self.init.y_0, chain.start_at, self.sw_at, f"{name}.warmphase",
                         on=chain.x)
 

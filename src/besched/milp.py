@@ -753,7 +753,8 @@ class RowList:
 
     def __init__(self, model: Model):
         self.model = model
-        self.cols, self.coefs, self.counts, self.senses, self.rhs, self.tags = [], [], [], [], [], []
+        self.cols, self.coefs, self.counts = [], [], []
+        self.senses, self.rhs, self.tags = [], [], []
 
     def add(self, terms: dict, const: float, code: int, bound: float, tag: str) -> None:
         """The row ``terms + const <sense> bound``, its rhs ``bound - const``

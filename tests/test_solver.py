@@ -146,7 +146,8 @@ def test_time_limit_between_tree_nodes_keeps_the_incumbent(monkeypatch):
     assert sol.stats["nodes"] < optimum.stats["nodes"]
     arrays = ModelArrays(m)
     assert arrays.max_violation(sol.x) <= VERIFY_TOL
-    assert sol.objective == arrays.objective_value(sol.x) >= optimum.objective
+    assert sol.objective == arrays.objective_value(sol.x)
+    assert sol.objective >= optimum.objective
 
 
 def test_presolve_bound_tightening():

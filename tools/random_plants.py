@@ -106,11 +106,12 @@ def main(argv=None) -> int:
         feasible += both_feasible
         if differs:
             disagreed += 1
-            print(f"case {k}: state {case['state']} table {case['phys']['warmup_table']} "
-                  f"pattern {''.join(map(str, case['bits']))} {status}: {differs} "
-                  f"({', '.join(f'{p}={v}' for p, v in case['phys'].items() if p != 'warmup_table')})")
-    print(f"seed {args.seed}: {args.cases} cases, {args.cases - refused} built, {refused} refused, "
-          f"{feasible} feasible on both sides, {disagreed} disagreements, "
+            phys = case["phys"]
+            others = ", ".join(f"{p}={v}" for p, v in phys.items() if p != "warmup_table")
+            print(f"case {k}: state {case['state']} table {phys['warmup_table']} "
+                  f"pattern {''.join(map(str, case['bits']))} {status}: {differs} ({others})")
+    print(f"seed {args.seed}: {args.cases} cases, {args.cases - refused} built, "
+          f"{refused} refused, {feasible} feasible on both sides, {disagreed} disagreements, "
           f"{time.monotonic() - t0:.1f} s")
     return 1 if disagreed else 0
 
