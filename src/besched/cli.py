@@ -21,9 +21,8 @@ lock while it solves.  The worker is joined before anything under ``--out``
 is written.  The LP file is written whatever the solve ends in, an error
 included.  An error of the export (a ``ModelError``, or an ``OSError`` of
 the write) wins over an error of the solve; an LP file that this run created
-is then removed, and nothing under ``--out`` is written.  With ``--solver
-external`` the model is exported once, on the calling thread before the
-solve, and the external solver reads that text.
+is then removed, and nothing under ``--out`` is written.  This holds for
+every backend; the external one exports its own input as well.
 
 The argument parser is built once per process; each call parses its own
 arguments into a new namespace.
@@ -43,7 +42,7 @@ from .errors import BeschedError
 from .milp import export_lp
 from .pipeline import build_problem, solve_problem
 from .schedule import Schedule, extract_schedule
-from .solver import TIME_LIMIT, SolveOptions
+from .solver import INFEASIBLE, TIME_LIMIT, SolveOptions
 from .timeseries import write_schedule
 from .xmlio import parse_configuration, parse_situation
 
@@ -96,19 +95,16 @@ def _load_problem(args):
     return build_problem(config, situation, base_dir=Path(args.situation).parent)
 
 
-def _write_lp(model, path: str, created: bool, keep: bool = False):
-    """Export the model and write it to ``path``; returns the ``LpFile``
-    with ``keep``, else None, so that a future does not hold its text
-    through the solve.  On an error the file is removed if ``created`` says
-    that this run made it; a file that was there before is left in place."""
+def _write_lp(model, path: str, created: bool) -> None:
+    """Export the model and write it to ``path``.  On an error the file is
+    removed if ``created`` says that this run made it; a file that was there
+    before is left in place."""
     try:
-        lp = export_lp(model)
-        Path(path).write_text(lp.text)
+        Path(path).write_text(export_lp(model).text)
     except BaseException:
         if created:
             Path(path).unlink(missing_ok=True)  # the export's error is the one raised
         raise
-    return lp if keep else None
 
 
 def _cmd_optimize(args) -> int:
@@ -121,25 +117,21 @@ def _cmd_optimize(args) -> int:
         # existing file keeps its content until the export has succeeded
         created = not os.path.lexists(args.emit_lp)
         open(args.emit_lp, "a").close()
-        if options.backend == "external":  # its solver reads the exported text
-            solution = solve_problem(problem, options,
-                                     _write_lp(problem.model, args.emit_lp, created, keep=True))
-        else:
-            # the solve stays on this thread: its Python prelude then reaches
-            # HiGHS, which releases the lock, before the export takes it over
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                exported = pool.submit(_write_lp, problem.model, args.emit_lp, created)
-                try:
-                    solution = solve_problem(problem, options)
-                finally:
-                    exported.result()  # its error wins over the solve's
+        # the solve stays on this thread: its Python prelude then reaches
+        # HiGHS, which releases the lock, before the export takes it over
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            exported = pool.submit(_write_lp, problem.model, args.emit_lp, created)
+            try:
+                solution = solve_problem(problem, options)
+            finally:
+                exported.result()  # its error wins over the solve's
     else:
         solution = solve_problem(problem, options)
     if solution.x is None:
         empty = Schedule(problem.grid, solution.status, None, {}, dict(solution.stats))
         write_schedule(empty, args.out)
         print(f"no schedule: {solution.status}")
-        return 2 if solution.status == "infeasible" else 1
+        return 2 if solution.status == INFEASIBLE else 1
     schedule = extract_schedule(problem.ledger, solution)
     written = write_schedule(schedule, args.out)
     print(f"{solution.status}: objective {solution.objective:.6f} ct")
@@ -186,10 +178,7 @@ def cli_main(argv=None) -> int:
                "explain": _cmd_explain}[args.command]
     try:
         return handler(args)
-    except BeschedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BeschedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,16 +80,17 @@ def parse_glpk_solution(text: str):
 _STATUS_MAP = {"o": OPTIMAL, "f": FEASIBLE, "n": INFEASIBLE, "unbounded": UNBOUNDED}
 
 
-def solve_external(model: Model, options: SolveOptions | None = None, lp=None) -> Solution:
-    """Solve the model with an external LP-file solver; ``lp`` is the model's
-    exported ``LpFile`` where the caller has one, else it is exported here."""
+def solve_external(model: Model, options: SolveOptions | None = None) -> Solution:
+    """Solve the model with an external LP-file solver: the model is
+    exported here, written to the command's ``{in}`` file, and the solution
+    read from its ``{out}`` file is checked row by row."""
     options = options or SolveOptions(backend="external")
     template = options.command or glpk_command()
     if "{in}" not in template or "{out}" not in template:
         raise SolverError("external command template must contain {in} and {out}")
 
     t0 = time.monotonic()
-    lp = export_lp(model) if lp is None else lp
+    lp = export_lp(model)
     with tempfile.TemporaryDirectory(prefix="besched_") as tmp:
         in_path = Path(tmp) / "model.lp"
         out_path = Path(tmp) / "solution.sol"

@@ -87,12 +87,12 @@ def build_problem(config: BuildingConfiguration, situation: BuildingSituation,
     return Problem(model=model, ledger=ledger, grid=grid)
 
 
-def solve_problem(problem: Problem, options: SolveOptions | None = None, lp=None) -> Solution:
-    """Solve with the backend of ``options``.  ``lp``, the model's exported
-    ``LpFile``, spares the external backend its own export."""
+def solve_problem(problem: Problem, options: SolveOptions | None = None) -> Solution:
+    """Solve with the backend of ``options``: the built-in solver, or the
+    external one, which exports the model to its own LP input file."""
     options = options or SolveOptions()
     if options.backend == "external":
         from .external import solve_external
 
-        return solve_external(problem.model, options, lp)
+        return solve_external(problem.model, options)
     return solve_builtin(problem.model, options)

@@ -7,12 +7,10 @@ installed.  A reference naming a container in the one format that is given
 in the other (e.g. a ``.h5`` reference next to a ``.csv`` file with the same
 stem) resolves to the existing file, so scenarios can ship either way.
 
-A CSV container is read and converted once per build: its data rows become
-one float matrix in one ``np.array`` call, which converts each cell as
-``float()`` does, and every referenced column is sliced from it.  When a
-cell is not a number or the rows differ in length, only the cells of each
-referenced column are converted, so a bad cell in a column nobody
-references does no harm.
+A CSV container is read once per build, into its header and its non-blank
+data rows.  Each referenced column is converted on its own, in one
+``np.array`` call that converts each cell as ``float()`` does, so a bad cell
+in a column nobody references does no harm.
 """
 
 from __future__ import annotations
@@ -45,19 +43,16 @@ def _resolve(path: Path) -> Path:
 
 
 class _CsvTable(NamedTuple):
-    """A CSV container as read: the header, the data rows that are not blank
-    with their line numbers, and those rows as one float matrix, or None when
-    a cell is not a number or the rows differ in length."""
+    """A CSV container as read: the header, and the data rows that are not
+    blank with their line numbers, all cells as text."""
 
     header: list
     rows: list
     lines: list
-    matrix: np.ndarray | None
 
 
 def _read_csv(path: Path) -> _CsvTable:
-    """The container's rows, converted to floats in one pass where they can
-    be; the header must be there."""
+    """The container's header and non-blank rows; the header must be there."""
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -65,34 +60,28 @@ def _read_csv(path: Path) -> _CsvTable:
     header = [h.strip() for h in rows[0]]
     kept = [(line, row) for line, row in enumerate(rows[1:], start=2)
             if row and not all(not cell.strip() for cell in row)]
-    lines = [line for line, _ in kept]
-    data = [row for _, row in kept]
-    try:
-        matrix = np.array(data, dtype=float) if data else np.empty((0, len(header)))
-    except ValueError:  # a cell that is not a number, or ragged rows
-        matrix = None
-    return _CsvTable(header, data, lines, matrix)
+    return _CsvTable(header, [row for _, row in kept], [line for line, _ in kept])
 
 
 def _csv_column(path: Path, table: _CsvTable, column: str) -> np.ndarray:
-    """One column as floats, sliced from the matrix.  Without one, only the
-    column's own cells are converted and checked, so a bad cell elsewhere
-    does no harm."""
+    """One column as floats, converted in one ``np.array`` call.  Only the
+    column's own cells are converted and checked; a row too short to hold
+    the column or a cell that is not a number is reported with its line."""
     header = table.header
     if column not in header:
         raise NotFound(f"no column {column!r} in {path.name} "
                        f"(available: {', '.join(header)})", str(path))
     idx = header.index(column)
-    if table.matrix is not None and idx < table.matrix.shape[1]:
-        return table.matrix[:, idx]
-    values = []
-    for line, row in zip(table.lines, table.rows):
-        try:
-            values.append(float(row[idx]))
-        except (IndexError, ValueError) as exc:
-            raise InputError(f"bad value in column {column!r} at line {line}",
-                             str(path)) from exc
-    return np.array(values, dtype=float)
+    try:
+        return np.array([row[idx] for row in table.rows], dtype=float)
+    except (IndexError, ValueError):
+        for line, row in zip(table.lines, table.rows):
+            try:
+                float(row[idx])
+            except (IndexError, ValueError) as exc:
+                raise InputError(f"bad value in column {column!r} at line {line}",
+                                 str(path)) from exc
+        raise
 
 
 def _load_hdf5_dataset(path: Path, dataset: str):

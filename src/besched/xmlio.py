@@ -369,6 +369,8 @@ def _collect_attrs(el, schema: dict, units: dict, path: str) -> dict:
 
 
 def _parse_root(text: str, expected: str):
+    """(root, units, id) of a document whose root element is ``expected``:
+    the units it sets over the defaults, and its id, which must be given."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -376,7 +378,11 @@ def _parse_root(text: str, expected: str):
     tag = _strip_ns(root.tag)
     if tag != expected:
         raise InputError(f"expected a {expected} document, found <{tag}>")
-    return root
+    units = _element_units(root, _DEFAULT_UNITS, expected)
+    root_id = root.get("id")
+    if not root_id:
+        raise InputError("missing required attribute 'id'", expected)
+    return root, units, root_id
 
 
 def _component_elements(root, root_path: str):
@@ -419,12 +425,8 @@ def _series_ref(el, kind: str, units: dict, path: str) -> SeriesRef:
 
 
 def parse_configuration(text: str) -> BuildingConfiguration:
-    root = _parse_root(text, "BuildingConfiguration")
     root_path = "BuildingConfiguration"
-    units = _element_units(root, _DEFAULT_UNITS, root_path)
-    config_id = root.get("id")
-    if not config_id:
-        raise InputError("missing required attribute 'id'", root_path)
+    root, units, config_id = _parse_root(text, root_path)
     extra = sorted(set(_local_attrs(root)) - set(_UNIT_ATTRS) - {"id", "schemaLocation"})
     if extra:
         raise InputError(f"unknown attributes: {', '.join(extra)}", root_path)
@@ -440,12 +442,8 @@ def parse_configuration(text: str) -> BuildingConfiguration:
 
 
 def parse_situation(text: str, config: BuildingConfiguration) -> BuildingSituation:
-    root = _parse_root(text, "BuildingSituation")
     root_path = "BuildingSituation"
-    units = _element_units(root, _DEFAULT_UNITS, root_path)
-    sit_id = root.get("id")
-    if not sit_id:
-        raise InputError("missing required attribute 'id'", root_path)
+    root, units, sit_id = _parse_root(text, root_path)
     if sit_id != config.id:
         raise ScenarioMismatch(
             f"situation id {sit_id!r} does not match configuration id {config.id!r}",

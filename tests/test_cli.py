@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 import besched.cli
-import besched.external
 import besched.milp
 from besched.cli import cli_main
 from besched.errors import ModelError, NumericalFailure
@@ -474,23 +474,19 @@ def test_an_unwritable_lp_path_fails_before_the_solve(tmp_path, monkeypatch, cap
     assert solved == []
 
 
-def test_external_emit_lp_exports_the_model_once(tmp_path, monkeypatch, capsys):
-    texts = []
-
-    def export_lp(model):
-        exported = besched.milp.export_lp(model)
-        texts.append(exported.text)
-        return exported
-
-    monkeypatch.setattr(besched.cli, "export_lp", export_lp)
-    monkeypatch.setattr(besched.external, "export_lp", export_lp)
+def test_external_emit_lp_writes_the_bytes_the_solver_read(tmp_path, capsys):
     args = _write_scenario(tmp_path)
-    lp = tmp_path / "model.lp"
-    # "true" writes no solution file, so the solve ends in an error after the export
+    lp, seen = tmp_path / "model.lp", tmp_path / "seen.lp"
+    # the command keeps a copy of its input and writes no solution file, so
+    # the solve ends in an error after the solver read {in}
+    copy = "import shutil, sys; shutil.copyfile(sys.argv[1], sys.argv[2])"
+    command = (f"{shlex.quote(sys.executable)} -c {shlex.quote(copy)} {{in}} "
+               f"{shlex.quote(str(seen))} {{out}}")
     assert cli_main(["optimize", *args, "--out", str(tmp_path / "out"), "--solver", "external",
-                     "--solver-cmd", "true {in} {out}", "--emit-lp", str(lp)]) == 1
+                     "--solver-cmd", command, "--emit-lp", str(lp)]) == 1
     assert "produced no solution file" in capsys.readouterr().err
-    assert texts == [lp.read_text()]
+    assert lp.read_bytes() == seen.read_bytes()
+    assert lp.read_bytes().startswith(b"\\") and not (tmp_path / "out").exists()
 
 
 def test_emit_lp_writes_the_lp_file_on_a_worker_when_the_solve_fails(

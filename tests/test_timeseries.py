@@ -9,7 +9,7 @@ import pytest
 from besched.assembly import TimeGrid
 from besched.errors import InputError, LengthMismatch, NotFound
 from besched.schedule import Schedule
-from besched.timeseries import _read_csv, load_timeseries, write_schedule
+from besched.timeseries import _csv_column, _read_csv, load_timeseries, write_schedule
 from besched.xmlio import SeriesRef
 
 
@@ -64,14 +64,14 @@ def _float_bits(cell: str) -> bytes:
     return np.array([float(cell)]).tobytes()
 
 
-def _assert_matrix_is_float_per_cell(table):
-    assert table.matrix.shape == (len(table.rows), len(table.rows[0]) if table.rows else
-                                  len(table.header))
-    for row, got in zip(table.rows, table.matrix):
-        assert got.tobytes() == b"".join(map(_float_bits, row))
+def _assert_columns_are_float_per_cell(path, table):
+    for j, name in enumerate(table.header):
+        got = _csv_column(path, table, name)
+        assert got.dtype == float and got.tobytes() == b"".join(
+            _float_bits(row[j]) for row in table.rows)
 
 
-def test_the_matrix_is_float_of_every_cell_on_the_scenario_csvs(tmp_path):
+def test_every_column_is_float_of_every_cell_on_the_scenario_csvs(tmp_path):
     from helpers import write_daily_scenario, write_week_scenario
     from test_pipeline import write_every_element_series
 
@@ -82,15 +82,15 @@ def test_the_matrix_is_float_of_every_cell_on_the_scenario_csvs(tmp_path):
     for path in (tmp_path / "day" / "scenario.csv", tmp_path / "week" / "week.csv",
                  tmp_path / "all.csv", tmp_path / "data.csv"):
         table = _read_csv(path)
-        assert table.matrix is not None and len(table.rows) > 0
-        _assert_matrix_is_float_per_cell(table)
+        assert len(table.rows) > 0 and all(len(row) == len(table.header) for row in table.rows)
+        _assert_columns_are_float_per_cell(path, table)
 
 
 CELLS = [" 1 ", "1_0", ".5", "+1.", "-2.5e-3", "1E5", "inf", "-Infinity", "nan", "-nan", "NaN",
          "", "1,5", "0x10", "1d3", " ", "abc", "1e", "1__0", "\u0661", "7"]
 
 
-def test_the_matrix_matches_float_on_fuzzed_cells(tmp_path):
+def test_each_column_matches_float_on_fuzzed_cells(tmp_path):
     rng = random.Random(15)
     path = tmp_path / "fuzz.csv"
     for trial in range(300):
@@ -103,10 +103,7 @@ def test_the_matrix_matches_float_on_fuzzed_cells(tmp_path):
         table = _read_csv(path)
         kept = [row for row in rows if any(c.strip() for c in row)]
         assert table.rows == kept
-        convertible = not any(_is_bad(cell) for row in kept for cell in row)
-        assert (table.matrix is not None) == convertible, rows
-        if convertible:
-            _assert_matrix_is_float_per_cell(table)
+        assert table.lines == [line for line, row in enumerate(rows, start=2) if row in kept]
         for j in range(width):
             ref = SeriesRef("fuzz.csv", f"/c{j}")
             bad = [line for line, row in enumerate(rows, start=2)
@@ -118,6 +115,7 @@ def test_the_matrix_matches_float_on_fuzzed_cells(tmp_path):
             else:
                 got = load_timeseries(ref, len(kept), tmp_path)
                 want = b"".join(_float_bits(row[j]) for row in kept)
+                assert _csv_column(path, table, f"c{j}").tobytes() == want
                 assert np.array(got, dtype=float).tobytes() == want
 
 
@@ -132,21 +130,22 @@ def _is_bad(cell: str) -> bool:
 def test_a_bad_cell_fails_only_its_own_column_and_names_its_line(tmp_path):
     (tmp_path / "data.csv").write_text("A,B\n1.0,2.0\n\n3.0,oops\n , \n5.0,6.0\n")
     table = _read_csv(tmp_path / "data.csv")
-    assert table.matrix is None and table.lines == [2, 4, 6]
+    assert table.lines == [2, 4, 6]
     assert load_timeseries(SeriesRef("data.csv", "/A", scale=0.5), 3, tmp_path) == [0.5, 1.5, 2.5]
     with pytest.raises(InputError, match=r"bad value in column 'B' at line 4"):
         load_timeseries(SeriesRef("data.csv", "/B"), 3, tmp_path)
 
 
-def test_ragged_rows_fall_back_to_the_cells_of_the_column(tmp_path):
+def test_ragged_rows_fail_only_the_column_a_row_lacks(tmp_path):
     (tmp_path / "data.csv").write_text("A,B\n1.0,2.0\n3.0\n5.0,6.0,7.0\n")
-    assert _read_csv(tmp_path / "data.csv").matrix is None
+    assert _read_csv(tmp_path / "data.csv").rows == [["1.0", "2.0"], ["3.0"],
+                                                     ["5.0", "6.0", "7.0"]]
     assert load_timeseries(SeriesRef("data.csv", "/A"), 3, tmp_path) == [1.0, 3.0, 5.0]
     with pytest.raises(InputError, match=r"bad value in column 'B' at line 3"):
         load_timeseries(SeriesRef("data.csv", "/B"), 3, tmp_path)
     # rows all shorter than the header
     (tmp_path / "short.csv").write_text("A,B\n1.0\n2.0\n")
-    assert _read_csv(tmp_path / "short.csv").matrix.shape == (2, 1)
+    assert _read_csv(tmp_path / "short.csv").rows == [["1.0"], ["2.0"]]
     assert load_timeseries(SeriesRef("short.csv", "/A"), 2, tmp_path) == [1.0, 2.0]
     with pytest.raises(InputError, match=r"bad value in column 'B' at line 2"):
         load_timeseries(SeriesRef("short.csv", "/B"), 2, tmp_path)
