@@ -17,10 +17,12 @@ sides and tags).  A ``RowList`` holds those six lists, filled row by row
 from term dicts or extended by a builder, and hands them to ``append_rows``
 in one call; ``add_constraint`` is a one-row ``append_rows`` batch formed
 from an expression.  One rule says what a stored row may be, on both paths:
-a known sense, a non-empty tag, declared columns, each column at most once,
-and a finite right-hand side.  Each path tests its batch in one cheap pass
-and hands a batch that fails to ``Model._check_rows``, which raises the
-error of the first bad row, naming its tag; nothing of the batch is stored.
+a known sense code, a non-empty tag, declared integer columns, each column
+at most once, and a finite right-hand side.  Each path tests its batch in one
+cheap pass and hands a batch that fails to ``Model._check_rows``, which
+raises the error of the first bad row, naming its tag.  A store is
+all-or-nothing: when a check or an append raises, every store array is cut
+back to its length before the batch, so nothing of the batch is stored.
 ``Model.continuous_series`` makes the named columns of such a series in one
 call.  ``row_arrays`` hands the store to the solver and to ``export_lp`` as
 numpy arrays; ``Model.constraints`` is a read-only view that builds a
@@ -62,6 +64,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, repeat
+from numbers import Integral
 from operator import ne
 from typing import NamedTuple
 
@@ -92,6 +95,8 @@ class Domain:
     hi: float
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ModelError(f"unknown variable kind {self.kind!r}")
         if self.lo > self.hi:
             raise ModelError(f"empty domain: lo={self.lo} > hi={self.hi}")
         if self.kind == BINARY and (self.lo, self.hi) != (0.0, 1.0):
@@ -608,18 +613,22 @@ class Model:
         tags = [f"{tag}.i={i}" for i in range(1, n + 1)] if tag else [tag] * n
         # a column repeats in a row where two sorted keys row * (n_cols + 1) + col meet
         keys = np.sort(np.repeat(np.arange(n) * (n_cols + 1), counts) + cols)
-        if (code is None or not tag or not np.isfinite(rhs).all()
+        if (code is None or not tag or not np.isfinite(rhs).all() or cols.dtype.kind not in "iu"
                 or (len(cols) and (cols.min() < 0 or cols.max() >= n_cols))
                 or (keys[1:] == keys[:-1]).any()):
             self._check_rows(cols.tolist(), counts.tolist(), [sense if code is None else code] * n,
                              rhs.tolist(), tags)
         first, base = len(self._tags), len(self._cols)
-        self._cols.frombytes(np.asarray(cols, dtype=np.int64).tobytes())
-        self._coefs.frombytes(np.asarray(lhs.coefs, dtype=float).tobytes())
-        self._ends.frombytes((np.asarray(lhs.ptr[1:], dtype=np.int64) + base).tobytes())
-        self._senses.frombytes(np.full(n, code, dtype=np.int8).tobytes())
-        self._rhs.frombytes(rhs.tobytes())
-        self._tags.extend(tags)
+        try:
+            self._cols.frombytes(np.asarray(cols, dtype=np.int64).tobytes())
+            self._coefs.frombytes(np.asarray(lhs.coefs, dtype=float).tobytes())
+            self._ends.frombytes((np.asarray(lhs.ptr[1:], dtype=np.int64) + base).tobytes())
+            self._senses.frombytes(np.full(n, code, dtype=np.int8).tobytes())
+            self._rhs.frombytes(rhs.tobytes())
+            self._tags.extend(tags)
+        except Exception:
+            self._cut_rows(first, base)
+            raise
         return range(first, first + n)
 
     def append_rows(self, cols: list, coefs: list, counts: list, senses: list, rhs: list,
@@ -632,7 +641,10 @@ class Model:
         its terms, the sense code ``senses[k]`` (-1 for <=, 0 for =, 1 for
         >=), the right-hand side ``rhs[k]`` and the tag ``tags[k]``.  A batch
         with a row that breaks the rule of :meth:`_check_rows` is refused
-        whole.  Returns the row ids.
+        whole, and so is one whose append raises (a float sense code or
+        column id, a coefficient that is no number): the store is cut back
+        and the error of the broken rule, if any, is raised.  Returns the
+        row ids.
         """
         if not (len(counts) == len(senses) == len(rhs) == len(tags)
                 and len(cols) == len(coefs) == sum(counts)):
@@ -646,33 +658,45 @@ class Model:
                 and math.isfinite(sum(rhs))):
             self._check_rows(cols, counts, senses, rhs, tags)
         first, base = len(self._tags), len(self._cols)
-        self._cols.fromlist(cols)
-        self._coefs.fromlist(coefs)
-        self._ends.fromlist(list(accumulate(counts, initial=base))[1:])
-        self._senses.fromlist(senses)
-        self._rhs.fromlist(rhs)
-        self._tags.extend(tags)
+        try:
+            self._cols.fromlist(cols)
+            self._coefs.fromlist(coefs)
+            self._ends.fromlist(list(accumulate(counts, initial=base))[1:])
+            self._senses.fromlist(senses)
+            self._rhs.fromlist(rhs)
+            self._tags.extend(tags)
+        except Exception:
+            self._cut_rows(first, base)
+            self._check_rows(cols, counts, senses, rhs, tags)
+            raise
         return range(first, first + len(tags))
 
+    def _cut_rows(self, rows: int, terms: int) -> None:
+        """Cut the row store back to its first ``rows`` rows, whose terms are
+        the first ``terms`` entries: what is left of a batch whose append
+        raised."""
+        del self._cols[terms:], self._coefs[terms:]
+        del self._ends[rows:], self._senses[rows:], self._rhs[rows:], self._tags[rows:]
+
     def _check_rows(self, cols, counts, senses, rhs, tags):
-        """The one rule for what a stored row may be: a known sense code, a
-        non-empty tag, declared columns, each at most once, and a finite
-        rhs.  Raises the error of the first row of a batch that breaks it,
-        naming its tag; ``add_rows`` and ``append_rows`` call it on every
-        batch that fails their quick test, and store nothing when it
-        raises."""
+        """The one rule for what a stored row may be: a known integer sense
+        code, a non-empty tag, declared integer columns, each at most once,
+        and a finite rhs.  Raises the error of the first row of a batch that
+        breaks it, naming its tag; ``add_rows`` and ``append_rows`` call it
+        on every batch that fails their quick test, and store nothing when
+        it raises."""
         n, end = len(self._names), 0
         for count, code, r, tag in zip(counts, senses, rhs, tags):
             start, end = end, end + count
             row = cols[start:end]
-            if code not in _SENSE_OF:
+            if not isinstance(code, Integral) or code not in _SENSE_OF:
                 raise ModelError(f"unknown constraint sense {code!r} in constraint {tag!r}")
             if not tag:
                 raise ModelError(f"constraint tag must be non-empty, got {tag!r}")
-            bad = next((vid for vid in row if vid < 0 or vid >= n), None)
-            if bad is not None:
+            bad = [vid for vid in row if not isinstance(vid, Integral) or vid < 0 or vid >= n]
+            if bad:
                 raise UndeclaredVariable(
-                    f"variable handle {bad} not declared in this model, in constraint {tag!r}")
+                    f"variable handle {bad[0]} not declared in this model, in constraint {tag!r}")
             if len(set(row)) < count:
                 raise ModelError(f"the operands of constraint {tag!r} share a column")
             if not math.isfinite(r):

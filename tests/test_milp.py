@@ -203,6 +203,56 @@ def test_every_store_entry_refuses_each_row_fault_and_stores_nothing(entry, faul
     assert after.tags == ["kept"]
 
 
+def _store_lengths(m):
+    return [len(getattr(m, a)) for a in ("_names", "_lo", "_hi", "_kind", "_handles", "_by_name",
+                                         "_cols", "_coefs", "_ends", "_senses", "_rhs", "_tags")]
+
+
+_STORE_FAULTS = {
+    # a float sense code equals a known one, but its append raises
+    "append_rows, float sense": (
+        lambda m: m.append_rows([0, 1], [1.0, 1.0], [1, 1], [-1, 1.0], [0.0, 0.0], ["ok", "t"]),
+        ModelError, "unknown constraint sense 1.0 in constraint 't'"),
+    "append_rows, float column": (
+        lambda m: m.append_rows([0, 1.7], [1.0, 1.0], [1, 1], [-1, 1], [0.0, 0.0], ["ok", "t"]),
+        UndeclaredVariable, "variable handle 1.7 not declared in this model, in constraint 't'"),
+    "append_rows, coefficient None": (
+        lambda m: m.append_rows([0, 1], [1.0, None], [1, 1], [-1, 1], [0.0, 0.0], ["ok", "t"]),
+        TypeError, "must be real number"),
+    "add_rows, float column": (
+        lambda m: m.add_rows(ExprBlock(np.array([0, 1, 2]), np.array([1.7, 0.0]), np.ones(2),
+                                       np.zeros(2)), LE, 0.0, "b"),
+        UndeclaredVariable, "variable handle 1.7 not declared in this model, in constraint "
+                            "'b.i=1'"),
+    "add_rows, text coefficient": (
+        lambda m: m.add_rows(ExprBlock(np.array([0, 1, 2]), np.array([0, 1]),
+                                       np.array([1.0, "a"], dtype=object), np.zeros(2)),
+                             LE, 0.0, "b"),
+        ValueError, "could not convert string to float: 'a'"),
+    "add_var, unknown kind": (
+        lambda m: m.add_var("z", Domain("real", 0.0, 1.0)),
+        ModelError, "unknown variable kind 'real'"),
+}
+
+
+@pytest.mark.parametrize("fault", _STORE_FAULTS)
+def test_a_store_that_raises_leaves_every_store_array_as_it_was(fault):
+    store, error, message = _STORE_FAULTS[fault]
+    m = Model()
+    x0, x1 = m.binary("x0"), m.continuous("x1", 0.0, 2.0)
+    m.add_constraint(x0 + x1, LE, 1.0, "kept")
+    before = _store_lengths(m)
+    with pytest.raises(error) as raised:
+        store(m)
+    assert message in str(raised.value)
+    assert _store_lengths(m) == before
+    # the next column and row line up with the store
+    y = m.integer("y", 0, 3)
+    assert m.vars[2] is y and len(m.column_arrays().lo) == len(m.column_arrays().integral) == 3
+    m.append_rows([y.id], [1.0], [1], [1], [1.0], ["next"])
+    assert m.row_arrays().tags == ["kept", "next"]
+
+
 def test_a_non_finite_coefficient_is_refused_naming_its_row_or_column():
     m = Model()
     x, y = m.binary("x"), m.binary("y")
