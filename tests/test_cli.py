@@ -314,6 +314,24 @@ def _write_every_element(tmp_path, config, situation):
     # the eighth unit would begin in the year 10000
     ("situation", 'hoursPerTimeUnit="1.0"', '1.0" start="9999-12-31T18:00:00',
      "BuildingSituation@start: no timestamp for every unit from '9999-12-31T18:00:00'"),
+    # the spec and initial-state checks an attribute reaches
+    ("situation", 'lastStartStopChangeInHours="1.0"', "-1",
+     "error: last state change must not lie in the future"),
+    ("config", 'maxChargingPower="2.0"', "-1",
+     "battery: charge/discharge limits must be non-negative"),
+    ("config", 'chargeEfficiency="0.95"', "1.5", "battery: efficiencies must lie in (0, 1]"),
+    ("config", 'inputCarrier="electric"', "coal", "rod: unsupported input carrier 'coal'"),
+    ("config", 'outputCarrier="cold"', "electric",
+     "chiller: unsupported output carrier 'electric'"),
+    ("config", 'efficiency="0.7"', "1.5", "chiller: efficiency must lie in (0, 1]"),
+    ("config", 'maxInputPower="4.0"', "0", "chiller: maxInputPower must be positive"),
+    ("config", 'thermalEfficiency="0.55"', "1.5",
+     "chp: efficiencies must lie strictly between 0 and 1"),
+    ("config", 'boilerEfficiency="0.9"', "0", "chp: boiler efficiency must lie in (0, 1]"),
+    ("config", 'maxBoilerPower="10.0"', "-1", "chp: boiler output limit must be non-negative"),
+    ("situation", 'lastWarmUpDurationUnits="2"', "-1", "w_0 must be non-negative"),
+    ("situation", 'isOnAtBegin="true" isProducingAtBegin="true"', 'false" isProducingAtBegin="true',
+     "producing (z_0 = 1) requires the plant on (x_0 = 1)"),
 ])
 def test_optimize_rejects_a_non_finite_or_empty_value_with_one_error_line(
         tmp_path, capsys, document, attr, value, message):

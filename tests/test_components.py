@@ -1,5 +1,6 @@
 """Time grid, balance ledger/assembly, and the standard component builders."""
 
+import dataclasses
 import math
 import time
 
@@ -32,7 +33,8 @@ from besched.components import (
     build_storage,
     build_usage,
 )
-from besched.errors import ModelError, StructuralInfeasibility
+from besched.errors import InconsistentHistory, ModelError, StructuralInfeasibility
+from besched.fcchp import FcchpInitialState
 from besched.milp import EQ, Model, as_expr
 from besched.solver import solve_builtin
 
@@ -580,3 +582,55 @@ def test_mech_chp_spec_validation():
         MechChpSpec("C", 0.6, 0.5, 2.0, 1.0, 0.9, 1.0, primary_price=(1.0,))
     with pytest.raises(ModelError):
         MechChpSpec("C", 0.6, 0.3, 1.0, 2.0, 0.9, 1.0, primary_price=(1.0,))
+
+
+_GRID4 = TimeGrid(4, 1.0)
+_PUMP = HeatPumpSpec("hp", 1.0, (3.0,) * 4)
+_STORE = StorageSpec("st", HEAT, 0.0, 10.0, 5.0, 2.0, 2.0)
+_CONVERTER = ConverterSpec("cv", ELECTRIC, HEAT, 0.9, 3.0)
+_CHP = MechChpSpec("chp", 0.5, 0.3, 6.0, 3.0, 0.9, 10.0, primary_price=(1.0,) * 4)
+
+
+def _build_pump(**changes):
+    spec = dataclasses.replace(_PUMP, **changes)
+    build_heat_pump(Model(), spec, _GRID4, BalanceLedger(_GRID4))
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda: _build_pump(last_change_hours=-1.0), ModelError,
+     "last state change must not lie in the future"),
+    (lambda: _build_pump(carrier=ELECTRIC), ModelError, "hp: pump carrier must be heat or cold"),
+    (lambda: dataclasses.replace(_STORE, max_discharge_power=-1.0), ModelError,
+     "st: charge/discharge limits must be non-negative"),
+    (lambda: dataclasses.replace(_STORE, charge_efficiency=0.0), ModelError,
+     "st: efficiencies must lie in (0, 1]"),
+    (lambda: dataclasses.replace(_CONVERTER, input_carrier="coal"), ModelError,
+     "cv: unsupported input carrier 'coal'"),
+    (lambda: dataclasses.replace(_CONVERTER, output_carrier=ELECTRIC), ModelError,
+     "cv: unsupported output carrier 'electric'"),
+    (lambda: dataclasses.replace(_CONVERTER, efficiency=1.5), ModelError,
+     "cv: efficiency must lie in (0, 1]"),
+    (lambda: dataclasses.replace(_CONVERTER, max_input_power=0.0), ModelError,
+     "cv: maxInputPower must be positive"),
+    (lambda: dataclasses.replace(_CHP, eta_el=1.0), ModelError,
+     "chp: efficiencies must lie strictly between 0 and 1"),
+    (lambda: dataclasses.replace(_CHP, boiler_eta=0.0), ModelError,
+     "chp: boiler efficiency must lie in (0, 1]"),
+    (lambda: dataclasses.replace(_CHP, boiler_p_max=-1.0), ModelError,
+     "chp: boiler output limit must be non-negative"),
+    (lambda: FcchpInitialState(w_0=-1), ModelError, "w_0 must be non-negative"),
+    (lambda: FcchpInitialState(z_0=1), InconsistentHistory,
+     "producing (z_0 = 1) requires the plant on (x_0 = 1)"),
+    (lambda: FcchpInitialState(start_history={1: 1}), ModelError,
+     "start history carries a positive time unit 1"),
+    (lambda: FcchpInitialState(start_history={-1: 2}), ModelError,
+     "start history value at -1 must be 0 or 1"),
+    (lambda: BalanceLedger(_GRID4).add_power(HEAT, "middle", "x", [0.0] * 4), ModelError,
+     "unknown role 'middle'"),
+    (lambda: BalanceLedger(_GRID4).add_financial("both", "x", [0.0] * 4), ModelError,
+     "unknown financial role 'both'"),
+])
+def test_each_spec_and_ledger_refusal_names_its_fault(refuse, error, message):
+    with pytest.raises(error) as raised:
+        refuse()
+    assert str(raised.value) == message
