@@ -12,6 +12,8 @@ from besched.fcchp import (
 from besched.milp import EQ, Model, RowList
 from besched.solver import SolveOptions, solve_builtin
 
+from oracles import pattern_feasible, simulate_fcchp
+
 
 def make_phys(**overrides):
     base = dict(
@@ -143,6 +145,31 @@ def series(model, builder, key, sol):
     for item in builder.vars[key]:
         out.append(round(model.evaluate(item + 0.0, sol.x), 9))
     return out
+
+
+# (builder series, simulator series) that a solved pattern must agree in
+STATE_KEYS = (("l", "l"), ("r", "r"), ("w", "w"), ("k", "k"),
+              ("y", "y"), ("stopWarmUp", "sw"), ("z", "z"), ("s", "s"))
+
+
+def oracle_difference(model, builder, bits, sol) -> str:
+    """What the solved on/off pattern ``bits`` of ``builder``'s plant differs
+    in from the oracles, or "": feasibility against ``simulate_fcchp`` and
+    ``pattern_feasible``, then on a feasible pattern every ``STATE_KEYS``
+    series against the simulator's."""
+    init, up = builder.init, builder.up
+    sim = simulate_fcchp(list(bits), init, builder.phys.warmup_table, up.start_up,
+                         up.lower_init, builder.phys.cold_start_threshold)
+    expected = sim is not None and pattern_feasible(
+        list(bits), init.x_0, init.start_history, builder.hist_stop, up.on_min, up.on_max,
+        up.off_min, init.l_0)
+    if sol.feasible != expected:
+        return f"oracles say {'feasible' if expected else 'infeasible'}"
+    for key, skey in STATE_KEYS if expected else ():
+        got = [round(v) for v in series(model, builder, key, sol)]
+        if got != sim[skey]:
+            return f"{key} {got} != {sim[skey]}"
+    return ""
 
 
 def column_id(model, name):

@@ -24,13 +24,8 @@ from besched.fcchp import (
 from besched.milp import EQ, LinExpr, Model, export_lp
 from besched.solver import ModelArrays, SolveOptions, solve_builtin
 
-from helpers import build_plant, make_costs, make_phys, series, solve_pattern
-from oracles import (
-    derive_events,
-    pattern_feasible,
-    profile_average_numeric,
-    simulate_fcchp,
-)
+from helpers import build_plant, make_costs, make_phys, oracle_difference, series, solve_pattern
+from oracles import derive_events, profile_average_numeric
 from test_acceptance import INITIAL_STATES
 
 
@@ -286,27 +281,12 @@ def test_historical_stop_pins_unit_off():
 # full state machine vs the sequential simulator
 
 
-STATE_KEYS = (("l", "l"), ("r", "r"), ("w", "w"), ("k", "k"),
-              ("y", "y"), ("stopWarmUp", "sw"), ("z", "z"), ("s", "s"))
-
-
 def _check_equivalence(init, n=5, phys=None):
     for bits in itertools.product((0, 1), repeat=n):
         m, b = build_plant(n, phys=phys, init=init)
         sol = solve_pattern(m, b, bits)
-        sim = simulate_fcchp(list(bits), init, b.phys.warmup_table,
-                             b.up.start_up, b.up.lower_init,
-                             b.phys.cold_start_threshold)
-        durations_ok = pattern_feasible(list(bits), init.x_0, init.start_history,
-                                        b.hist_stop, b.up.on_min, b.up.on_max,
-                                        b.up.off_min, init.l_0)
-        expected = durations_ok and sim is not None
-        assert sol.feasible == expected, (bits, sol.status)
-        if not expected:
-            continue
-        for key, skey in STATE_KEYS:
-            got = [round(v) for v in series(m, b, key, sol)]
-            assert got == sim[skey], (bits, key, got, sim[skey])
+        differs = oracle_difference(m, b, bits, sol)
+        assert differs == "", (bits, sol.status, differs)
 
 
 def test_states_match_simulator_from_cold_idle():

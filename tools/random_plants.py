@@ -17,8 +17,9 @@ A draw that the plant or the builder refuses (a ``ModelError`` such as an
 init duration longer than the start-up, or an ``InconsistentHistory``) is
 counted as refused and skipped.  Otherwise the pattern is fixed and solved
 as criterion 5 does (``tests/helpers.solve_pattern``), and the answer is
-compared with ``simulate_fcchp`` and ``pattern_feasible``: feasibility, and
-on a feasible pattern the six series l, r, w, k, y and z.
+compared with ``simulate_fcchp`` and ``pattern_feasible`` as criterion 5
+compares it (``tests/helpers.oracle_difference``): feasibility, and on a
+feasible pattern every series of ``tests/helpers.STATE_KEYS``.
 
 Each disagreement is printed as one line (case, state, table, pattern, the
 builder's status and what differs), then one summary line.  The exit code
@@ -39,9 +40,9 @@ import numpy as np  # noqa: E402
 
 from besched.errors import ModelError  # noqa: E402
 
-from helpers import build_plant, make_costs, make_phys, series, solve_pattern  # noqa: E402
-from oracles import pattern_feasible, simulate_fcchp  # noqa: E402
-from test_acceptance import INITIAL_STATES, STATE_KEYS  # noqa: E402
+from helpers import (build_plant, make_costs, make_phys, oracle_difference,  # noqa: E402
+                     solve_pattern)
+from test_acceptance import INITIAL_STATES  # noqa: E402
 
 TABLES = ((1,), (1, 2), (2, 2, 3), (1, 2, 2, 3, 3, 3), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6, 7))
 
@@ -63,8 +64,8 @@ def draw(rng: np.random.Generator) -> dict:
 
 
 def check(case: dict):
-    """None if the draw is refused, else (the builder's status, both sides
-    feasible, what differs from the oracles or "")."""
+    """None if the draw is refused, else (the builder's status, feasible and
+    agreeing with the oracles, what differs from them or "")."""
     init, bits = INITIAL_STATES[case["state"]], case["bits"]
     n = len(bits)
     try:
@@ -72,20 +73,8 @@ def check(case: dict):
     except ModelError:  # InconsistentHistory included
         return None
     sol = solve_pattern(m, b, bits)
-    sim = simulate_fcchp(bits, init, b.phys.warmup_table, b.up.start_up, b.up.lower_init,
-                         b.phys.cold_start_threshold)
-    expected = sim is not None and pattern_feasible(
-        bits, init.x_0, init.start_history, b.hist_stop, b.up.on_min, b.up.on_max,
-        b.up.off_min, init.l_0)
-    if sol.feasible != expected:
-        return sol.status, False, f"oracles say {'feasible' if expected else 'infeasible'}"
-    if not expected:
-        return sol.status, False, ""
-    for key, skey in STATE_KEYS:
-        got = [round(v) for v in series(m, b, key, sol)]
-        if got != sim[skey]:
-            return sol.status, True, f"{key} {got} != {sim[skey]}"
-    return sol.status, True, ""
+    differs = oracle_difference(m, b, bits, sol)
+    return sol.status, sol.feasible and not differs, differs
 
 
 def main(argv=None) -> int:
@@ -102,8 +91,8 @@ def main(argv=None) -> int:
         if result is None:
             refused += 1
             continue
-        status, both_feasible, differs = result
-        feasible += both_feasible
+        status, agreed_feasible, differs = result
+        feasible += agreed_feasible
         if differs:
             disagreed += 1
             phys = case["phys"]
@@ -111,7 +100,7 @@ def main(argv=None) -> int:
             print(f"case {k}: state {case['state']} table {phys['warmup_table']} "
                   f"pattern {''.join(map(str, case['bits']))} {status}: {differs} ({others})")
     print(f"seed {args.seed}: {args.cases} cases, {args.cases - refused} built, "
-          f"{refused} refused, {feasible} feasible on both sides, {disagreed} disagreements, "
+          f"{refused} refused, {feasible} feasible and agreeing, {disagreed} disagreements, "
           f"{time.monotonic() - t0:.1f} s")
     return 1 if disagreed else 0
 
