@@ -15,14 +15,15 @@ Exit codes of ``optimize``:
 With ``--emit-lp``, the LP file is opened for appending on the calling
 thread before the solve starts, so a path that cannot be written fails at
 once and an existing file is not emptied yet.  The model is then exported
-and written on a worker thread while the solver runs on the calling thread:
-the export only reads the built model, and HiGHS releases the interpreter
-lock while it solves.  The worker is joined before anything under ``--out``
-is written.  The LP file is written whatever the solve ends in, an error
-included.  An error of the export (a ``ModelError``, or an ``OSError`` of
-the write) wins over an error of the solve; an LP file that this run created
-is then removed, and nothing under ``--out`` is written.  This holds for
-every backend; the external one exports its own input as well.
+and written on a worker thread while the solver runs on the calling thread,
+for either backend: the export only reads the built model, and HiGHS, like
+the wait for an external solver, releases the interpreter lock.  The worker
+is joined before anything under ``--out`` is written.  The LP file is
+written whatever the solve ends in, an error included.  An error of the
+export (a ``ModelError``, or an ``OSError`` of the write) wins over an error
+of the solve; an LP file that this run created is then removed, and nothing
+under ``--out`` is written.  The external backend exports the model once
+more, for its own input file.
 
 The argument parser is built once per process; each call parses its own
 arguments into a new namespace.

@@ -31,9 +31,10 @@ numpy arrays; ``Model.constraints`` is a read-only view that builds a
 Beside the row store a model keeps a column store, the one record of each
 column's name and box: the names in a list and the box in three flat
 arrays, its bounds and its kind.  ``Model.binary``, ``integer`` and
-``continuous`` check the box through a ``Domain`` (every binary shares one)
-and append it; ``continuous_series`` checks a whole series in one array pass
-and appends it without a ``Domain``.  ``column_arrays`` hands the arrays to
+``continuous`` check the box through a ``Domain`` (every binary shares one,
+and a kind other than the three is refused) and append it;
+``continuous_series`` checks a whole series in one array pass and appends it
+without a ``Domain``.  ``column_arrays`` hands the arrays to
 the solver as numpy copies, and ``export_lp`` finds the distinct boxes of
 its Bounds lines in them.
 
@@ -605,7 +606,9 @@ class Model:
         with ``rhs`` one number for all rows or one per row: the numpy store
         path, kept beside :meth:`append_rows` because a block of time-unit
         rows is built as arrays.  An empty ``tag`` is refused, as on every
-        row.  Returns the row ids.
+        row, and so is a block whose columns are not of an integer dtype.  A
+        block whose append raises is cut back: nothing of it is stored.
+        Returns the row ids.
         """
         code = _SENSE_CODE.get(sense)
         cols, counts, n, n_cols = lhs.cols, np.diff(lhs.ptr), len(lhs), len(self._names)

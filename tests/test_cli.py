@@ -478,7 +478,7 @@ def test_an_existing_lp_file_is_kept_on_an_export_error_and_replaced_after_an_ex
 def test_an_unwritable_lp_path_fails_before_the_solve(tmp_path, monkeypatch, capsys):
     solved = []
 
-    def solve_problem(problem, options, lp=None):
+    def solve_problem(problem, options):
         solved.append(problem)
         raise NumericalFailure("the solve ran for an LP path that cannot be written")
 
