@@ -165,7 +165,9 @@ def oracle_difference(model, builder, bits, sol) -> str:
         up.off_min, init.l_0)
     if sol.feasible != expected:
         return f"oracles say {'feasible' if expected else 'infeasible'}"
-    for key, skey in STATE_KEYS if expected else ():
+    if not expected:
+        return ""
+    for key, skey in STATE_KEYS:
         got = [round(v) for v in series(model, builder, key, sol)]
         if got != sim[skey]:
             return f"{key} {got} != {sim[skey]}"
