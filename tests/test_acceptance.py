@@ -218,6 +218,7 @@ INITIAL_STATES = [
     FcchpInitialState(l_0=-1, r_0=-10, w_0=3, start_history={-10: 1}),
 ]
 
+
 def test_criterion_5_state_machine_matches_simulator():
     t0 = time.monotonic()
     assert len(INITIAL_STATES) == 20

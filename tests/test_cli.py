@@ -330,8 +330,8 @@ def _write_every_element(tmp_path, config, situation):
     ("config", 'boilerEfficiency="0.9"', "0", "chp: boiler efficiency must lie in (0, 1]"),
     ("config", 'maxBoilerPower="10.0"', "-1", "chp: boiler output limit must be non-negative"),
     ("situation", 'lastWarmUpDurationUnits="2"', "-1", "w_0 must be non-negative"),
-    ("situation", 'isOnAtBegin="true" isProducingAtBegin="true"', 'false" isProducingAtBegin="true',
-     "producing (z_0 = 1) requires the plant on (x_0 = 1)"),
+    ("situation", 'isOnAtBegin="true" isProducingAtBegin="true"',
+     'false" isProducingAtBegin="true', "producing (z_0 = 1) requires the plant on (x_0 = 1)"),
 ])
 def test_optimize_rejects_a_non_finite_or_empty_value_with_one_error_line(
         tmp_path, capsys, document, attr, value, message):
